@@ -530,8 +530,42 @@ def test_executor_comparison():
 # -- evaluator fast path -------------------------------------------------
 
 
+#: ErrorRateAnalysis methods that each make one pass over the error
+#: population, by kernel: the write-error and read-error kernels.
+KERNEL_PASSES = {
+    "write_passes_per_point": ("mean_cell_wer", "_write_pass"),
+    "read_passes_per_point": ("word_rer", "_read_pass"),
+}
+
+
+def count_kernel_passes(evaluate):
+    """Run ``evaluate()`` and count its population passes per kernel."""
+    from repro.vaet.error_rates import ErrorRateAnalysis
+
+    counts = dict.fromkeys(KERNEL_PASSES, 0)
+    originals = {}
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    for name, methods in KERNEL_PASSES.items():
+        for attr in methods:
+            originals[attr] = ErrorRateAnalysis.__dict__[attr]
+            setattr(ErrorRateAnalysis, attr, counting(name, originals[attr]))
+    try:
+        evaluate()
+    finally:
+        for attr, method in originals.items():
+            setattr(ErrorRateAnalysis, attr, method)
+    return counts
+
+
 def evaluator_bench(points=4, scalar_points=2,
-                    num_words=200, error_population=10_000):
+                    num_words=200, error_population=10_000, default_repeats=3):
     """Per-point wall-clock of the real memory evaluator, both paths.
 
     Times :func:`repro.dse.campaign.evaluate_memory_point` on the
@@ -540,21 +574,29 @@ def evaluator_bench(points=4, scalar_points=2,
     cell-at-a-time reference implementations.  The scalar side runs
     fewer points — it is the slow path by construction — and medians
     keep single-point noise out of the ratio.
+
+    One fixed point also runs at the evaluator's default effort (1500
+    words, 200k cells): its kernel population passes, which are
+    deterministic, and the median of ``default_repeats`` wall-clocks.
     """
     from repro.dse.campaign import evaluate_memory_point
     from repro.nvsim import MemoryConfig
     from repro.vaet.explorer import DesignConstraints
     from repro.vaet.variation_model import SCALAR_REFERENCE_ENV
 
-    def spec(seed):
+    def spec(seed, words=num_words, population=error_population):
         return {
             "node_nm": 45,
             "config": MemoryConfig().to_dict(),
             "constraints": DesignConstraints().to_dict(),
-            "num_words": num_words,
-            "error_population": error_population,
+            "num_words": words,
+            "error_population": population,
             "seed": seed,
         }
+
+    def default_point():
+        outcome = evaluate_memory_point(spec(2018, 1500, 200_000), 0)
+        assert "feasible" in outcome
 
     def timed(count):
         times = []
@@ -568,6 +610,12 @@ def evaluator_bench(points=4, scalar_points=2,
     saved = os.environ.pop(SCALAR_REFERENCE_ENV, None)
     try:
         vector = timed(points)
+        passes = count_kernel_passes(default_point)
+        default_times = []
+        for _ in range(default_repeats):
+            tick = time.perf_counter()
+            default_point()
+            default_times.append(time.perf_counter() - tick)
         os.environ[SCALAR_REFERENCE_ENV] = "1"
         scalar = timed(scalar_points)
     finally:
@@ -583,6 +631,8 @@ def evaluator_bench(points=4, scalar_points=2,
         "vector_s_per_point": vector,
         "scalar_s_per_point": scalar,
         "vector_speedup": scalar / max(vector, 1e-9),
+        "default_s_per_point": statistics.median(default_times),
+        **passes,
     }
 
 
@@ -600,7 +650,7 @@ def _check_and_save_evaluator(name, summary):
 
 def test_evaluator_fast_path():
     """Fast tier-1 path: vector evaluator >= 10x the scalar reference."""
-    summary = evaluator_bench(points=3, scalar_points=2)
+    summary = evaluator_bench(points=3, scalar_points=2, default_repeats=1)
     _check_and_save_evaluator("dse_evaluator_bench.json", summary)
 
 

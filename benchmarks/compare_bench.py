@@ -53,6 +53,11 @@ METRICS = [
     ("executors", "network_speedup", "up", False),
     ("evaluator", "vector_s_per_point", "down", True),
     ("evaluator", "vector_speedup", "up", True),
+    # Population passes of the root solves at the default effort are
+    # deterministic: any drift is a solver change.
+    ("evaluator", "write_passes_per_point", "down", True),
+    ("evaluator", "read_passes_per_point", "down", True),
+    ("evaluator", "default_s_per_point", "down", False),
     # Evaluations-to-target are seeded and fully deterministic — any
     # drift is a sampler behaviour change, so the surrogate's is gated.
     ("sampler", "surrogate_evals_to_target", "down", True),

@@ -21,7 +21,12 @@ from typing import List
 
 from scipy import optimize, stats
 
-from repro.vaet.error_rates import ErrorRateAnalysis
+from repro.vaet.error_rates import (
+    ErrorRateAnalysis,
+    UnreachableTargetError,
+    brentq_log_root,
+)
+from repro.vaet.variation_model import scalar_reference_enabled
 
 
 def bch_parity_bits(data_bits: int, correct_bits: int) -> int:
@@ -98,23 +103,35 @@ class ECCAnalysis:
     def __init__(self, analysis: ErrorRateAnalysis):
         self.analysis = analysis
         self.engine = analysis.engine
+        self._floor = None
+        # The last Newton pass: the per-bit budget rises with t, so the
+        # previous solve's pulse brackets the next root from above.
+        self._warm = None
 
     def _pulse_for_per_bit_wer(self, per_bit: float) -> float:
         """Invert the population-mean per-cell WER for a pulse width."""
-        mean_wer = self.analysis.mean_cell_wer
-
-        floor = mean_wer(1.0)  # 1 s pulse: only stuck cells remain.
-        if per_bit <= floor:
-            raise ValueError(
-                "per-bit WER %.1e below stuck-cell floor %.1e" % (per_bit, floor)
+        if self._floor is None:
+            # 1 s pulse: only stuck cells remain.
+            self._floor = self.analysis.mean_cell_wer(1.0)
+        if per_bit <= self._floor:
+            raise UnreachableTargetError(
+                "per-bit WER %.1e below stuck-cell floor %.1e"
+                % (per_bit, self._floor)
             )
-
-        def gap(log_pulse: float) -> float:
-            wer = max(mean_wer(math.exp(log_pulse)), 1e-299)
-            return math.log(wer) - math.log(per_bit)
-
         lo, hi = math.log(5e-12), math.log(0.9)
-        return math.exp(optimize.brentq(gap, lo, hi, xtol=1e-4))
+        what = "per-bit WER %.1e" % per_bit
+        if scalar_reference_enabled():
+            mean_wer = self.analysis.mean_cell_wer
+
+            def gap(log_pulse: float) -> float:
+                wer = max(mean_wer(math.exp(log_pulse)), 1e-299)
+                return math.log(wer) - math.log(per_bit)
+
+            return math.exp(brentq_log_root(gap, lo, hi, 1e-4, what))
+        log_pulse, self._warm = self.analysis._newton_pulse(
+            per_bit, lo, hi, what, start=self._warm
+        )
+        return math.exp(log_pulse)
 
     def decoder_latency(self, correct_bits: int, codeword_bits: int) -> float:
         """Pipeline latency of the BCH encoder/corrector [s].

@@ -22,11 +22,93 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from repro.nvsim.subarray import SENSE_MARGIN
 from repro.vaet.montecarlo import MonteCarloEngine
 from repro.vaet.variation_model import CellSamples, scalar_reference_enabled
+
+
+#: Newton stops once a step moves log(x) by at most this much.  The
+#: convergence is quadratic, so the returned root is ~STEP^2 from the
+#: true one; the brentq reference stops within xtol=1e-4.
+NEWTON_LOG_TOL = 1e-6
+NEWTON_MAX_PASSES = 100
+
+
+class UnreachableTargetError(ValueError):
+    """No argument inside a solver's bracket meets the error-rate target."""
+
+
+def unreachable(what: str, lo: float, hi: float) -> UnreachableTargetError:
+    """The error every margin and ECC solve raises for a target outside
+    its bracket ``[exp(lo), exp(hi)]`` seconds, on either solver path."""
+    return UnreachableTargetError(
+        "%s unreachable: outside [%.1e, %.1e] s"
+        % (what, math.exp(lo), math.exp(hi))
+    )
+
+
+def brentq_log_root(gap, lo: float, hi: float, xtol: float, what: str) -> float:
+    """The brentq reference solve of ``gap(x) = 0`` on ``[lo, hi]``."""
+    try:
+        return optimize.brentq(gap, lo, hi, xtol=xtol)
+    except ValueError:
+        raise unreachable(what, lo, hi) from None
+
+
+def newton_log_root(kernel, log_target: float, lo: float, hi: float,
+                    start, what: str):
+    """Safeguarded Newton solve of ``log f(e^x) = log_target`` on [lo, hi].
+
+    ``kernel(x)`` makes one population pass and returns ``log f`` and
+    its slope ``d log f / dx``; ``f`` falls with ``x``.  ``start`` is an
+    initial ``x`` or an ``(x, log f, slope)`` triple from an earlier
+    pass, which is reused without a new one.  Every pass tightens a
+    sign-change bracket; a step that leaves the bracket (or a useless
+    slope) bisects it when both ends are known, and otherwise evaluates
+    the missing hard limit, which ends the solve when the target lies
+    beyond it.  Stops on a Newton step of at most ``NEWTON_LOG_TOL``.
+
+    Returns:
+        The root ``x`` and the last pass as an ``(x, log f, slope)``
+        triple, a warm start for the next target.
+
+    Raises:
+        UnreachableTargetError: The target lies outside ``[lo, hi]``.
+    """
+    left, right = lo, hi
+    left_known = right_known = False
+    if isinstance(start, tuple):
+        x, log_f, slope = start
+    else:
+        x = min(max(start, lo), hi)
+        log_f, slope = kernel(x)
+    for _ in range(NEWTON_MAX_PASSES):
+        gap = log_f - log_target
+        if gap == 0.0:
+            return x, (x, log_f, slope)
+        if gap > 0.0:
+            if x >= hi:
+                raise unreachable(what, lo, hi)
+            left, left_known = max(left, x), True
+        else:
+            if x <= lo:
+                raise unreachable(what, lo, hi)
+            right, right_known = min(right, x), True
+        step = -gap / slope if slope < 0.0 else math.nan
+        if left < x + step < right:
+            if abs(step) <= NEWTON_LOG_TOL:
+                return x + step, (x, log_f, slope)
+            x += step
+        elif left_known and right_known:
+            if right - left <= NEWTON_LOG_TOL:
+                return 0.5 * (left + right), (x, log_f, slope)
+            x = 0.5 * (left + right)
+        else:
+            x = hi if gap > 0.0 else lo
+        log_f, slope = kernel(x)
+    raise RuntimeError("%s: no convergence in %d passes" % (what, NEWTON_MAX_PASSES))
 
 
 @dataclass(frozen=True)
@@ -80,6 +162,13 @@ class ErrorRateAnalysis:
         # C such that t_nom develops dV across the nominal cell.
         self._capacitance_equiv = cdv / SENSE_MARGIN
         self._developed_per_second = self._signals / self._capacitance_equiv
+        # The Newton write kernel works on the switching cells alone:
+        # WER_i = min(A_i e^(-2 r_i t), 1); stuck cells add 1 each.
+        self._switching_envelope = self._envelope[self._switching]
+        self._switching_rates = self._rates[self._switching]
+        self._stuck_count = float(len(self._rates) - len(self._switching_rates))
+        # The Newton read kernel's per-cell k in Phi(-k t).
+        self._sense_gain = self._developed_per_second / (SENSE_MARGIN / 3.0)
 
     # -- writes -------------------------------------------------------
 
@@ -140,29 +229,79 @@ class ErrorRateAnalysis:
             1.0, np.maximum(mean_wer * self.engine.word_bits, 1e-300)
         )
 
+    def _write_pass(self, log_pulse: float):
+        """One write-kernel pass: log mean cell WER and its slope in log t."""
+        pulse = math.exp(log_pulse)
+        rates = self._switching_rates
+        wer = np.exp(np.multiply(rates, -2.0 * pulse))
+        wer *= self._switching_envelope
+        # Cells capped at WER 1 contribute no slope.
+        capped_rate = 0.0
+        if wer.max() >= 1.0:
+            capped = wer >= 1.0
+            capped_rate = float(rates[capped].sum())
+            wer[capped] = 1.0
+        total = float(wer.sum()) + self._stuck_count
+        if total <= 0.0:
+            return -math.inf, math.nan
+        decay = float(np.dot(rates, wer)) - capped_rate
+        return math.log(total / len(self._rates)), -2.0 * pulse * decay / total
+
+    def _write_start(self, mean_wer: float) -> float:
+        """A log pulse at or beyond the root of mean cell WER = ``mean_wer``.
+
+        No cell beats the slowest rate with the largest envelope, so the
+        pulse that brings that bound down to the target is an upper one.
+        """
+        stuck = self._stuck_fraction
+        excess = (mean_wer - stuck) / (1.0 - stuck)
+        bound = math.log(float(self._switching_envelope.max()) / excess)
+        slowest = float(self._switching_rates.min())
+        return math.log(max(bound, 1e-300) / (2.0 * slowest))
+
+    def _newton_pulse(self, mean_wer: float, lo: float, hi: float,
+                      what: str, start=None):
+        """Newton solve of mean cell WER = ``mean_wer`` for a log pulse.
+
+        ``start`` is as for :func:`newton_log_root` and defaults to a
+        cold upper bound.  Returns the root and the last pass.
+        """
+        if start is None:
+            start = self._write_start(mean_wer)
+        return newton_log_root(
+            self._write_pass, math.log(mean_wer), lo, hi, start, what
+        )
+
     def write_margin(self, wer_target: float) -> WriteMarginResult:
         """Solve the pulse width for a per-word WER target.
 
         Raises:
-            ValueError: If the target is unreachable (stuck-cell floor —
-                the population contains sub-critical cells whose WER no
-                pulse width can fix; that is ECC's job, Fig. 8).
+            UnreachableTargetError: If the target is unreachable: below
+                the stuck-cell floor (sub-critical cells whose WER no
+                pulse width can fix; that is ECC's job, Fig. 8), or not
+                met by the longest pulse of the bracket.
         """
         if not 0.0 < wer_target < 1.0:
             raise ValueError("WER target must be in (0, 1)")
         floor = self._stuck_fraction * self.engine.word_bits
         if wer_target <= floor:
-            raise ValueError(
+            raise UnreachableTargetError(
                 "WER target %.1e below the stuck-cell floor %.1e; "
                 "requires error correction" % (wer_target, floor)
             )
-
-        def gap(log_pulse: float) -> float:
-            wer = max(self.word_wer(math.exp(log_pulse)), 1e-299)
-            return math.log(wer) - math.log(wer_target)
-
         lo, hi = math.log(10e-12), math.log(1e-6)
-        pulse = math.exp(optimize.brentq(gap, lo, hi, xtol=1e-4))
+        what = "WER target %.1e" % wer_target
+        if scalar_reference_enabled():
+            def gap(log_pulse: float) -> float:
+                wer = max(self.word_wer(math.exp(log_pulse)), 1e-299)
+                return math.log(wer) - math.log(wer_target)
+
+            log_pulse = brentq_log_root(gap, lo, hi, 1e-4, what)
+        else:
+            log_pulse, _ = self._newton_pulse(
+                wer_target / self.engine.word_bits, lo, hi, what
+            )
+        pulse = math.exp(log_pulse)
         total = self.engine._overhead + 2.0 * pulse
         return WriteMarginResult(wer_target, pulse, total)
 
@@ -208,17 +347,54 @@ class ErrorRateAnalysis:
         return np.minimum(1.0, mean_rer * self.engine.word_bits)
 
     def read_margin(self, rer_target: float) -> ReadMarginResult:
-        """Solve the sense time for a per-word RER target."""
+        """Solve the sense time for a per-word RER target.
+
+        Raises:
+            UnreachableTargetError: If no sense time in the bracket meets
+                the target.
+        """
         if not 0.0 < rer_target < 1.0:
             raise ValueError("RER target must be in (0, 1)")
-
-        def gap(log_time: float) -> float:
-            return math.log(
-                max(self.word_rer(math.exp(log_time)), 1e-300)
-            ) - math.log(rer_target)
-
         lo, hi = math.log(1e-12), math.log(1e-6)
-        sense_time = math.exp(optimize.brentq(gap, lo, hi, xtol=1e-4))
+        what = "RER target %.1e" % rer_target
+        if scalar_reference_enabled():
+            def gap(log_time: float) -> float:
+                return math.log(
+                    max(self.word_rer(math.exp(log_time)), 1e-300)
+                ) - math.log(rer_target)
+
+            log_time = brentq_log_root(gap, lo, hi, 1e-4, what)
+        else:
+            # Phi(-k_min t) bounds the mean from above: its root is a
+            # start at or beyond the solution.
+            mean_rer = rer_target / self.engine.word_bits
+            slowest = float(self._sense_gain.min())
+            start = (
+                math.log(-ndtri(mean_rer) / slowest)
+                if mean_rer < 0.5 and slowest > 0.0 else lo
+            )
+            log_time, _ = newton_log_root(
+                self._read_pass, math.log(mean_rer), lo, hi, start, what
+            )
+        sense_time = math.exp(log_time)
         regen = self.engine.leaf.sense.delay - self.engine.leaf.sense.develop_time
         total = self.engine._overhead + sense_time + regen
         return ReadMarginResult(rer_target, sense_time, total)
+
+    def _read_pass(self, log_time: float):
+        """One read-kernel pass: log mean cell RER and its slope in log t.
+
+        Mean Phi(-k t) over the cells, k = developed rate / sigma, and
+        its slope -t mean(k phi(k t)) / mean Phi(-k t).
+        """
+        sense_time = math.exp(log_time)
+        gain = self._sense_gain
+        scaled = np.multiply(gain, -sense_time)
+        total = float(ndtr(scaled).sum())
+        if total <= 0.0:
+            return -math.inf, math.nan
+        np.square(scaled, out=scaled)
+        scaled *= -0.5
+        density = np.exp(scaled, out=scaled)
+        slope = float(np.dot(gain, density)) * sense_time / math.sqrt(2.0 * math.pi)
+        return math.log(total / len(gain)), -slope / total

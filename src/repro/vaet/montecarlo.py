@@ -92,20 +92,20 @@ class MonteCarloEngine:
         completion + ``margin_sigmas`` sigma), since an open-loop array
         cannot cut power per bit the instant it happens to switch.
         """
-        cells = self.variation.sample_cells(rng, num_words * self.word_bits)
-        times = self.variation.sample_switching_times(cells, rng)
-        currents = self.variation.delivered_write_current(cells)
+        variation = self.variation
+        cells = variation.sample_cells(rng, num_words * self.word_bits)
+        currents = variation.delivered_write_current(cells)
+        times = variation._times_at(
+            cells, variation._rates_at(cells, currents), rng
+        )
         if scalar_reference_enabled():
             return self._sample_writes_scalar(
                 times, currents, num_words, margin_sigmas
             )
-        matrix = times.reshape(num_words, self.word_bits)
-        finite = np.where(np.isfinite(matrix), matrix, np.nan)
-        word_max = np.nanmax(finite, axis=1)
-        # Words containing a non-switching cell get the window cap.
-        word_max = np.where(np.isnan(word_max), 100e-9, word_max)
-        has_stuck = np.any(~np.isfinite(matrix), axis=1)
-        word_max = np.where(has_stuck, 100e-9, word_max)
+        # Times are finite or +inf (non-switching): words containing a
+        # non-switching cell get the window cap.
+        word_max = np.max(times.reshape(num_words, self.word_bits), axis=1)
+        word_max[np.isinf(word_max)] = 100e-9
         latency = self._overhead + 2.0 * word_max
 
         applied_pulse = 2.0 * (
@@ -163,15 +163,20 @@ class MonteCarloEngine:
         """
         from repro.nvsim.subarray import READ_BIAS
 
-        cells = self.variation.sample_cells(rng, num_words * self.word_bits)
-        signals = self.variation.read_signal_currents(cells)
-        # Recompute develop time per cell from the same capacitance the
-        # nominal model used: t_nom = C dV / I_nom => C dV = t_nom * I_nom.
-        nominal_signal = float(np.median(signals))
-        cdv = self.leaf.sense.develop_time * nominal_signal
-        develop = cdv / np.maximum(signals, 1e-9)
+        size = num_words * self.word_bits
         if scalar_reference_enabled():
-            return self._sample_reads_scalar(cells, signals, develop, num_words)
+            cells = self.variation.sample_cells(rng, size)
+            signals = self.variation.read_signal_currents(cells)
+            return self._sample_reads_scalar(
+                cells, signals, self._develop_times(signals), num_words
+            )
+        # The read path needs R_P and drive strength only: skip the
+        # magnetic columns of sample_cells, drawing the same stream.
+        _, resistance_p, _, strength = self.variation._draw_cells(rng, size)
+        read_currents, signals = self.variation.read_path_currents(
+            resistance_p, strength
+        )
+        develop = self._develop_times(signals)
         matrix = develop.reshape(num_words, self.word_bits)
         word_develop = np.max(matrix, axis=1)
         regen = self.leaf.sense.delay - self.leaf.sense.develop_time
@@ -179,11 +184,8 @@ class MonteCarloEngine:
 
         # Energy: mirror the nominal decomposition (periphery + wordline
         # + per-bit bitline swing + sense static) and add the per-cell
-        # conduction term, which scales with the word's develop time.
-        read_currents = READ_BIAS / (
-            cells.resistance_p
-            + self.variation._fixed_path_r / np.sqrt(cells.drive_strength)
-        )
+        # conduction term (the parallel-state read current), which
+        # scales with the word's develop time.
         current_matrix = read_currents.reshape(num_words, self.word_bits)
         bit_energy = (
             np.sum(current_matrix, axis=1) * READ_BIAS * np.maximum(word_develop, 0.0)
@@ -201,6 +203,13 @@ class MonteCarloEngine:
             self._periphery_energy + wordline + bitline_swing + sense_static + bit_energy
         )
         return ReadSamples(latency=latency, energy=energy, signal_currents=signals)
+
+    def _develop_times(self, signals: np.ndarray) -> np.ndarray:
+        """Per-cell develop time from the capacitance the nominal model
+        used: t_nom = C dV / I_nom => C dV = t_nom * I_nom."""
+        nominal_signal = float(np.median(signals))
+        cdv = self.leaf.sense.develop_time * nominal_signal
+        return cdv / np.maximum(signals, 1e-9)
 
     def _sample_reads_scalar(
         self, cells, signals, develop, num_words: int

@@ -148,11 +148,8 @@ class VariationModel:
         """Draw ``size`` independent cell instances."""
         if scalar_reference_enabled():
             return self._sample_cells_scalar(rng, size)
-        mtj_var = self.pdk.variation.mtj
         material = self._material
-        diameter = self._d0 * np.maximum(
-            0.3, 1.0 + rng.normal(0.0, mtj_var.diameter_sigma_rel, size)
-        )
+        diameter, r_p, tmr, strength = self._draw_cells(rng, size)
         hk = self._hk_eff(diameter)
         delta = self._delta(diameter, hk)
         ic0 = (
@@ -164,18 +161,8 @@ class VariationModel:
             * self.temperature
             / (HBAR * material.polarization)
         )
-        area = math.pi * (diameter / 2.0) ** 2
-        ra_sigma = mtj_var.ra_thickness_sensitivity * mtj_var.mgo_thickness_sigma_rel
-        ra = self._ra * np.exp(rng.normal(0.0, ra_sigma, size))
-        r_p = ra / area
-        tmr = self._tmr_nominal * np.maximum(
-            0.2, 1.0 + rng.normal(0.0, mtj_var.tmr_sigma_rel, size)
-        )
         tmr_write = tmr / (1.0 + (self._write_bias / self._vh) ** 2)
         r_ap_write = r_p * (1.0 + tmr_write)
-        strength = np.maximum(
-            0.3, 1.0 + rng.normal(0.0, self._strength_sigma, size)
-        )
         rate_prefactor = (
             material.damping
             * GILBERT_GYROMAGNETIC
@@ -191,6 +178,24 @@ class VariationModel:
             drive_strength=strength,
             rate_prefactor=rate_prefactor,
         )
+
+    def _draw_cells(self, rng: np.random.Generator, size: int):
+        """The per-cell random draws, in stream order: diameter, R_P,
+        zero-bias TMR and drive strength."""
+        mtj_var = self.pdk.variation.mtj
+        diameter = self._d0 * np.maximum(
+            0.3, 1.0 + rng.normal(0.0, mtj_var.diameter_sigma_rel, size)
+        )
+        area = math.pi * (diameter / 2.0) ** 2
+        ra_sigma = mtj_var.ra_thickness_sensitivity * mtj_var.mgo_thickness_sigma_rel
+        ra = self._ra * np.exp(rng.normal(0.0, ra_sigma, size))
+        tmr = self._tmr_nominal * np.maximum(
+            0.2, 1.0 + rng.normal(0.0, mtj_var.tmr_sigma_rel, size)
+        )
+        strength = np.maximum(
+            0.3, 1.0 + rng.normal(0.0, self._strength_sigma, size)
+        )
+        return diameter, ra / area, tmr, strength
 
     def _sample_cells_scalar(self, rng: np.random.Generator, size: int) -> CellSamples:
         """Cell-at-a-time reference sampler (``REPRO_VAET_SCALAR``).
@@ -265,7 +270,10 @@ class VariationModel:
         Cells whose delivered current falls below I_c0 get rate 0 (they
         will not switch in any bounded window — the deep WER tail).
         """
-        current = self.delivered_write_current(cells)
+        return self._rates_at(cells, self.delivered_write_current(cells))
+
+    @staticmethod
+    def _rates_at(cells: CellSamples, current: np.ndarray) -> np.ndarray:
         overdrive = current / cells.critical_current
         return cells.rate_prefactor * np.maximum(overdrive - 1.0, 0.0)
 
@@ -278,7 +286,12 @@ class VariationModel:
         (the thermal initial-angle distribution).  Non-switching cells
         (rate 0) return +inf.
         """
-        rates = self.switching_rates(cells)
+        return self._times_at(cells, self.switching_rates(cells), rng)
+
+    @staticmethod
+    def _times_at(
+        cells: CellSamples, rates: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
         if scalar_reference_enabled():
             theta0_sq = np.array([
                 rng.exponential(1.0 / np.maximum(cells.delta[i], 1.0))
@@ -302,12 +315,17 @@ class VariationModel:
         while the read column shares a larger biased access path whose
         mismatch partially averages out.
         """
+        return self.read_path_currents(cells.resistance_p, cells.drive_strength)[1]
+
+    def read_path_currents(self, resistance_p: np.ndarray,
+                           drive_strength: np.ndarray):
+        """Parallel-state read current and differential sense current [A]."""
         from repro.nvsim.subarray import READ_BIAS
 
         tmr_read = self._tmr_nominal / (1.0 + (READ_BIAS / self._vh) ** 2)
-        r_ap = cells.resistance_p * (1.0 + tmr_read)
-        read_strength = np.sqrt(cells.drive_strength)
+        r_ap = resistance_p * (1.0 + tmr_read)
+        read_strength = np.sqrt(drive_strength)
         fixed = self._fixed_path_r / read_strength
-        i_p = READ_BIAS / (cells.resistance_p + fixed)
+        i_p = READ_BIAS / (resistance_p + fixed)
         i_ap = READ_BIAS / (r_ap + fixed)
-        return 0.5 * (i_p - i_ap)
+        return i_p, 0.5 * (i_p - i_ap)

@@ -16,6 +16,10 @@ Equivalence comes in two strengths, matching what numpy can promise:
   columns agree to tight relative tolerance (~1e-13), and word-level
   aggregates (numpy pairwise sums vs ``math.fsum``) to ~1e-12.
 
+The root solves are pinned the same way: Newton on the vectorised
+path against the brentq reference on the scalar one, within the 2e-4
+relative latency tolerance of the stored campaign reference.
+
 Run by the ``vector-equivalence`` CI job across python/numpy corners.
 """
 
@@ -27,7 +31,9 @@ import pytest
 from repro.nvsim import MemoryConfig
 from repro.pdk import ProcessDesignKit
 from repro.vaet import VAETSTT
-from repro.vaet.error_rates import ErrorRateAnalysis
+from repro.vaet.ecc import ECCAnalysis
+from repro.vaet.error_rates import ErrorRateAnalysis, UnreachableTargetError
+from repro.vaet.explorer import DesignConstraints, DesignSpaceExplorer
 from repro.vaet.variation_model import (
     SCALAR_REFERENCE_ENV,
     scalar_reference_enabled,
@@ -214,7 +220,7 @@ class TestErrorRates:
         assert rer[0] == 1.0 and rer[1] < 1.0
 
     def test_margin_solves_agree(self, analysis, monkeypatch):
-        """The brentq margin solves land on the same pulse both ways."""
+        """The margin solves land on the same pulse both ways."""
         monkeypatch.delenv(SCALAR_REFERENCE_ENV, raising=False)
         fast = analysis.write_margin(1e-6)
         monkeypatch.setenv(SCALAR_REFERENCE_ENV, "1")
@@ -224,3 +230,94 @@ class TestErrorRates:
             reference.pulse_width, rel=1e-3
         )
         assert math.isfinite(fast.total_latency)
+
+
+#: Newton lands ~1e-12 from the root, brentq within xtol=1e-4 on the
+#: log axis: the stored campaign reference allows 2e-4 on latencies.
+SOLVER_RTOL = 2e-4
+TARGETS = (1e-6, 1e-9, 1e-12, 1e-15, 1e-18)
+
+
+def _solve(fn):
+    try:
+        return fn()
+    except UnreachableTargetError as error:
+        return error
+
+
+class TestSolverAgreement:
+    """Newton (vectorised) vs brentq (``REPRO_VAET_SCALAR``) root solves."""
+
+    @pytest.fixture(scope="class", params=[45, 65], ids=["45nm", "65nm"])
+    def node_analysis(self, request):
+        tool = VAETSTT(
+            ProcessDesignKit.for_node(request.param), MemoryConfig(word_bits=16)
+        )
+        return ErrorRateAnalysis(tool.engine, population=CELLS, seed=7)
+
+    def _both(self, monkeypatch, solve):
+        monkeypatch.delenv(SCALAR_REFERENCE_ENV, raising=False)
+        newton = _solve(solve)
+        monkeypatch.setenv(SCALAR_REFERENCE_ENV, "1")
+        brentq = _solve(solve)
+        if isinstance(brentq, Exception) or isinstance(newton, Exception):
+            assert str(newton) == str(brentq)
+            return None, None
+        return newton, brentq
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_write_margin(self, node_analysis, monkeypatch, target):
+        newton, brentq = self._both(
+            monkeypatch, lambda: node_analysis.write_margin(target)
+        )
+        assert newton is not None
+        assert newton.pulse_width == pytest.approx(brentq.pulse_width, rel=SOLVER_RTOL)
+        assert math.isfinite(newton.total_latency)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_read_margin(self, node_analysis, monkeypatch, target):
+        newton, brentq = self._both(
+            monkeypatch, lambda: node_analysis.read_margin(target)
+        )
+        assert newton is not None
+        assert newton.sense_time == pytest.approx(brentq.sense_time, rel=SOLVER_RTOL)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_ecc_points(self, node_analysis, monkeypatch, target):
+        ecc = ECCAnalysis(node_analysis)
+        for t in range(4):
+            newton, brentq = self._both(monkeypatch, lambda: ecc.point(t, target))
+            assert newton is not None
+            assert newton.pulse_width == pytest.approx(
+                brentq.pulse_width, rel=SOLVER_RTOL
+            )
+            assert newton.total_latency == pytest.approx(
+                brentq.total_latency, rel=SOLVER_RTOL
+            )
+
+    def test_ecc_results_do_not_depend_on_call_order(self, node_analysis, monkeypatch):
+        monkeypatch.delenv(SCALAR_REFERENCE_ENV, raising=False)
+        ascending = ECCAnalysis(node_analysis).sweep(3, 1e-15)
+        descending = ECCAnalysis(node_analysis)
+        for t in (3, 2, 1, 0):
+            assert descending.point(t, 1e-15).pulse_width == pytest.approx(
+                ascending[t].pulse_width, rel=1e-9
+            )
+
+    @pytest.mark.parametrize("node", [45, 65])
+    def test_explorer_picks_same_ecc_bits(self, monkeypatch, node):
+        config = MemoryConfig(word_bits=16)
+        explorer = DesignSpaceExplorer(
+            ProcessDesignKit.for_node(node), config, DesignConstraints(),
+            num_words=WORDS, error_population=CELLS,
+        )
+        newton, brentq = self._both(
+            monkeypatch, lambda: explorer.evaluate(config, seed=3)
+        )
+        assert newton.ecc_bits == brentq.ecc_bits
+        assert newton.write_latency == pytest.approx(
+            brentq.write_latency, rel=SOLVER_RTOL
+        )
+        assert newton.read_latency == pytest.approx(
+            brentq.read_latency, rel=SOLVER_RTOL
+        )
