@@ -24,9 +24,8 @@ subsystem every layer plugs into:
   mount (:class:`~repro.dse.net.NetworkExecutor`), plus a
   :class:`~repro.dse.net.Supervisor` that respawns and autoscales a
   local worker fleet against queue depth;
-* :mod:`repro.dse.shard` — :class:`ShardedResultCache` fan-out and
-  crash-safe, idempotent :func:`merge_caches` over multi-writer cache
-  directories;
+* :mod:`repro.dse.shard` — crash-safe, idempotent :func:`merge_caches`
+  over multi-writer cache directories;
 * :mod:`repro.dse.journal` — append-only JSONL event log with torn-line
   recovery and snapshot compaction (O(1) journal I/O per point);
 * :mod:`repro.dse.retry` — :class:`RetryPolicy`: budgeted per-point
@@ -118,7 +117,7 @@ from repro.dse.executors import (
 from repro.dse.jobs import Job, JobResult, canonical_json, content_key
 from repro.dse.journal import JOURNAL_VERSION, JsonlJournal, read_events
 from repro.dse.retry import RetryPolicy
-from repro.dse.shard import ShardedResultCache, merge_caches, shard_index
+from repro.dse.shard import merge_caches
 from repro.dse.pareto import (
     Objective,
     dominance_ranks,
@@ -136,11 +135,9 @@ from repro.dse.runner import (
     CampaignRunner,
     Progress,
     default_workers,
-    get_batch_target,
     get_target,
     get_target_deadline,
     is_timeout_error,
-    register_batch_target,
     register_target,
     timeout_error,
 )
@@ -155,7 +152,6 @@ from repro.dse.space import Axis, ParameterSpace
 from repro.dse.campaign import (
     MemoryCampaignResult,
     SystemCampaignResult,
-    evaluate_memory_batch,
     evaluate_memory_point,
     evaluate_system_point,
     explore_memory,
@@ -174,8 +170,6 @@ __all__ = [
     "canonical_json",
     "content_key",
     "ResultCache",
-    "ShardedResultCache",
-    "shard_index",
     "merge_caches",
     "CampaignRunner",
     "Executor",
@@ -205,8 +199,6 @@ __all__ = [
     "get_target_deadline",
     "register_target",
     "get_target",
-    "register_batch_target",
-    "get_batch_target",
     "ChaosCrash",
     "ChaosDrop",
     "Fault",
@@ -255,7 +247,6 @@ __all__ = [
     "run_memory_campaign",
     "run_system_campaign",
     "evaluate_memory_point",
-    "evaluate_memory_batch",
     "evaluate_system_point",
     "memory_point_spec",
     "system_point_spec",

@@ -25,9 +25,8 @@ Subcommands:
 * ``supervise --connect HOST:PORT --min A --max B`` — keep a local
   fleet of network workers alive, respawning dead ones and autoscaling
   between A and B against the server's queue depth;
-* ``merge --dir DIR --workers-dirs D [D...]`` — fold cache/shard
-  directories written elsewhere into a campaign's cache (crash-safe,
-  idempotent).
+* ``merge --dir DIR --workers-dirs D [D...]`` — fold cache directories
+  written elsewhere into a campaign's cache (crash-safe, idempotent).
 
 ``run``/``resume`` select the execution backend with ``--executor
 serial|pool|worker-pull|network``; ``--executor worker-pull
@@ -59,11 +58,7 @@ A campaign spec is a JSON file::
 A spec may also carry a ``"retry"`` object (``{"max_attempts": 3,
 "backoff": 0.5}``) enabling budgeted retries with flaky-point
 quarantine; ``--retries`` / ``--backoff`` override it per run.  A
-top-level ``"batch": N`` evaluates up to N points per worker
-invocation through the batched evaluator (``--batch-size`` overrides
-it per run); batching is a scheduling hint — results and the campaign
-signature are identical to unbatched runs.  A top-level
-``"deadline": SECONDS`` bounds every evaluation's wall clock
+top-level ``"deadline": SECONDS`` bounds every evaluation's wall clock
 (``--deadline`` overrides it per run): a point still running past it
 is reaped and journaled as a timeout failure, retryable and
 quarantinable like any other failure, and counted by ``status``.
@@ -216,12 +211,10 @@ def load_spec(path: str) -> Dict:
         except (TypeError, ValueError) as exc:
             raise SystemExit('spec %s: bad "retry" object: %s' % (path, exc))
     if "batch" in spec:
-        batch = spec["batch"]
-        if not isinstance(batch, int) or isinstance(batch, bool) or batch < 1:
-            raise SystemExit(
-                'spec %s: "batch" must be a positive integer, got %r'
-                % (path, batch)
-            )
+        raise SystemExit(
+            'spec %s: point batching was removed; delete the top-level '
+            '"batch" key' % path
+        )
     if "deadline" in spec:
         deadline = spec["deadline"]
         if (
@@ -390,15 +383,9 @@ def _run_campaign(spec: Dict, args, resume: bool):
     settings = dict(spec.get("settings", {}))
     if args.workers is not None:
         settings["workers"] = args.workers
-    # Batch size: spec-level "batch" is the campaign's default chunk,
-    # --batch-size overrides it per run (it is a scheduling hint, not
+    # Deadline: spec-level "deadline" is the campaign's default
+    # per-evaluation budget, --deadline overrides it per run (it is not
     # part of the campaign signature, so changing it on resume is fine).
-    if spec.get("batch") is not None:
-        settings.setdefault("batch_size", spec["batch"])
-    if getattr(args, "batch_size", None) is not None:
-        settings["batch_size"] = args.batch_size
-    # Deadline: same shape — spec-level "deadline" is the campaign's
-    # default per-evaluation budget, --deadline overrides it per run.
     if spec.get("deadline") is not None:
         settings.setdefault("deadline", spec["deadline"])
     if getattr(args, "deadline", None) is not None:
@@ -785,7 +772,7 @@ def cmd_supervise(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    """Fold worker cache/shard directories into a campaign's cache."""
+    """Fold worker cache directories into a campaign's cache."""
     missing = [d for d in args.workers_dirs if not os.path.isdir(d)]
     if missing:
         print("not a directory: %s" % ", ".join(missing), file=sys.stderr)
@@ -873,14 +860,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         command.add_argument(
             "--workers-dirs", nargs="+", default=None, metavar="DIR",
-            help="cache/shard directories written elsewhere to merge "
+            help="cache directories written elsewhere to merge "
                  "into the campaign cache before running",
-        )
-        command.add_argument(
-            "--batch-size", type=_positive_int, default=None, metavar="N",
-            help="evaluate up to N points per worker invocation "
-                 "(overrides the spec's \"batch\"; results are "
-                 "identical to unbatched runs)",
         )
         command.add_argument(
             "--deadline", type=_positive_float, default=None,
@@ -1048,12 +1029,12 @@ def build_parser() -> argparse.ArgumentParser:
     supervise.set_defaults(func=cmd_supervise)
 
     merge = sub.add_parser(
-        "merge", help="fold worker cache/shard directories into a campaign"
+        "merge", help="fold worker cache directories into a campaign"
     )
     merge.add_argument("--dir", required=True, help="campaign directory")
     merge.add_argument(
         "--workers-dirs", nargs="+", required=True, metavar="DIR",
-        help="cache/shard directories to merge into the campaign cache",
+        help="cache directories to merge into the campaign cache",
     )
     merge.set_defaults(func=cmd_merge)
     return parser

@@ -11,8 +11,8 @@ of the same key write byte-identical records (keys are content hashes
 of the full evaluation spec), so the atomic rename makes collisions
 last-writer-wins *identical* — unobservable.  Many campaign processes,
 or worker-pull workers on many hosts, may share one cache directory;
-see :mod:`repro.dse.shard` for shard fan-out and crash-safe merging of
-several such directories.
+see :mod:`repro.dse.shard` for crash-safe merging of several such
+directories.
 
 A record that fails to parse (a torn write on an exotic filesystem, a
 disk fault, a manual edit) is **quarantined on first contact**: the bad

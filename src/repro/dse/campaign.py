@@ -64,7 +64,6 @@ from repro.dse.runner import (
     SYSTEM_TARGET,
     CampaignRunner,
     ProgressCallback,
-    register_batch_target,
     register_target,
 )
 from repro.dse.space import ParameterSpace
@@ -97,32 +96,6 @@ def _json_value(value):
 # -- evaluators (run inside workers) ------------------------------------
 
 
-def _evaluate_memory(spec: Mapping, seed: int, pdk=None) -> Dict:
-    """The memory-point evaluation body, with an optional shared PDK."""
-    from repro.nvsim.config import MemoryConfig
-    from repro.pdk.kit import ProcessDesignKit
-    from repro.vaet.explorer import DesignConstraints, DesignSpaceExplorer
-
-    config = MemoryConfig.from_dict(spec["config"])
-    constraints = DesignConstraints.from_dict(spec["constraints"])
-    if pdk is None:
-        pdk = ProcessDesignKit.for_node(int(spec["node_nm"]))
-    explorer = DesignSpaceExplorer(
-        pdk,
-        config,
-        constraints,
-        num_words=int(spec.get("num_words", 1500)),
-        error_population=int(spec.get("error_population", 200_000)),
-    )
-    chosen_seed = spec.get("seed")
-    point = explorer.evaluate(
-        config, seed=seed if chosen_seed is None else int(chosen_seed)
-    )
-    if point is None:
-        return {"feasible": False, "point": None}
-    return {"feasible": True, "point": point.to_dict()}
-
-
 def evaluate_memory_point(spec: Mapping, seed: int) -> Dict:
     """Evaluate one memory-level design point from its spec.
 
@@ -135,37 +108,26 @@ def evaluate_memory_point(spec: Mapping, seed: int) -> Dict:
     Returns:
         ``{"feasible": bool, "point": DesignPoint dict | None}``.
     """
-    return _evaluate_memory(spec, seed)
-
-
-def evaluate_memory_batch(
-    specs: Sequence[Mapping], seeds: Sequence[int]
-) -> List[Tuple]:
-    """Batched twin of :func:`evaluate_memory_point`.
-
-    Evaluates a chunk of points in one worker invocation, sharing the
-    :class:`~repro.pdk.kit.ProcessDesignKit` per node across the chunk
-    (PDK construction re-derives the whole hybrid model and dominates
-    small-point overhead).  Each point keeps its own failure isolation:
-    the returned list holds one ``(ok, result, error, elapsed)``
-    outcome per point, identical to what the scalar path would produce
-    for the same ``(spec, seed)``.
-    """
-    from repro.dse.runner import isolated_call
+    from repro.nvsim.config import MemoryConfig
     from repro.pdk.kit import ProcessDesignKit
+    from repro.vaet.explorer import DesignConstraints, DesignSpaceExplorer
 
-    pdks: Dict[int, object] = {}
-
-    def evaluate(spec: Mapping, seed: int) -> Dict:
-        node = int(spec["node_nm"])
-        if node not in pdks:
-            pdks[node] = ProcessDesignKit.for_node(node)
-        return _evaluate_memory(spec, seed, pdks[node])
-
-    return [
-        isolated_call(evaluate, spec, seed)
-        for spec, seed in zip(specs, seeds)
-    ]
+    config = MemoryConfig.from_dict(spec["config"])
+    constraints = DesignConstraints.from_dict(spec["constraints"])
+    explorer = DesignSpaceExplorer(
+        ProcessDesignKit.for_node(int(spec["node_nm"])),
+        config,
+        constraints,
+        num_words=int(spec.get("num_words", 1500)),
+        error_population=int(spec.get("error_population", 200_000)),
+    )
+    chosen_seed = spec.get("seed")
+    point = explorer.evaluate(
+        config, seed=seed if chosen_seed is None else int(chosen_seed)
+    )
+    if point is None:
+        return {"feasible": False, "point": None}
+    return {"feasible": True, "point": point.to_dict()}
 
 
 def evaluate_system_point(spec: Mapping, seed: int) -> Dict:
@@ -196,7 +158,6 @@ def evaluate_system_point(spec: Mapping, seed: int) -> Dict:
 
 register_target(MEMORY_TARGET, evaluate_memory_point)
 register_target(SYSTEM_TARGET, evaluate_system_point)
-register_batch_target(MEMORY_TARGET, evaluate_memory_batch)
 
 
 # -- spec builders ------------------------------------------------------
@@ -468,9 +429,9 @@ def _memory_settings(base_config, constraints):
 def _campaign_cache(campaign_dir: str, workers_dirs) -> ResultCache:
     """The campaign's shared cache, pre-merged with worker-local stores.
 
-    ``workers_dirs`` (cache or shard directories written by workers
-    that could not mount the campaign directory) are folded in first,
-    so the run aggregates everything already evaluated elsewhere.
+    ``workers_dirs`` (cache directories written by workers that could
+    not mount the campaign directory) are folded in first, so the run
+    aggregates everything already evaluated elsewhere.
     """
     cache = ResultCache(os.path.join(campaign_dir, CACHE_DIR_NAME))
     if workers_dirs:
@@ -541,7 +502,6 @@ def explore_memory(
     objectives: Sequence[ObjectiveSpec] = ("edp_proxy",),
     retry: Optional[RetryPolicy] = None,
     progress: Optional[ProgressCallback] = None,
-    batch_size: Optional[int] = None,
     deadline: Optional[float] = None,
     fidelity: str = "high",
     promote_ranks: int = 1,
@@ -585,16 +545,11 @@ def explore_memory(
         progress: Per-point streaming callback (one
             :class:`~repro.dse.runner.Progress` snapshot per completed
             point; adaptive campaigns restart the count each round).
-        batch_size: Evaluate up to this many points per worker
-            invocation through the batched memory evaluator (the PDK
-            is shared across each chunk).  Scheduling hint only —
-            results, cache keys and seeds are identical to unbatched
-            runs.  Ignored when a pre-built ``runner`` is passed.
         deadline: Per-evaluation wall-clock budget [s] — a point still
             running past it is reaped and recorded as a timeout
-            failure (see :attr:`~repro.dse.jobs.Job.deadline`).  Like
-            ``batch_size``, a scheduling knob outside the content key;
-            ignored when a pre-built ``runner`` is passed.
+            failure (see :attr:`~repro.dse.jobs.Job.deadline`).  A
+            scheduling knob outside the content key; ignored when a
+            pre-built ``runner`` is passed.
         fidelity: ``"high"`` (default) — every point pays the full
             Monte-Carlo evaluation; ``"low"`` — every point uses the
             analytic NVSim-class estimate only (quick sweeps,
@@ -613,8 +568,7 @@ def explore_memory(
     if runner is None:
         cache = ResultCache(cache_dir) if cache_dir is not None else None
         runner = CampaignRunner(
-            workers=workers, cache=cache, batch_size=batch_size,
-            deadline=deadline,
+            workers=workers, cache=cache, deadline=deadline
         )
 
     def build_jobs(points):
@@ -680,7 +634,6 @@ def run_memory_campaign(
     executor=None,
     executor_options: Optional[Dict] = None,
     workers_dirs: Optional[Sequence[str]] = None,
-    batch_size: Optional[int] = None,
     deadline: Optional[float] = None,
     fidelity: str = "high",
     promote_ranks: int = 1,
@@ -719,21 +672,15 @@ def run_memory_campaign(
             format, the campaign signature, or the results.
         executor_options: Extra keyword arguments for a named executor
             (``spawn_workers``, ``lease_ttl``, ``timeout``, ...).
-        workers_dirs: Cache/shard directories written elsewhere (e.g.
-            by workers without access to this directory) to merge into
-            the campaign cache before running.
-        batch_size: Evaluate up to this many points per worker
-            invocation (every executor honours it: pool workers chunk,
-            pull/network workers lease chunks).  Like the executor, it
-            changes *how* points evaluate, never the journal format,
-            the campaign signature, or the results — a resumed
-            campaign may freely change it.
+        workers_dirs: Cache directories written elsewhere (e.g. by
+            workers without access to this directory) to merge into the
+            campaign cache before running.
         deadline: Per-evaluation wall-clock budget [s]; evaluations
             still running past it are reaped and journaled as timeout
             failures (retryable / quarantinable under ``retry``,
-            counted by ``status``).  A scheduling knob like
-            ``batch_size`` — outside the content key and the campaign
-            signature, so a resumed campaign may freely change it.
+            counted by ``status``).  A scheduling knob outside the
+            content key and the campaign signature, so a resumed
+            campaign may freely change it.
         fidelity / promote_ranks: Multi-fidelity mode, as in
             :func:`explore_memory`.  Fidelity is part of every job's
             content key *and* (for non-default modes) the campaign
@@ -771,8 +718,7 @@ def run_memory_campaign(
         executor, campaign_dir, workers, executor_options
     )
     runner = CampaignRunner(
-        workers=workers, cache=cache, executor=engine,
-        batch_size=batch_size, deadline=deadline,
+        workers=workers, cache=cache, executor=engine, deadline=deadline
     )
     journal = journal_path(campaign_dir, prefer_existing=resume)
 
@@ -1058,7 +1004,6 @@ def run_system_campaign(
     executor=None,
     executor_options: Optional[Dict] = None,
     workers_dirs: Optional[Sequence[str]] = None,
-    batch_size: Optional[int] = None,
     deadline: Optional[float] = None,
 ) -> SystemCampaignResult:
     """Resumable :func:`explore_system`: cache + journal in a directory.
@@ -1090,8 +1035,7 @@ def run_system_campaign(
         executor, campaign_dir, workers, executor_options
     )
     runner = CampaignRunner(
-        workers=workers, cache=cache, executor=engine,
-        batch_size=batch_size, deadline=deadline,
+        workers=workers, cache=cache, executor=engine, deadline=deadline
     )
     jobs = _system_jobs(flow, cells)
     journal = journal_path(campaign_dir, prefer_existing=resume)

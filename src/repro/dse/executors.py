@@ -56,7 +56,7 @@ import subprocess
 import sys
 import threading
 import time
-from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dse import chaos
 from repro.dse.cache import ResultCache
@@ -64,11 +64,9 @@ from repro.dse.jobs import Job
 from repro.dse.journal import atomic_write_json
 from repro.dse.runner import (
     _execute,
-    _execute_batch,
-    _execute_batch_indexed,
     _execute_indexed,
     default_workers,
-    execute_batch_tasks,
+    execute_task,
     register_target,
 )
 
@@ -112,50 +110,14 @@ class Executor:
         self.close()
 
 
-def _chunk_jobs(jobs: Sequence[Job]) -> List[List[Job]]:
-    """Group jobs into same-target chunks bounded by their batch hints.
-
-    A job with ``batch_size > 1`` joins the previous chunk while that
-    chunk's capacity (its first job's hint) allows and the target
-    matches; everything else — unhinted jobs included — opens a
-    singleton chunk, so unbatched campaigns chunk exactly as before.
-    """
-    chunks: List[List[Job]] = []
-    for job in jobs:
-        capacity = int(chunks[-1][0].batch_size) if chunks else 0
-        if (
-            chunks
-            and job.batch_size > 1
-            and capacity > 1
-            and len(chunks[-1]) < capacity
-            and chunks[-1][0].target == job.target
-        ):
-            chunks[-1].append(job)
-        else:
-            chunks.append([job])
-    return chunks
-
-
 class SerialExecutor(Executor):
-    """Evaluate in-process, lazily, one job per pull (no pool, no pickling).
-
-    Jobs carrying a ``batch_size`` hint evaluate in same-target chunks
-    through the registered batch twin (one pull per chunk)."""
+    """Evaluate in-process, lazily, one job per pull (no pool, no pickling)."""
 
     def imap(self, jobs: Sequence[Job]) -> Iterator[Tuple[Job, Outcome]]:
-        for chunk in _chunk_jobs(jobs):
-            if len(chunk) == 1:
-                job = chunk[0]
-                yield job, _execute(
-                    (job.target, dict(job.spec), job.seed, job.deadline)
-                )
-                continue
-            outcomes = _execute_batch([
+        for job in jobs:
+            yield job, _execute(
                 (job.target, dict(job.spec), job.seed, job.deadline)
-                for job in chunk
-            ])
-            for job, outcome in zip(chunk, outcomes):
-                yield job, outcome
+            )
 
 
 class ProcessPoolExecutor(Executor):
@@ -180,33 +142,6 @@ class ProcessPoolExecutor(Executor):
             return
         import multiprocessing
 
-        chunks = _chunk_jobs(jobs)
-        if len(chunks) < len(jobs):
-            # Batched: ship whole chunks so each pool worker evaluates
-            # its chunk through the target's batch twin.  The chunk is
-            # already the dispatch-amortising unit, so pool chunksize
-            # stays 1 to keep completion streaming fine-grained.
-            payloads = []
-            position = 0
-            for chunk in chunks:
-                indices = tuple(range(position, position + len(chunk)))
-                position += len(chunk)
-                payloads.append(
-                    (
-                        indices,
-                        [
-                            (job.target, dict(job.spec), job.seed, job.deadline)
-                            for job in chunk
-                        ],
-                    )
-                )
-            with multiprocessing.Pool(self.workers) as pool:
-                for positions, outcomes in pool.imap_unordered(
-                    _execute_batch_indexed, payloads, chunksize=1
-                ):
-                    for position, outcome in zip(positions, outcomes):
-                        yield jobs[position], outcome
-            return
         payloads = [
             (position, job.target, dict(job.spec), job.seed, job.deadline)
             for position, job in enumerate(jobs)
@@ -483,10 +418,7 @@ def _event_sort_key(event: Dict) -> Tuple[float, str, int]:
 
 
 class _Heartbeat:
-    """Background thread extending lease(s) while an evaluation runs.
-
-    Accepts one task id or a whole claimed chunk — a batch-claiming
-    worker keeps every lease in its chunk alive with a single thread.
+    """Background thread extending a lease while an evaluation runs.
 
     A positive ``deadline`` caps how long the beats continue: once the
     evaluation has overrun its wall-clock budget the thread stops
@@ -496,10 +428,11 @@ class _Heartbeat:
     """
 
     def __init__(
-        self, journal: LeaseJournal, task, ttl: float, deadline: float = 0.0
+        self, journal: LeaseJournal, task: str, ttl: float,
+        deadline: float = 0.0,
     ):
         self._journal = journal
-        self._tasks = [task] if isinstance(task, str) else list(task)
+        self._task = task
         self._ttl = float(ttl)
         self._deadline = float(deadline or 0.0)
         self._started = time.monotonic()
@@ -516,19 +449,18 @@ class _Heartbeat:
                 and time.monotonic() - self._started > self._deadline
             ):
                 return  # overran the deadline: let the lease expire
-            for task in self._tasks:
-                self._journal.heartbeat(task, self._ttl)
+            self._journal.heartbeat(self._task, self._ttl)
 
     def stop(self) -> None:
         self._stop.set()
         self._thread.join(timeout=5.0)
         if self._thread.is_alive():
             logger.warning(
-                "heartbeat thread %r (worker %s, task(s) %s) did not stop "
+                "heartbeat thread %r (worker %s, task %s) did not stop "
                 "within 5s; leaking it daemonised",
                 self._thread.name,
                 self._journal.worker,
-                ",".join(self._tasks),
+                self._task,
             )
 
 
@@ -634,12 +566,9 @@ class WorkQueue:
     def publish(self, job: Job) -> str:
         """Write one pending task file (idempotent); return its id.
 
-        A job with a ``batch_size`` hint records it as the task's
-        ``"batch"`` key — workers claiming such a task may lease up to
-        that many more tasks in the same round trip and evaluate the
-        chunk together.  A job's ``deadline`` rides along the same way:
-        workers enforce it on the evaluation and stop heartbeating past
-        it, so a stuck point can never pin a lease forever.
+        A job's ``deadline`` rides along as the task's ``"deadline"``
+        key: workers enforce it on the evaluation and stop heartbeating
+        past it, so a stuck point can never pin a lease forever.
         """
         tid = task_id(job)
         path = self.task_path(tid)
@@ -652,8 +581,6 @@ class WorkQueue:
                 "spec": dict(job.spec),
                 "seed": job.seed,
             }
-            if job.batch_size > 1:
-                record["batch"] = int(job.batch_size)
             if job.deadline:
                 record["deadline"] = float(job.deadline)
             atomic_write_json(path, record)
@@ -942,25 +869,8 @@ def run_worker(
             time.sleep(poll)
             continue
         idle_since = time.monotonic()
-        # A task published with a "batch" hint invites this worker to
-        # lease a whole chunk in one scan round and evaluate it through
-        # the target's batch twin — same per-task results, leases and
-        # result files, amortised claim/dispatch overhead.
-        tasks = [task]
-        claimed = {task["task"]}
-        capacity = int(task.get("batch", 1) or 1)
-        if max_tasks is not None:
-            capacity = min(capacity, max_tasks - evaluated)
-        while len(tasks) < capacity:
-            extra = _claim_one(
-                queue, journal, worker, lease_ttl, exclude=claimed
-            )
-            if extra is None:
-                break
-            tasks.append(extra)
-            claimed.add(extra["task"])
-        _evaluate_claimed(queue, journal, store, worker, lease_ttl, tasks)
-        evaluated += len(tasks)
+        _evaluate_claimed(queue, journal, store, worker, lease_ttl, task)
+        evaluated += 1
     return evaluated
 
 
@@ -970,68 +880,51 @@ def _evaluate_claimed(
     store: ResultCache,
     worker: str,
     lease_ttl: float,
-    tasks: Sequence[Dict],
+    task: Dict,
 ) -> None:
-    """Evaluate a claimed chunk and report every task in it.
+    """Evaluate one claimed task and report it.
 
-    Cache hits are served without evaluation; the rest go through
-    :func:`~repro.dse.runner.execute_batch_tasks` (per-point isolation,
-    scalar fallback) under one heartbeat covering every lease in the
-    chunk.  Each success is written to the shared cache *before* its
-    result file is published, preserving the single-task durability
-    ordering: a worker killed mid-chunk loses only unpublished work,
-    which surviving workers reclaim at lease expiry.
+    A cache hit is served without evaluation; otherwise the task goes
+    through :func:`~repro.dse.runner.execute_task` under a heartbeat
+    that stops past the task's deadline.  A success is written to the
+    shared cache *before* its result file is published: a worker killed
+    in between loses only unpublished work, which surviving workers
+    reclaim at lease expiry.
     """
-    outcomes: Dict[str, Outcome] = {}
-    to_run: List[Dict] = []
-    for task in tasks:
-        cached = store.get(task["key"])
-        if cached is not None and "result" in cached:
-            # Another worker already evaluated this point durably (it
-            # was SIGKILLed between its cache write and its result
-            # file, or a duplicate claim raced) — a real evaluation is
-            # minutes of Monte Carlo; serving the record is a file
-            # read.
-            outcomes[task["task"]] = (
-                True, cached["result"], None,
-                float(cached.get("elapsed", 0.0)),
-            )
-        else:
-            to_run.append(task)
-    if to_run:
-        # The chunk's heartbeat budget is the sum of its members'
-        # deadlines (they evaluate sequentially); any member without
-        # one leaves the chunk unbounded, as before.
-        deadlines = [float(task.get("deadline") or 0.0) for task in to_run]
-        budget = sum(deadlines) if all(d > 0 for d in deadlines) else 0.0
+    tid = task["task"]
+    cached = store.get(task["key"])
+    if cached is not None and "result" in cached:
+        # Another worker already evaluated this point durably (it was
+        # SIGKILLed between its cache write and its result file, or a
+        # duplicate claim raced) — a real evaluation is minutes of
+        # Monte Carlo; serving the record is a file read.
+        outcome = (
+            True, cached["result"], None, float(cached.get("elapsed", 0.0))
+        )
+    else:
         heartbeat = _Heartbeat(
-            journal, [task["task"] for task in to_run], lease_ttl,
-            deadline=budget,
+            journal, tid, lease_ttl,
+            deadline=float(task.get("deadline") or 0.0),
         )
         try:
-            evaluated = execute_batch_tasks(to_run)
+            outcome = execute_task(task)
         finally:
             heartbeat.stop()
-        for task, outcome in zip(to_run, evaluated):
-            ok, result, error, elapsed = outcome
-            if ok:
-                # The shared cache is the durable store of record: even
-                # if the coordinator died, this evaluation is never
-                # lost.
-                store.put(
-                    task["key"],
-                    {
-                        "target": task["target"],
-                        "spec": task["spec"],
-                        "result": result,
-                        "elapsed": elapsed,
-                    },
-                )
-            outcomes[task["task"]] = outcome
-    for task in tasks:
-        tid = task["task"]
-        queue.publish_result(tid, outcomes[tid], worker)
-        journal.done(tid)
+        ok, result, error, elapsed = outcome
+        if ok:
+            # The shared cache is the durable store of record: even if
+            # the coordinator died, this evaluation is never lost.
+            store.put(
+                task["key"],
+                {
+                    "target": task["target"],
+                    "spec": task["spec"],
+                    "result": result,
+                    "elapsed": elapsed,
+                },
+            )
+    queue.publish_result(tid, outcome, worker)
+    journal.done(tid)
 
 
 def _claim_one(
@@ -1039,7 +932,6 @@ def _claim_one(
     journal: LeaseJournal,
     worker: str,
     ttl: float,
-    exclude: Collection[str] = (),
 ) -> Optional[Dict]:
     """Lease one claimable task, or None if nothing is available.
 
@@ -1049,19 +941,12 @@ def _claim_one(
     fold is deterministic over the same event set; in the narrow window
     where neither saw the other's claim, both evaluate — harmless,
     because results are content-keyed and identical.
-
-    ``exclude`` lists task ids the caller already holds in the chunk it
-    is assembling: the fold's self-reclaim rule ("the claimant already
-    owns it") would otherwise hand the same task straight back while
-    filling a batch.
     """
     pending = _claim_order(queue.pending_tasks(), worker)
     if not pending:
         return None
     table = queue.lease_table()
     for tid in pending:
-        if tid in exclude:
-            continue
         now = time.time()
         if tid in table.completed:
             # Result published, coordinator not yet caught up (it will

@@ -99,10 +99,7 @@ def lowfi_twin(job: Job) -> Job:
     """
     spec = dict(job.spec)
     spec["fidelity"] = FIDELITY_LOW
-    return Job(
-        LOWFI_MEMORY_TARGET, spec,
-        reseed=job.reseed, batch_size=job.batch_size,
-    )
+    return Job(LOWFI_MEMORY_TARGET, spec, reseed=job.reseed)
 
 
 @dataclass

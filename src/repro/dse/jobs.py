@@ -43,25 +43,17 @@ class Job:
             excluded from the content key — a retried point keeps its
             cache address and journal identity — but folded into the
             derived RNG seed so each retry samples a fresh stream.
-        batch_size: Scheduling hint: executors may evaluate up to this
-            many same-target jobs per worker invocation (amortising
-            per-point setup and dispatch).  Like ``reseed``, excluded
-            from the content key — batching changes *how* a point is
-            evaluated, never what it is — and it does not feed the
-            seed, so batched and unbatched runs draw identical streams.
         deadline: Per-evaluation wall-clock budget [s]; ``0`` means
             unbounded.  An evaluation that exceeds it is killed and
             recorded as an ``EvaluationTimeout`` failure (retryable and
             quarantinable like any other failure).  Excluded from the
-            content key and the seed for the same reason as
-            ``batch_size``: a deadline bounds *how long* a point may
-            run, never what it computes.
+            content key and the seed: a deadline bounds *how long* a
+            point may run, never what it computes.
     """
 
     target: str
     spec: Mapping
     reseed: int = 0
-    batch_size: int = 0
     deadline: float = 0.0
 
     def __post_init__(self) -> None:

@@ -15,7 +15,6 @@ op          request fields                             reply fields
 hello       worker, version                            ok, server, version
 lease       worker                                     ok, task {task,key,
                                                        target,spec,seed,ttl}
-                                                       | tasks [task, ...]
                                                        | idle | stop
 heartbeat   worker, task                               ok
 result      worker, task, outcome [ok,result,          ok [, stale]
@@ -25,11 +24,9 @@ status      —                                          ok, pending, leased,
                                                        stopping
 ==========  =========================================  ======================
 
-A ``tasks`` lease reply is a batched lease: the server claimed a whole
-chunk (tasks published with a ``"batch"`` hint) in one round trip; the
-worker evaluates the chunk together and uploads one ``result`` per
-task.  Version 2 added it — v1 workers would reject the unknown reply
-op, so the hello version check keeps mixed deployments out.
+A lease carries exactly one task.  Version 3 dropped the batched
+``tasks`` lease reply that version 2 could send; the hello version
+check keeps a v3 worker away from a server that might still send it.
 """
 
 import json
@@ -38,7 +35,7 @@ import socket
 import threading
 from typing import Dict, Optional, Tuple
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Default server port (--port on ``serve``/``worker``/``supervise``).
 DEFAULT_PORT = 7741

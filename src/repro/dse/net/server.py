@@ -23,7 +23,7 @@ import asyncio
 import sys
 import threading
 import time
-from typing import Collection, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dse import chaos
 from repro.dse.cache import ResultCache
@@ -123,19 +123,10 @@ class CampaignServer:
             }
         return {"ok": True, "server": "repro.dse", "version": PROTOCOL_VERSION}
 
-    def _claim_next(
-        self, journal: LeaseJournal, worker: str, exclude: Collection[str] = ()
-    ) -> Optional[Dict]:
-        """Claim one task needing evaluation, serving cache hits inline.
-
-        ``exclude`` carries the task ids already leased into the chunk
-        being assembled, so a batched lease never hands the same task
-        back twice (see :func:`repro.dse.executors._claim_one`).
-        """
+    def _claim_next(self, journal: LeaseJournal, worker: str) -> Optional[Dict]:
+        """Claim one task needing evaluation, serving cache hits inline."""
         while True:
-            task = _claim_one(
-                self.queue, journal, worker, self.lease_ttl, exclude=exclude
-            )
+            task = _claim_one(self.queue, journal, worker, self.lease_ttl)
             if task is None:
                 return None
             cached = self.cache.get(task["key"])
@@ -161,30 +152,8 @@ class CampaignServer:
         task = self._claim_next(journal, worker)
         if task is None:
             return {"ok": True, "op": "idle"}
-        tasks = [task]
-        claimed = {task["task"]}
-        # A task published with a "batch" hint leases a whole chunk in
-        # this one round trip; the worker evaluates it through the
-        # target's batch twin and uploads one result per task.
-        capacity = int(task.get("batch", 1) or 1)
-        while len(tasks) < capacity:
-            extra = self._claim_next(journal, worker, exclude=claimed)
-            if extra is None:
-                break
-            tasks.append(extra)
-            claimed.add(extra["task"])
-        self.stats["leases"] += len(tasks)
-        if len(tasks) == 1:
-            return {
-                "ok": True,
-                "op": "task",
-                "task": dict(task, ttl=self.lease_ttl),
-            }
-        return {
-            "ok": True,
-            "op": "tasks",
-            "tasks": [dict(item, ttl=self.lease_ttl) for item in tasks],
-        }
+        self.stats["leases"] += 1
+        return {"ok": True, "op": "task", "task": dict(task, ttl=self.lease_ttl)}
 
     def _op_heartbeat(self, message: Dict) -> Dict:
         worker = self._worker(message)

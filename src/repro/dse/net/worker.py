@@ -1,7 +1,7 @@
 """The network worker client: lease over TCP, evaluate, stream back.
 
 The network twin of :func:`repro.dse.executors.run_worker`: same
-evaluation entry (:func:`repro.dse.runner.execute_batch_tasks`), same
+evaluation entry (:func:`repro.dse.runner.execute_task`), same
 wind-down conditions (server ``stop`` reply, ``idle_timeout``,
 ``once``, ``max_tasks``) — but every queue interaction is a
 request/reply to the campaign server instead of a filesystem
@@ -29,7 +29,7 @@ from repro.dse.net.protocol import (
     ProtocolError,
     parse_connect,
 )
-from repro.dse.runner import execute_batch_tasks
+from repro.dse.runner import execute_task
 
 logger = logging.getLogger(__name__)
 
@@ -49,15 +49,13 @@ def reconnect_backoff(
 
 
 class _NetHeartbeat:
-    """Beat leased task(s) over the shared connection while evaluating.
+    """Beat a leased task over the shared connection while evaluating.
 
     Requests are lock-paired on the connection, so beats interleave
     safely with nothing (the main thread is busy evaluating).  A beat
     that fails is swallowed: the main loop notices the dead connection
     when it reports the result, and at worst the lease expires — which
-    only risks a benign duplicate evaluation, never a lost one.  A
-    batch-leasing worker passes its whole chunk; one thread keeps every
-    lease in it alive.
+    only risks a benign duplicate evaluation, never a lost one.
 
     As in the filesystem worker's heartbeat, a positive ``deadline``
     stops the beats once the evaluation has overrun its budget, so the
@@ -68,17 +66,12 @@ class _NetHeartbeat:
         self,
         conn: Connection,
         worker: str,
-        task,
+        task: str,
         ttl: float,
         deadline: float = 0.0,
     ):
         self._conn = conn
-        self._worker = worker
-        self._tasks = [task] if isinstance(task, str) else list(task)
-        self._messages = [
-            {"op": "heartbeat", "worker": worker, "task": tid}
-            for tid in self._tasks
-        ]
+        self._message = {"op": "heartbeat", "worker": worker, "task": task}
         self._ttl = float(ttl)
         self._deadline = float(deadline or 0.0)
         self._started = time.monotonic()
@@ -93,22 +86,21 @@ class _NetHeartbeat:
                 and time.monotonic() - self._started > self._deadline
             ):
                 return  # overran the deadline: let the lease expire
-            for message in self._messages:
-                try:
-                    self._conn.request(message)
-                except (OSError, ProtocolError):
-                    pass
+            try:
+                self._conn.request(self._message)
+            except (OSError, ProtocolError):
+                pass
 
     def stop(self) -> None:
         self._stop.set()
         self._thread.join(timeout=5.0)
         if self._thread.is_alive():
             logger.warning(
-                "network heartbeat thread %r (worker %s, task(s) %s) did "
+                "network heartbeat thread %r (worker %s, task %s) did "
                 "not stop within 5s; leaking it daemonised",
                 self._thread.name,
-                self._worker,
-                ",".join(self._tasks),
+                self._message["worker"],
+                self._message["task"],
             )
 
 
@@ -149,7 +141,7 @@ def run_network_worker(
     conn = Connection(host, port)
     evaluated = 0
     idle_since = time.monotonic()
-    unreported = []  # [(tid, outcome), ...] held across reconnects
+    unreported = None  # (tid, outcome) held across reconnects
     disconnected_since: Optional[float] = None
     rng = random.Random()  # per-worker stream: jitter must differ per worker
     wait = backoff
@@ -186,18 +178,17 @@ def run_network_worker(
                 disconnected_since = None
                 wait = backoff
             try:
-                if unreported:
-                    # Deliver oldest-first; a drop mid-drain keeps the
-                    # undelivered tail for the next (re)connection.
-                    while unreported:
-                        tid, outcome = unreported[0]
-                        conn.request({
-                            "op": "result",
-                            "worker": worker,
-                            "task": tid,
-                            "outcome": list(outcome),
-                        })
-                        unreported.pop(0)
+                if unreported is not None:
+                    # A drop mid-delivery keeps the outcome for the next
+                    # (re)connection.
+                    tid, outcome = unreported
+                    conn.request({
+                        "op": "result",
+                        "worker": worker,
+                        "task": tid,
+                        "outcome": list(outcome),
+                    })
+                    unreported = None
                     continue
                 if max_tasks is not None and evaluated >= max_tasks:
                     break
@@ -220,38 +211,23 @@ def run_network_worker(
                     break
                 time.sleep(poll)
                 continue
-            if op == "task":
-                tasks = [reply["task"]]
-            elif op == "tasks":
-                # A batched lease: a whole same-chunk of tasks in one
-                # round trip (see CampaignServer._op_lease).
-                tasks = list(reply["tasks"])
-                if not tasks:
-                    raise ProtocolError("empty batched lease reply")
-            else:
+            if op != "task":
                 raise ProtocolError("unexpected lease reply op %r" % (op,))
+            task = reply["task"]
             idle_since = time.monotonic()
-            # The chunk's heartbeat budget is the sum of its members'
-            # deadlines (sequential evaluation); a member without one
-            # leaves the chunk unbounded, as before.
-            deadlines = [float(task.get("deadline") or 0.0) for task in tasks]
-            budget = sum(deadlines) if all(d > 0 for d in deadlines) else 0.0
             heartbeat = _NetHeartbeat(
                 conn,
                 worker,
-                [task["task"] for task in tasks],
-                float(tasks[0].get("ttl", 30.0)),
-                deadline=budget,
+                task["task"],
+                float(task.get("ttl", 30.0)),
+                deadline=float(task.get("deadline") or 0.0),
             )
             try:
-                outcomes = execute_batch_tasks(tasks)
+                outcome = execute_task(task)
             finally:
                 heartbeat.stop()
-            evaluated += len(tasks)
-            unreported.extend(
-                (task["task"], outcome)
-                for task, outcome in zip(tasks, outcomes)
-            )
+            evaluated += 1
+            unreported = (task["task"], outcome)
     finally:
         conn.close()
     return evaluated

@@ -101,8 +101,8 @@ class RetryPolicy:
         """The job to submit for the invocation after ``attempts`` tries.
 
         Same target/spec (and therefore the same content key and cache
-        address) but a distinct, deterministic RNG stream.  Scheduling
-        hints (``batch_size``, ``deadline``) ride along unchanged — a
-        timed-out point retries under the same deadline.
+        address) but a distinct, deterministic RNG stream.  The
+        ``deadline`` rides along unchanged — a timed-out point retries
+        under the same deadline.
         """
         return replace(job, reseed=attempts)

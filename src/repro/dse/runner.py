@@ -68,9 +68,6 @@ SYSTEM_TARGET = "magpie-system"
 #: name -> fn(spec, seed) -> result dict.
 _TARGETS: Dict[str, Callable[[Mapping, int], Dict]] = {}
 
-#: name -> fn(specs, seeds) -> [Outcome, ...] (one per point, in order).
-_BATCH_TARGETS: Dict[str, Callable] = {}
-
 #: name -> default per-evaluation deadline [s] (0 = unbounded); the
 #: lowest-precedence source of a job's effective deadline (job field,
 #: then runner setting, then this registry).
@@ -149,51 +146,6 @@ def get_target(name: str) -> Callable[[Mapping, int], Dict]:
             "unknown target %r; registered: %s" % (name, sorted(_TARGETS))
         )
     return _TARGETS[name]
-
-
-def register_batch_target(name: str, fn: Callable) -> None:
-    """Register a batched evaluator twin for a target name.
-
-    ``fn(specs, seeds)`` receives aligned lists and must return one
-    :data:`Outcome` tuple ``(ok, result, error, elapsed)`` per point,
-    in order — isolating per-point failures itself so one bad spec
-    never takes its chunk-mates down.  The scalar target stays the
-    semantic reference: a batch twin must produce identical results
-    for identical (spec, seed) pairs, it only amortises shared setup.
-    """
-    _BATCH_TARGETS[name] = fn
-
-
-def get_batch_target(name: str) -> Optional[Callable]:
-    """Resolve a batched evaluator, or None if the target has no twin.
-
-    Unlike :func:`get_target` this never raises — batching is an
-    optimisation, and a missing twin simply means the chunk falls back
-    to one-at-a-time evaluation.
-    """
-    if name not in _BATCH_TARGETS:
-        import repro.dse.campaign  # noqa: F401  (registers built-ins)
-        import repro.dse.executors  # noqa: F401
-    return _BATCH_TARGETS.get(name)
-
-
-def isolated_call(
-    fn: Callable[[Mapping, int], Dict], spec: Mapping, seed: int
-) -> Tuple[bool, Optional[Dict], Optional[str], float]:
-    """Run one evaluation under the standard failure isolation.
-
-    The building block batch evaluators use per point, so their
-    outcome tuples (error formatting included) are indistinguishable
-    from the scalar :func:`_execute` path.
-    """
-    start = time.perf_counter()
-    try:
-        return (True, fn(spec, seed), None, time.perf_counter() - start)
-    except Exception as exc:
-        error = "%s: %s\n%s" % (
-            type(exc).__name__, exc, traceback.format_exc()
-        )
-        return (False, None, error, time.perf_counter() - start)
 
 
 def _execute_plain(
@@ -329,74 +281,6 @@ def execute_task(
     ))
 
 
-def _execute_batch(
-    payloads: Sequence[Tuple]
-) -> List[Tuple[bool, Optional[Dict], Optional[str], float]]:
-    """Evaluate a chunk of payloads, preferring the batched twin.
-
-    Mixed-target chunks, targets without a batch twin, and *any*
-    misbehaviour of the twin itself (raising, wrong result count,
-    malformed outcomes) fall back to the scalar :func:`_execute` per
-    point — batching may only ever change wall-clock, never outcomes.
-    Chunks carrying a deadline always take the scalar path: the reaper
-    bounds each point individually, and a chunk-level kill could change
-    the outcome of a chunk-mate (batching must never do that).
-    """
-    payloads = list(payloads)
-    if not payloads:
-        return []
-    target = payloads[0][0]
-    has_deadline = any(len(item) > 3 and item[3] for item in payloads)
-    batch_fn = (
-        get_batch_target(target)
-        if not has_deadline and all(item[0] == target for item in payloads)
-        else None
-    )
-    if batch_fn is not None:
-        try:
-            outcomes = [
-                tuple(outcome)
-                for outcome in batch_fn(
-                    [item[1] for item in payloads],
-                    [item[2] for item in payloads],
-                )
-            ]
-            if len(outcomes) == len(payloads) and all(
-                len(outcome) == 4 for outcome in outcomes
-            ):
-                return outcomes
-        except Exception:
-            pass
-    return [_execute(item) for item in payloads]
-
-
-def _execute_batch_indexed(
-    payload: Tuple[Tuple[int, ...], List[Tuple[str, Dict, int]]]
-) -> Tuple[
-    Tuple[int, ...],
-    List[Tuple[bool, Optional[Dict], Optional[str], float]],
-]:
-    """Worker entry for unordered batched maps: echo the indices back."""
-    return payload[0], _execute_batch(payload[1])
-
-
-def execute_batch_tasks(
-    tasks: Sequence[Dict],
-) -> List[Tuple[bool, Optional[Dict], Optional[str], float]]:
-    """Evaluate a claimed chunk of task records (never raises).
-
-    The batched sibling of :func:`execute_task` for pull-style workers
-    that lease several tasks per round trip.
-    """
-    return _execute_batch([
-        (
-            task["target"], task["spec"], int(task["seed"]),
-            float(task.get("deadline") or 0.0),
-        )
-        for task in tasks
-    ])
-
-
 def default_workers() -> int:
     """Default pool size: ``REPRO_DSE_WORKERS`` if set, else CPU count.
 
@@ -503,13 +387,6 @@ class CampaignRunner:
             ``workers=1`` or single-job batches, process pool
             otherwise).  The runner's cache/retry/progress semantics
             are identical under every executor.
-        batch_size: Evaluate up to this many points per worker
-            invocation through the target's registered batch twin
-            (see :func:`register_batch_target`).  A scheduling hint
-            only — it is excluded from job keys and campaign
-            signatures, and targets without a twin silently fall back
-            to per-point evaluation.  ``None``/``0``/``1`` disable
-            batching (the historic behaviour).
         deadline: Per-evaluation wall-clock budget [s] applied to every
             job that does not set its own ``Job.deadline``; ``None``/
             ``0`` fall through to the per-target registry default
@@ -528,20 +405,16 @@ class CampaignRunner:
         cache: Optional[ResultCache] = None,
         chunksize: Optional[int] = None,
         executor=None,
-        batch_size: Optional[int] = None,
         deadline: Optional[float] = None,
     ):
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
-        if batch_size is not None and batch_size < 0:
-            raise ValueError("batch_size must be >= 0")
         if deadline is not None and deadline < 0:
             raise ValueError("deadline must be >= 0")
         self.workers = workers if workers is not None else default_workers()
         self.cache = cache
         self.chunksize = chunksize
         self.executor = executor
-        self.batch_size = int(batch_size or 0)
         self.deadline = float(deadline or 0.0)
 
     def with_executor(self, executor) -> "CampaignRunner":
@@ -551,7 +424,6 @@ class CampaignRunner:
             cache=self.cache,
             chunksize=self.chunksize,
             executor=executor,
-            batch_size=self.batch_size,
             deadline=self.deadline,
         )
 
@@ -678,15 +550,9 @@ class CampaignRunner:
         attempts: Dict[str, int] = {}
         write_back = self.cache is not None and not self._executor_persists()
         to_run = [jobs[indices[0]] for indices in pending.values()]
-        if self.batch_size > 1:
-            # Stamp the scheduling hint onto the jobs actually
-            # submitted; hashing is untouched (batch_size is outside
-            # the content key) so cache addresses do not move.
-            to_run = [
-                replace(job, batch_size=self.batch_size) for job in to_run
-            ]
-        # Stamp each job's effective deadline the same way (also outside
-        # the content key), so every executor sees one resolved value.
+        # Stamp each job's effective deadline onto the jobs actually
+        # submitted (outside the content key, so cache addresses do not
+        # move), so every executor sees one resolved value.
         to_run = [
             job
             if job.deadline == self.effective_deadline(job)
@@ -742,12 +608,10 @@ class CampaignRunner:
         is this runner's own plain-layout cache, the write-back in
         :meth:`_iter_indexed` would duplicate every record — skip it.
         """
-        from repro.dse.cache import ResultCache as PlainCache
-
         root = getattr(self.executor, "persist_root", None)
         return (
             root is not None
-            and type(self.cache) is PlainCache  # workers use the plain layout
+            and type(self.cache) is ResultCache  # the layout workers use
             and os.path.abspath(root) == os.path.abspath(self.cache.root)
         )
 

@@ -1,4 +1,4 @@
-"""Sharded result store + crash-safe merge of cache directories.
+"""Crash-safe merge of cache directories.
 
 Scaling a campaign across processes and hosts turns the
 :class:`~repro.dse.cache.ResultCache` into a *multi-writer* store.  Two
@@ -11,135 +11,25 @@ properties make that safe without any locking:
   writing byte-identical records, so last-writer-wins is *identical*:
   the collision is unobservable.
 
-This module adds the pieces the multi-host story needs on top:
-
-* :func:`shard_index` — deterministic key -> shard fan-out, so a large
-  campaign can split its store across directories (or mount points)
-  with every participant agreeing on the layout;
-* :class:`ShardedResultCache` — the :class:`ResultCache` API over N
-  shard subdirectories, with lock-free read-your-writes counters (plain
-  per-process integers: a ``get`` after a ``put`` re-reads the just-
-  renamed file, so no synchronisation is ever required);
-* :func:`merge_caches` — crash-safe, idempotent merge of any number of
-  cache/shard directories into one: each record copies atomically, a
-  crash mid-merge leaves a valid partial store, and re-running
-  converges (records already present and parseable are skipped).
+On top of that, :func:`merge_caches` folds any number of cache
+directories (workers that could not reach the campaign's own cache)
+into one: each record copies atomically, a crash mid-merge leaves a
+valid partial store, and re-running converges (records already present
+and parseable are skipped).
 """
 
 import json
 import os
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 from repro.dse.cache import ResultCache
 from repro.dse.journal import atomic_write_bytes
-
-#: Default shard count (two hex digits of fan-out inside each shard
-#: keeps directories small even at 10^6 records).
-DEFAULT_SHARDS = 16
-
-
-def shard_index(key: str, shards: int) -> int:
-    """Deterministic shard for a content-hash key (stable across hosts)."""
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    return int(key[:8], 16) % shards
-
-
-def shard_name(index: int) -> str:
-    return "shard-%02x" % index
-
-
-class ShardedResultCache:
-    """The :class:`ResultCache` API fanned out over N shard directories.
-
-    Args:
-        root: Store root; shard subdirectories are created on first
-            write.
-        shards: Shard count.  Must match across every process sharing
-            the store (it is part of the on-disk layout).
-
-    Attributes:
-        hits / misses / writes / corrupt: Lock-free per-process session
-            counters aggregated over the shards.  Read-your-writes by
-            construction: a lookup after a store re-reads the renamed
-            file, so no cross-process synchronisation exists or is
-            needed.
-    """
-
-    def __init__(self, root: str, shards: int = DEFAULT_SHARDS):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self.root = str(root)
-        self.shards = int(shards)
-        self._shards: List[ResultCache] = [
-            ResultCache(os.path.join(self.root, shard_name(index)))
-            for index in range(self.shards)
-        ]
-
-    def shard_for(self, key: str) -> ResultCache:
-        """The shard cache a key routes to."""
-        return self._shards[shard_index(key, self.shards)]
-
-    def path_for(self, key: str) -> str:
-        """The record file a key lives at (see ``ResultCache.path_for``)."""
-        return self.shard_for(key).path_for(key)
-
-    def get(self, key: str) -> Optional[Dict]:
-        return self.shard_for(key).get(key)
-
-    def put(self, key: str, record: Dict) -> None:
-        self.shard_for(key).put(key, record)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.shard_for(key)
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def purge_corrupt(self) -> List[str]:
-        removed: List[str] = []
-        for shard in self._shards:
-            removed.extend(shard.purge_corrupt())
-        return removed
-
-    @property
-    def hits(self) -> int:
-        return sum(shard.hits for shard in self._shards)
-
-    @property
-    def misses(self) -> int:
-        return sum(shard.misses for shard in self._shards)
-
-    @property
-    def writes(self) -> int:
-        return sum(shard.writes for shard in self._shards)
-
-    @property
-    def corrupt(self) -> int:
-        return sum(shard.corrupt for shard in self._shards)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        """Aggregated session counters as a JSON-ready dict."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "corrupt": self.corrupt,
-            "hit_rate": self.hit_rate,
-            "entries": len(self),
-            "shards": self.shards,
-        }
 
 
 def iter_records(root: str) -> Iterator[Tuple[str, str]]:
     """Yield ``(key, path)`` for every record file under a cache root.
 
-    Walks any layout (flat, two-level fan-out, shard directories);
+    Walks any layout (flat, two-level fan-out, nested directories);
     ``*.tmp`` droppings and ``*.corrupt`` quarantine files are skipped.
     """
     for dirpath, _dirnames, filenames in os.walk(root):
@@ -149,7 +39,7 @@ def iter_records(root: str) -> Iterator[Tuple[str, str]]:
 
 
 def merge_caches(dest, sources: Iterable) -> Dict[str, int]:
-    """Merge cache/shard directories into one store, crash-safely.
+    """Merge cache directories into one store, crash-safely.
 
     Every source record is copied byte-for-byte into the destination's
     slot for its key via an atomic rename, so:
@@ -162,8 +52,8 @@ def merge_caches(dest, sources: Iterable) -> Dict[str, int]:
     * corrupt source records are skipped (and counted), never copied.
 
     Args:
-        dest: A :class:`ResultCache` / :class:`ShardedResultCache`, or
-            a path string (treated as a plain ``ResultCache`` root).
+        dest: A :class:`ResultCache`, or a path string (treated as a
+            ``ResultCache`` root).
         sources: Cache objects or root paths to drain records from.
 
     Returns:

@@ -2,14 +2,14 @@
 
 The multi-host claim of the worker-pull executor rests on the cache
 being multi-writer safe with zero locks.  These tests hammer one store
-from 8 concurrent processes (plain and sharded), inject torn writes
+from 8 concurrent processes, inject torn writes
 afterwards, and prove the three invariants the design promises:
 
 * no reader ever observes a torn or missing record (read-your-writes
   under concurrent replacement);
 * membership, ``get`` and the session counters stay mutually
   consistent, with corrupt files quarantined on first contact;
-* merging shard directories that were written concurrently is
+* merging cache directories that were written concurrently is
   idempotent and converges to the union.
 """
 
@@ -17,7 +17,7 @@ import json
 import os
 import random
 
-from repro.dse import ResultCache, ShardedResultCache, content_key, merge_caches
+from repro.dse import ResultCache, content_key, merge_caches
 from test_utils import spawn_hammers, torn_write
 
 KEYS = [content_key("stress", {"i": i}) for i in range(32)]
@@ -50,14 +50,6 @@ class TestConcurrentWriters:
             with open(cache.path_for(key)) as handle:
                 assert json.load(handle)["key"] == key
 
-    def test_eight_processes_one_sharded_cache(self, tmp_path):
-        root = str(tmp_path / "sharded")
-        exitcodes = spawn_hammers(root, KEYS, processes=8, rounds=8, shards=4)
-        assert exitcodes == [0] * 8
-        cache = ShardedResultCache(root, shards=4)
-        assert _assert_store_sane(cache, KEYS) == len(KEYS)
-        assert len(cache) == len(KEYS)
-
     def test_torn_writes_quarantined_after_the_stampede(self, tmp_path):
         """Records torn post-hoc read as misses, exactly once, forever."""
         root = str(tmp_path / "torn")
@@ -80,13 +72,13 @@ class TestConcurrentWriters:
             assert cache.get(key)["repaired"] is True
 
     def test_concurrent_shard_merge_is_idempotent(self, tmp_path):
-        """Shards written by racing processes merge to one clean union."""
+        """Caches written by racing processes merge to one clean union."""
         roots = [str(tmp_path / ("worker-%d" % i)) for i in range(2)]
-        # Overlapping key sets: both shard dirs hold half the keys in
+        # Overlapping key sets: both worker dirs hold half the keys in
         # common, simulating two workers that both evaluated them.
         assert spawn_hammers(roots[0], KEYS[:24], processes=4, rounds=4) == [0] * 4
         assert spawn_hammers(roots[1], KEYS[8:], processes=4, rounds=4) == [0] * 4
-        dest = ShardedResultCache(str(tmp_path / "merged"), shards=4)
+        dest = ResultCache(str(tmp_path / "merged"))
         first = merge_caches(dest, roots)
         # 24 + 24 source records with 16 keys in common: the union is
         # copied once, the second copy of the overlap skips.

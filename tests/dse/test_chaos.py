@@ -31,6 +31,7 @@ import pytest
 from repro.dse import (
     CHAOS_TARGET,
     JOURNAL_VERSION,
+    MEMORY_TARGET,
     CampaignRunner,
     CampaignState,
     ChaosCrash,
@@ -46,12 +47,15 @@ from repro.dse import (
     campaign_key,
     is_timeout_error,
     read_events,
+    WorkQueue,
     run_checkpointed,
     run_network_worker,
+    run_worker,
     seeded_schedule,
 )
 from repro.dse import chaos
-from repro.dse.executors import _Heartbeat, WorkerStalled
+from repro.dse.executors import _Heartbeat, WorkerStalled, task_id
+from repro.dse.net import CampaignServer, ServerThread
 from repro.dse.net.worker import reconnect_backoff
 from repro.dse.runner import _execute, register_target, get_target_deadline
 
@@ -455,6 +459,53 @@ class TestInvariantChecker:
         checker = InvariantChecker(camp)
         assert any("incomplete" in v for v in checker.check(expect_complete=True))
         assert checker.check(expect_complete=False) == []
+
+
+class TestEvaluateHookOnPullWorkers:
+    """Pull and network workers evaluate through the same entry as the
+    in-process executors, so the ``evaluate`` hook fires there too."""
+
+    @pytest.mark.parametrize("transport", ["worker-pull", "network"])
+    def test_evaluate_crash_reaches_the_published_outcome(
+        self, tmp_path, transport
+    ):
+        from repro.nvsim.config import MemoryConfig
+        from repro.vaet.explorer import DesignConstraints
+
+        job = Job(MEMORY_TARGET, {
+            "node_nm": 45,
+            "config": MemoryConfig().to_dict(),
+            "constraints": DesignConstraints().to_dict(),
+            "num_words": 200,
+            "error_population": 10_000,
+            "seed": None,
+        })
+        plane = FaultPlane(
+            faults=[Fault("evaluate", "crash", match="vaet-memory")]
+        )
+        if transport == "worker-pull":
+            queue = WorkQueue(str(tmp_path))
+            queue.ensure()
+            queue.publish(job)
+            with plane:
+                assert run_worker(str(tmp_path), worker_id="w", once=True) == 1
+        else:
+            server = CampaignServer(str(tmp_path), lease_ttl=5.0)
+            queue = server.queue
+            queue.publish(job)
+            thread = ServerThread(server)
+            thread.start()
+            try:
+                with plane:
+                    assert run_network_worker(
+                        ("127.0.0.1", server.port), worker_id="w", once=True
+                    ) == 1
+            finally:
+                thread.stop()
+        assert [fired["site"] for fired in plane.fired] == ["evaluate"]
+        ok, result, error, _ = queue.read_result(task_id(job))
+        assert not ok and result is None
+        assert error.startswith("ChaosCrash")
 
 
 # -- seeded end-to-end schedules (`pytest -m chaos`) ---------------------

@@ -53,6 +53,22 @@ class TestSpecValidation:
         with pytest.raises(SystemExit, match="grid-only"):
             load_spec(_write_spec(tmp_path, bad))
 
+    def test_batch_key_fails_loudly(self, tmp_path, capsys):
+        bad = dict(MEMORY_SPEC, batch=4)
+        with pytest.raises(SystemExit) as excinfo:
+            load_spec(_write_spec(tmp_path, bad))
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert "point batching was removed" in message
+        assert 'delete the top-level "batch" key' in message
+        # The per-run flag is gone too: argparse rejects it.
+        with pytest.raises(SystemExit):
+            main([
+                "run", _write_spec(tmp_path, MEMORY_SPEC),
+                "--dir", str(tmp_path / "camp"), "--batch-size", "2",
+            ])
+        assert "--batch-size" in capsys.readouterr().err
+
 
 class TestDescribe:
     def test_memory_describe(self, tmp_path, capsys):

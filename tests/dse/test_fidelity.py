@@ -91,10 +91,9 @@ class TestLowfiTwin:
         assert "fidelity" not in job.spec
 
     def test_twin_preserves_scheduling_fields(self):
-        job = Job("vaet-memory", {"node_nm": 45}, reseed=2, batch_size=4)
+        job = Job("vaet-memory", {"node_nm": 45}, reseed=2)
         twin = lowfi_twin(job)
         assert twin.reseed == 2
-        assert twin.batch_size == 4
 
 
 class TestPromotionIndices:

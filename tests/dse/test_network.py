@@ -113,9 +113,10 @@ class TestServerCore:
             {"op": "hello", "worker": "w1", "version": PROTOCOL_VERSION}
         )
         assert reply["ok"] and reply["version"] == PROTOCOL_VERSION
-        assert not server.handle_message(
-            {"op": "hello", "worker": "w1", "version": 99}
-        )["ok"]
+        for stale in (99, 2):
+            assert not server.handle_message(
+                {"op": "hello", "worker": "w1", "version": stale}
+            )["ok"]
         assert not server.handle_message(
             {"op": "hello", "worker": "../evil", "version": PROTOCOL_VERSION}
         )["ok"]
@@ -643,6 +644,32 @@ class TestWorkerClient:
                 backoff=0.05, reconnect_timeout=0.4,
             )
         assert time.monotonic() - start < 10.0
+
+    def test_batched_tasks_reply_is_an_unexpected_op(self):
+        """A lease carries one task; a v2-style ``tasks`` reply is refused."""
+        replies = {
+            "hello": {"ok": True, "version": PROTOCOL_VERSION},
+            "lease": {"ok": True, "op": "tasks", "tasks": []},
+        }
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as lines:
+                for line in lines:
+                    reply = replies[decode_message(line)["op"]]
+                    conn.sendall(encode_message(reply))
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(ProtocolError, match="unexpected lease reply"):
+                run_network_worker(
+                    listener.getsockname()[:2], worker_id="w", once=True
+                )
+        finally:
+            listener.close()
+            thread.join(timeout=5.0)
 
     def test_connect_string_form(self, tmp_path):
         server = CampaignServer(str(tmp_path), lease_ttl=5.0)

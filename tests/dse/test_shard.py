@@ -1,115 +1,29 @@
-"""Tests for shard fan-out and crash-safe cache merging."""
+"""Tests for crash-safe cache merging."""
 
 import json
 import os
 
-import pytest
-
-from repro.dse import (
-    ResultCache,
-    ShardedResultCache,
-    content_key,
-    merge_caches,
-    shard_index,
-)
-from repro.dse.shard import iter_records, shard_name
+from repro.dse import ResultCache, content_key, merge_caches
+from repro.dse.shard import iter_records
 
 
 def _keys(count, salt="shard"):
     return [content_key(salt, {"i": i}) for i in range(count)]
 
 
-class TestShardIndex:
-    def test_stable_and_in_range(self):
-        for key in _keys(64):
-            index = shard_index(key, 16)
-            assert 0 <= index < 16
-            assert index == shard_index(key, 16)  # pure function of key
-
-    def test_spreads_over_shards(self):
-        hit = {shard_index(key, 8) for key in _keys(256)}
-        assert hit == set(range(8))
-
-    def test_single_shard_degenerates(self):
-        assert all(shard_index(key, 1) == 0 for key in _keys(16))
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError):
-            shard_index(_keys(1)[0], 0)
-
-
-class TestShardedResultCache:
-    def test_roundtrip_and_routing(self, tmp_path):
-        cache = ShardedResultCache(str(tmp_path), shards=4)
-        keys = _keys(16)
-        for position, key in enumerate(keys):
-            cache.put(key, {"v": position})
-        for position, key in enumerate(keys):
-            assert cache.get(key) == {"v": position}
-            assert key in cache
-            expected = os.path.join(
-                str(tmp_path), shard_name(shard_index(key, 4)), key[:2],
-                key + ".json",
-            )
-            assert cache.path_for(key) == expected
-            assert os.path.exists(expected)
-        assert len(cache) == 16
-
-    def test_counters_aggregate_across_shards(self, tmp_path):
-        cache = ShardedResultCache(str(tmp_path), shards=4)
-        keys = _keys(8)
-        for key in keys:
-            assert cache.get(key) is None  # 8 misses
-        for key in keys:
-            cache.put(key, {"v": 1})
-        for key in keys:
-            assert cache.get(key) is not None  # 8 hits
-        stats = cache.stats()
-        assert stats["hits"] == 8 and stats["misses"] == 8
-        assert stats["writes"] == 8 and stats["entries"] == 8
-        assert stats["hit_rate"] == pytest.approx(0.5)
-        assert stats["shards"] == 4
-
-    def test_corrupt_member_quarantined_per_shard(self, tmp_path):
-        cache = ShardedResultCache(str(tmp_path), shards=2)
-        key = _keys(1)[0]
-        cache.put(key, {"v": 1})
-        with open(cache.path_for(key), "w") as handle:
-            handle.write("{broken")
-        assert cache.get(key) is None
-        assert cache.corrupt == 1
-        assert key not in cache
-        cache.put(key, {"v": 2})  # the slot is repairable
-        assert cache.get(key) == {"v": 2}
-
-    def test_purge_corrupt_covers_all_shards(self, tmp_path):
-        cache = ShardedResultCache(str(tmp_path), shards=4)
-        keys = _keys(8)
-        for key in keys:
-            cache.put(key, {"v": 1})
-        for key in keys[:3]:
-            with open(cache.path_for(key), "w") as handle:
-                handle.write("]")
-        removed = cache.purge_corrupt()
-        assert sorted(removed) == sorted(keys[:3])
-        assert len(cache) == 5
-
-    def test_rejects_zero_shards(self, tmp_path):
-        with pytest.raises(ValueError):
-            ShardedResultCache(str(tmp_path), shards=0)
-
-
 class TestMergeCaches:
     def test_merge_plain_and_sharded_sources(self, tmp_path):
+        """A source nested one level deeper (an old per-shard directory
+        layout) merges like a plain one: records are found by walking."""
         plain = ResultCache(str(tmp_path / "plain"))
-        sharded = ShardedResultCache(str(tmp_path / "sharded"), shards=4)
         keys = _keys(12)
         for key in keys[:6]:
             plain.put(key, {"from": "plain"})
-        for key in keys[6:]:
-            sharded.put(key, {"from": "sharded"})
+        for position, key in enumerate(keys[6:]):
+            shard = tmp_path / "sharded" / ("shard-%02x" % (position % 4))
+            ResultCache(str(shard)).put(key, {"from": "sharded"})
         dest = ResultCache(str(tmp_path / "dest"))
-        counts = merge_caches(dest, [plain, sharded])
+        counts = merge_caches(dest, [plain, str(tmp_path / "sharded")])
         assert counts == {"merged": 12, "skipped": 0, "corrupt": 0}
         assert len(dest) == 12
         for key in keys:
@@ -151,17 +65,6 @@ class TestMergeCaches:
         assert counts["merged"] == 1
         assert dest.get(key) == {"v": "good"}
 
-    def test_merge_into_sharded_destination_routes_keys(self, tmp_path):
-        source = ResultCache(str(tmp_path / "src"))
-        keys = _keys(8)
-        for key in keys:
-            source.put(key, {"v": 1})
-        dest = ShardedResultCache(str(tmp_path / "dest"), shards=4)
-        merge_caches(dest, [source])
-        for key in keys:
-            assert os.path.exists(dest.path_for(key))
-        assert len(dest) == 8
-
     def test_missing_source_is_a_noop(self, tmp_path):
         dest = ResultCache(str(tmp_path / "dest"))
         assert merge_caches(dest, [str(tmp_path / "ghost")]) == {
@@ -180,9 +83,9 @@ class TestMergeCaches:
         cache = ResultCache(str(tmp_path))
         key = _keys(1)[0]
         cache.put(key, {"v": 1})
-        shard_dir = os.path.dirname(cache.path_for(key))
-        open(os.path.join(shard_dir, "stale.tmp"), "w").close()
-        open(os.path.join(shard_dir, "old.json.corrupt"), "w").close()
+        fan_out_dir = os.path.dirname(cache.path_for(key))
+        open(os.path.join(fan_out_dir, "stale.tmp"), "w").close()
+        open(os.path.join(fan_out_dir, "old.json.corrupt"), "w").close()
         records = list(iter_records(str(tmp_path)))
         assert records == [(key, cache.path_for(key))]
         with open(records[0][1]) as handle:

@@ -224,7 +224,7 @@ def torn_write(path, offset):
     return size - offset
 
 
-def hammer_cache(root, keys, rounds, shards=0):
+def hammer_cache(root, keys, rounds):
     """One stress process: write/read overlapping keys, assert sanity.
 
     Runs in a child process (module-level so it pickles).  Every round
@@ -237,16 +237,12 @@ def hammer_cache(root, keys, rounds, shards=0):
         root: Cache directory shared by all hammer processes.
         keys: Content-hash keys (overlapping across processes).
         rounds: put+get sweeps to run.
-        shards: 0 = plain :class:`ResultCache`; >0 = a
-            :class:`ShardedResultCache` with that many shards.
     """
-    from repro.dse.cache import ResultCache
-    from repro.dse.shard import ShardedResultCache
-
-    cache = (
-        ShardedResultCache(root, shards) if shards else ResultCache(root)
-    )
     import os
+
+    from repro.dse.cache import ResultCache
+
+    cache = ResultCache(root)
 
     stamp = os.getpid()
     for round_number in range(rounds):
@@ -260,14 +256,14 @@ def hammer_cache(root, keys, rounds, shards=0):
     return cache.writes
 
 
-def spawn_hammers(root, keys, processes=8, rounds=10, shards=0):
+def spawn_hammers(root, keys, processes=8, rounds=10):
     """Run :func:`hammer_cache` in N concurrent processes; return exitcodes."""
     import multiprocessing
 
     context = multiprocessing.get_context()
     workers = [
         context.Process(
-            target=hammer_cache, args=(root, list(keys), rounds, shards)
+            target=hammer_cache, args=(root, list(keys), rounds)
         )
         for _ in range(processes)
     ]
