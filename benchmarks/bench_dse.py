@@ -33,7 +33,9 @@ set it to the vCPU count for deterministic pool sizes).
 import argparse
 import json
 import os
+import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -564,6 +566,28 @@ def count_kernel_passes(evaluate):
     return counts
 
 
+#: What a network worker imports before it can evaluate a memory point.
+WORKER_EVALUATION_SET = (
+    "repro.dse.__main__", "repro.dse.net.worker", "repro.vaet.explorer",
+)
+
+
+def worker_ready_s(runs=5):
+    """Median wall-clock of a fresh interpreter importing the worker's
+    evaluation set: the cold start every spawned worker pays."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-c", "import " + ", ".join(WORKER_EVALUATION_SET)]
+    walls = []
+    for _ in range(runs):
+        tick = time.perf_counter()
+        subprocess.run(command, check=True, env=env)
+        walls.append(time.perf_counter() - tick)
+    return statistics.median(walls)
+
+
 def evaluator_bench(points=4, scalar_points=2,
                     num_words=200, error_population=10_000, default_repeats=3):
     """Per-point wall-clock of the real memory evaluator, both paths.
@@ -577,7 +601,10 @@ def evaluator_bench(points=4, scalar_points=2,
 
     One fixed point also runs at the evaluator's default effort (1500
     words, 200k cells): its kernel population passes, which are
-    deterministic, and the median of ``default_repeats`` wall-clocks.
+    deterministic, and the medians of ``default_repeats`` wall-clocks
+    and minor page faults.  The pass count runs first, so every timed
+    repeat follows a warm-up point.  The worker's cold start is timed
+    in fresh interpreters.
     """
     from repro.dse.campaign import evaluate_memory_point
     from repro.nvsim import MemoryConfig
@@ -611,11 +638,15 @@ def evaluator_bench(points=4, scalar_points=2,
     try:
         vector = timed(points)
         passes = count_kernel_passes(default_point)
-        default_times = []
+        default_times, default_faults = [], []
         for _ in range(default_repeats):
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             tick = time.perf_counter()
             default_point()
             default_times.append(time.perf_counter() - tick)
+            default_faults.append(
+                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            )
         os.environ[SCALAR_REFERENCE_ENV] = "1"
         scalar = timed(scalar_points)
     finally:
@@ -632,6 +663,8 @@ def evaluator_bench(points=4, scalar_points=2,
         "scalar_s_per_point": scalar,
         "vector_speedup": scalar / max(vector, 1e-9),
         "default_s_per_point": statistics.median(default_times),
+        "minor_faults_per_point": statistics.median(default_faults),
+        "worker_ready_s": worker_ready_s(),
         **passes,
     }
 

@@ -24,6 +24,7 @@ gate disabled, 1 on a gated regression, 2 on unreadable input.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -58,6 +59,12 @@ METRICS = [
     ("evaluator", "write_passes_per_point", "down", True),
     ("evaluator", "read_passes_per_point", "down", True),
     ("evaluator", "default_s_per_point", "down", False),
+    # Cold start of a spawned worker: fresh interpreters importing what
+    # it needs to evaluate a memory point (numpy, scipy.special, vaet).
+    ("evaluator", "worker_ready_s", "down", True),
+    # Minor page faults of a default-effort point after a warm-up: a
+    # handful while glibc keeps the heap resident, ~18k when it trims.
+    ("evaluator", "minor_faults_per_point", "down", True),
     # Evaluations-to-target are seeded and fully deterministic — any
     # drift is a sampler behaviour change, so the surrogate's is gated.
     ("sampler", "surrogate_evals_to_target", "down", True),
@@ -70,6 +77,12 @@ METRICS = [
     ("chaos_guard", "chaos_guard_overhead_pct", "down", True),
     ("chaos_guard", "guard_ns_per_fire", "down", False),
 ]
+
+#: Absolute drift below which a gated metric never fails: a count that
+#: sits near zero moves by more than TOLERANCE on noise alone.
+NOISE_FLOOR = {
+    ("evaluator", "minor_faults_per_point"): 1000,
+}
 
 
 def _load(path):
@@ -101,9 +114,15 @@ def compare(baseline, current, out=sys.stdout):
                 "n/a",
             ))
             continue
-        delta = (cur - base) / base if base else float("inf")
+        if base:
+            delta = (cur - base) / base
+        else:
+            delta = 0.0 if cur == base else math.copysign(math.inf, cur)
         worse = delta > 0 if direction == "down" else delta < 0
-        regressed = gated and worse and abs(delta) > TOLERANCE
+        regressed = (
+            gated and worse and abs(delta) > TOLERANCE
+            and abs(cur - base) > NOISE_FLOOR.get((section, metric), 0)
+        )
         flag = "REGRESSION" if regressed else ("(worse)" if worse else "")
         out.write("%-*s %14.4g %14.4g %+8.1f%% %s\n" % (
             width, label, base, cur, delta * 100.0, flag

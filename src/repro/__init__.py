@@ -32,23 +32,30 @@ Subpackages
     drives VAET-STT, ``explore_system`` drives MAGPIE; the legacy
     ``DesignSpaceExplorer.sweep_subarrays`` / ``MagpieFlow.run``
     APIs are thin wrappers over it (see ``examples/dse_campaign.py``).
+
+The five device names below are loaded on first access (PEP 562), so
+``import repro.dse`` does not pull in the device physics or scipy.
 """
 
-from repro.core import (
-    MSSDevice,
-    MSSMode,
-    design_memory_mss,
-    design_oscillator_mss,
-    design_sensor_mss,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+#: Names re-exported from ``repro.core``, resolved by :func:`__getattr__`.
+_CORE_NAMES = (
     "MSSDevice",
     "MSSMode",
     "design_memory_mss",
     "design_oscillator_mss",
     "design_sensor_mss",
-]
+)
+
+__all__ = ["__version__", *_CORE_NAMES]
+
+
+def __getattr__(name):
+    if name in _CORE_NAMES:
+        value = getattr(importlib.import_module("repro.core"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -110,8 +110,12 @@ def evaluate_memory_point(spec: Mapping, seed: int) -> Dict:
     """
     from repro.nvsim.config import MemoryConfig
     from repro.pdk.kit import ProcessDesignKit
+    from repro.utils.heap import keep_heap_resident
     from repro.vaet.explorer import DesignConstraints, DesignSpaceExplorer
 
+    # Once per process: stop glibc returning the evaluation's freed
+    # arrays to the kernel, which the next point would fault back in.
+    keep_heap_resident()
     config = MemoryConfig.from_dict(spec["config"])
     constraints = DesignConstraints.from_dict(spec["constraints"])
     explorer = DesignSpaceExplorer(

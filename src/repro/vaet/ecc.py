@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from scipy import optimize, stats
+from scipy import optimize
+from scipy.special import bdtrc
 
 from repro.vaet.error_rates import (
     ErrorRateAnalysis,
@@ -43,12 +44,17 @@ def bch_parity_bits(data_bits: int, correct_bits: int) -> int:
 
 def block_failure_probability(codeword_bits: int, per_bit_wer: float,
                               correct_bits: int) -> float:
-    """P[more than ``correct_bits`` of ``codeword_bits`` fail]."""
-    if per_bit_wer <= 0.0:
+    """P[more than ``correct_bits`` of ``codeword_bits`` fail].
+
+    ``bdtrc`` is the binomial survival function of ``scipy.special``, the
+    same quantity as ``scipy.stats.binom.sf`` without importing
+    ``scipy.stats`` (~0.5 s) on the evaluation path.
+    """
+    if per_bit_wer <= 0.0 or correct_bits >= codeword_bits:
         return 0.0
     if per_bit_wer >= 1.0:
         return 1.0
-    return float(stats.binom.sf(correct_bits, codeword_bits, per_bit_wer))
+    return float(bdtrc(correct_bits, codeword_bits, per_bit_wer))
 
 
 def per_bit_budget(codeword_bits: int, correct_bits: int, target: float) -> float:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
 
 from repro.core.thermal import ATTEMPT_TIME
+from repro.vaet.ecc import block_failure_probability
 from repro.vaet.error_rates import ErrorRateAnalysis
 
 #: One FIT = one failure per 1e9 device-hours.
@@ -104,7 +105,7 @@ class RetentionFaultModel:
         """P(more than t flips in one word) within one scrub interval."""
         p = self.per_bit_flip_probability(interval)
         n = self.engine.word_bits
-        return float(stats.binom.sf(self.ecc_correct_bits, n, p))
+        return block_failure_probability(n, p, self.ecc_correct_bits)
 
     def point(self, interval: float) -> ScrubPoint:
         """Evaluate one scrub interval."""

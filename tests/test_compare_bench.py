@@ -2,7 +2,8 @@
 
 The gate itself runs in CI against real snapshots; these tests pin its
 decision rules on synthetic ones: >30% wrong-direction drift on a
-gated metric fails, improvements and report-only metrics never do,
+gated metric fails unless it is within the metric's absolute noise
+floor, improvements and report-only metrics never do,
 missing sections compare as ``n/a``, and ``REPRO_BENCH_NO_GATE=1``
 downgrades a failure to a report.
 """
@@ -101,6 +102,26 @@ class TestCompare:
         regressions, report = _compare(_snapshot(), current)
         assert regressions == []
         assert report.count("(worse)") == 3
+
+    def test_zero_baseline_unchanged_is_clean(self):
+        baseline = _snapshot(**{"evaluator.minor_faults_per_point": 0})
+        regressions, report = _compare(baseline, baseline)
+        assert regressions == []
+        assert "REGRESSION" not in report
+
+    def test_fault_count_within_noise_floor_is_clean(self):
+        baseline = _snapshot(**{"evaluator.minor_faults_per_point": 2})
+        current = _snapshot(**{"evaluator.minor_faults_per_point": 40})
+        regressions, report = _compare(baseline, current)
+        assert regressions == []
+        assert "(worse)" in report
+
+    def test_trimmed_heap_fault_count_flagged(self):
+        baseline = _snapshot(**{"evaluator.minor_faults_per_point": 0})
+        current = _snapshot(**{"evaluator.minor_faults_per_point": 18000})
+        regressions, _ = _compare(baseline, current)
+        assert len(regressions) == 1
+        assert "evaluator.minor_faults_per_point" in regressions[0]
 
     def test_missing_section_is_na_not_failure(self):
         baseline = _snapshot()

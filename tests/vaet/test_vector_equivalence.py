@@ -18,7 +18,9 @@ Equivalence comes in two strengths, matching what numpy can promise:
 
 The root solves are pinned the same way: Newton on the vectorised
 path against the brentq reference on the scalar one, within the 2e-4
-relative latency tolerance of the stored campaign reference.
+relative latency tolerance of the stored campaign reference.  The
+block-failure probability (``scipy.special.bdtrc``) is pinned against
+``scipy.stats.binom.sf``, which the evaluator used before.
 
 Run by the ``vector-equivalence`` CI job across python/numpy corners.
 """
@@ -27,11 +29,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.nvsim import MemoryConfig
 from repro.pdk import ProcessDesignKit
 from repro.vaet import VAETSTT
-from repro.vaet.ecc import ECCAnalysis
+from repro.vaet import ecc as ecc_module
+from repro.vaet.ecc import ECCAnalysis, bch_parity_bits, block_failure_probability
 from repro.vaet.error_rates import ErrorRateAnalysis, UnreachableTargetError
 from repro.vaet.explorer import DesignConstraints, DesignSpaceExplorer
 from repro.vaet.variation_model import (
@@ -321,3 +325,44 @@ class TestSolverAgreement:
         assert newton.read_latency == pytest.approx(
             brentq.read_latency, rel=SOLVER_RTOL
         )
+
+
+#: Data widths whose codewords (data + BCH parity, t = 0..3) cover the
+#: campaign grids (128/256-bit words), these tests (16) and 64/512.
+DATA_BITS = (16, 64, 128, 256, 512)
+CORRECT_BITS = (0, 1, 2, 3)
+
+
+class TestBinomialTail:
+    """``bdtrc`` in place of ``scipy.stats.binom.sf`` changes nothing."""
+
+    @pytest.mark.parametrize("data_bits", DATA_BITS)
+    def test_block_failure_matches_binom_sf(self, data_bits):
+        for t in CORRECT_BITS:
+            for correct in CORRECT_BITS:
+                n = data_bits + bch_parity_bits(data_bits, t)
+                for p in np.logspace(-20, -1, 96):
+                    want = stats.binom.sf(correct, n, p)
+                    got = block_failure_probability(n, float(p), correct)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (n, p, correct)
+
+    def test_edges_match_binom_sf(self):
+        for n, p, correct in [(64, 0.0, 1), (64, 1.0, 1), (64, 0.3, 64),
+                              (64, 1.0, 70), (8, 0.5, 0)]:
+            assert block_failure_probability(n, p, correct) == pytest.approx(
+                stats.binom.sf(correct, n, p), rel=1e-12, abs=0.0
+            )
+
+    @pytest.mark.parametrize("node", [45, 65])
+    def test_explorer_picks_same_ecc_bits(self, monkeypatch, node):
+        config = MemoryConfig(word_bits=128)
+        explorer = DesignSpaceExplorer(
+            ProcessDesignKit.for_node(node), config, DesignConstraints(),
+            num_words=WORDS, error_population=CELLS,
+        )
+        monkeypatch.delenv(SCALAR_REFERENCE_ENV, raising=False)
+        fast = explorer.evaluate(config, seed=3)
+        monkeypatch.setattr(ecc_module, "bdtrc", stats.binom.sf)
+        before = explorer.evaluate(config, seed=3)
+        assert fast.ecc_bits == before.ecc_bits
+        assert fast.write_latency == pytest.approx(before.write_latency, rel=1e-9)
