@@ -18,11 +18,10 @@ Runs two ways:
       PYTHONPATH=src python benchmarks/bench_dse.py --full
       PYTHONPATH=src python benchmarks/bench_dse.py --snapshot BENCH_dse.json
 
-The ``--snapshot`` mode combines journal throughput, per-event
-lease-fold cost (watermark vs whole-history replay), the analytics
-report-build fold, the four-way executor comparison and the
-scalar-vs-vector evaluator timing into one JSON document — ``BENCH_dse.json`` at the repo root is such a
-snapshot, and ``benchmarks/compare_bench.py`` **gates CI** on it: a
+The ``--snapshot`` mode combines journal throughput, the analytics
+report-build fold, the three-way executor comparison and the
+scalar-vs-vector evaluator timing into one JSON document —
+``BENCH_dse.json`` at the repo root is such a snapshot, and ``benchmarks/compare_bench.py`` **gates CI** on it: a
 >30% wrong-direction drift in any tracked metric fails the build
 (``REPRO_BENCH_NO_GATE=1`` downgrades the gate to a report).
 
@@ -54,19 +53,15 @@ from repro.dse import (  # noqa: E402
     CampaignState,
     Job,
     JobResult,
-    LeaseTable,
     NetworkExecutor,
     ParameterSpace,
     ProcessPoolExecutor,
     ResultCache,
     SerialExecutor,
-    WorkerPullExecutor,
-    WorkQueue,
     campaign_key,
     default_workers,
     explore_memory,
 )
-from repro.dse.executors import read_lease_events  # noqa: E402
 
 
 def _campaign(space, cache_dir, **settings):
@@ -239,108 +234,6 @@ def test_journal_append_throughput_full():
     assert summary["points"] >= 10_000
 
 
-# -- lease-fold cost -----------------------------------------------------
-
-
-def lease_fold_bench(events=10_000, legacy_folds=50):
-    """Per-event lease-fold cost as a claim journal grows.
-
-    After every appended claim event the coordinator re-folds the lease
-    journals (it does this at least once per point).  The applied
-    watermark makes that fold incremental — only the journal's new tail
-    is parsed and applied — so per-event cost stays flat no matter how
-    long the campaign has been running.  The legacy comparison replays
-    the *whole* journal through :meth:`LeaseTable.replay` each time,
-    which is the pre-watermark behaviour: O(journal length) per fold.
-    """
-    summary = {"events": events, "legacy_folds": legacy_folds}
-
-    with tempfile.TemporaryDirectory(prefix="bench-fold-") as workdir:
-        queue = WorkQueue(workdir)
-        queue.ensure()
-        path = queue.lease_path("bench")
-        watermark_times = []
-        with open(path, "a", encoding="utf-8") as journal:
-            for i in range(events):
-                journal.write(json.dumps({
-                    "event": "claim", "task": "task-%d" % i,
-                    "worker": "bench", "ttl": 3600.0,
-                    "t": float(i), "seq": i,
-                }) + "\n")
-                journal.flush()
-                tick = time.perf_counter()
-                queue.lease_table()
-                watermark_times.append(time.perf_counter() - tick)
-        assert queue.fold_stats["full_refolds"] == 0, (
-            "synthetic in-order tail triggered %d full refolds"
-            % queue.fold_stats["full_refolds"]
-        )
-        assert queue.fold_stats["events_folded"] == events
-        assert len(queue.lease_table().leases) == events
-
-        # A fresh coordinator folding the whole history once (resume).
-        cold = WorkQueue(workdir)
-        tick = time.perf_counter()
-        cold_table = cold.lease_table()
-        summary["cold_fold_s"] = time.perf_counter() - tick
-        assert len(cold_table.leases) == events
-
-        legacy_times = []
-        for _ in range(legacy_folds):
-            tick = time.perf_counter()
-            LeaseTable.replay(read_lease_events(path))
-            legacy_times.append(time.perf_counter() - tick)
-
-    first, last = _decile_medians(watermark_times)
-    summary.update({
-        "watermark_total_s": sum(watermark_times),
-        "watermark_us_per_event_first_decile": first * 1e6,
-        "watermark_us_per_event_last_decile": last * 1e6,
-        "watermark_flatness": last / first,
-        "full_refolds": 0,
-    })
-    # The legacy loop replays a fully grown journal, so instead of a
-    # growth curve we report its (flat, large) per-fold cost against
-    # the watermark's per-event cost at the same journal size.
-    legacy_per_fold = statistics.median(legacy_times)
-    summary.update({
-        "legacy_s_per_fold": legacy_per_fold,
-        "watermark_speedup_at_tail": legacy_per_fold / max(last, 1e-9),
-    })
-    return summary
-
-
-def _check_and_save_lease_fold(name, summary):
-    # Flat incremental folds (generous bound: CI noise must not flake
-    # it) and a whole-history replay that is orders of magnitude more
-    # expensive per fold at the same journal length.
-    assert summary["watermark_flatness"] < 10.0, (
-        "watermark fold cost grew %.1fx across the campaign"
-        % summary["watermark_flatness"]
-    )
-    assert summary["full_refolds"] == 0
-    assert summary["watermark_speedup_at_tail"] > 10.0, (
-        "whole-history replay only %.1fx the incremental fold"
-        % summary["watermark_speedup_at_tail"]
-    )
-    save_artifact(name, json.dumps(summary, indent=2))
-    return summary
-
-
-def test_lease_fold_flatness():
-    """Fast tier-1 path: flat incremental folds at reduced scale."""
-    summary = lease_fold_bench(events=2_000, legacy_folds=50)
-    _check_and_save_lease_fold("dse_lease_fold_bench.json", summary)
-
-
-@_slow
-def test_lease_fold_flatness_full():
-    """The 10^4-event scale of the acceptance criteria."""
-    summary = lease_fold_bench(events=10_000, legacy_folds=50)
-    _check_and_save_lease_fold("dse_lease_fold_bench.json", summary)
-    assert summary["events"] >= 10_000
-
-
 # -- analytics report build ----------------------------------------------
 
 
@@ -350,8 +243,8 @@ def analytics_bench(points=5_000, workers=2):
     Synthesises a campaign directory the way a real run writes one —
     ``started`` + ``done`` journal events through ``CampaignState``
     (compaction disabled so the full event tail survives), one cache
-    row per point feeding the Pareto join, and per-worker claim
-    journals — then times one :func:`repro.dse.analytics.build_report`
+    row per point feeding the Pareto join, and per-worker lease logs
+    — then times one :func:`repro.dse.analytics.build_report`
     over it.  At ``points=5_000`` the journal holds 10^4+ events; the
     report must fold them (latency percentiles, worker utilization,
     rates, Pareto evolution) in under a second, or ``analyze`` stops
@@ -449,14 +342,13 @@ def test_analytics_report_build_full():
 
 
 def executor_bench(points=24, sleep_s=0.05, workers=2):
-    """Serial vs pool vs worker-pull vs network wall-clock, same jobs.
+    """Serial vs pool vs network wall-clock, same jobs.
 
     Synthetic sleeping points isolate the executors' dispatch overhead
     from Monte-Carlo noise: with evaluation cost pinned at ``sleep_s``,
     serial wall-clock is ~``points * sleep_s`` and any parallel backend
-    divides it by its effective worker count (worker-pull and network
-    additionally pay per-process startup once, plus filesystem polling
-    or a TCP round-trip per point).
+    divides it by its effective worker count (network additionally
+    pays per-process startup once, plus a TCP round-trip per point).
     """
     jobs = [
         Job(SELFTEST_TARGET, {"x": i, "sleep_s": sleep_s}) for i in range(points)
@@ -476,17 +368,6 @@ def executor_bench(points=24, sleep_s=0.05, workers=2):
         "pool", CampaignRunner(workers=workers,
                                executor=ProcessPoolExecutor(workers)),
     )
-    with tempfile.TemporaryDirectory(prefix="bench-pull-") as campaign_dir:
-        executor = WorkerPullExecutor(
-            campaign_dir, spawn_workers=workers, lease_ttl=10.0, poll=0.01,
-            timeout=300,
-        )
-        try:
-            pull = timed(
-                "worker_pull", CampaignRunner(workers=workers, executor=executor)
-            )
-        finally:
-            executor.close()
     with tempfile.TemporaryDirectory(prefix="bench-net-") as campaign_dir:
         executor = NetworkExecutor(
             campaign_dir, spawn_workers=workers, lease_ttl=10.0, poll=0.01,
@@ -499,13 +380,12 @@ def executor_bench(points=24, sleep_s=0.05, workers=2):
         finally:
             executor.close()
     summary["pool_speedup"] = serial / max(pool, 1e-9)
-    summary["worker_pull_speedup"] = serial / max(pull, 1e-9)
     summary["network_speedup"] = serial / max(network, 1e-9)
     return summary
 
 
 def _check_and_save_executors(name, summary):
-    # Sanity only — worker-pull pays interpreter startup for its
+    # Sanity only — network pays interpreter startup for its
     # spawned processes, so absolute speedups are hardware-dependent;
     # the artefact records them, the assertions guard correctness.
     import multiprocessing
@@ -523,7 +403,7 @@ def _check_and_save_executors(name, summary):
 
 
 def test_executor_comparison():
-    """Fast tier-1 path: all four executors agree and are measured."""
+    """Fast tier-1 path: all three executors agree and are measured."""
     summary = executor_bench(points=12, sleep_s=0.02)
     assert "network_wall_s" in summary
     _check_and_save_executors("dse_executor_bench.json", summary)
@@ -919,7 +799,7 @@ def main(argv=None) -> int:
     mode.add_argument(
         "--executors", action="store_true",
         help="executor comparison only (serial vs pool vs 2-worker "
-             "worker-pull vs network wall-clock on synthetic points)",
+             "network wall-clock on synthetic points)",
     )
     mode.add_argument(
         "--evaluator", action="store_true",
@@ -941,9 +821,8 @@ def main(argv=None) -> int:
     mode.add_argument(
         "--snapshot", metavar="PATH", nargs="?", const="BENCH_dse.json",
         help="write the combined perf snapshot (journal throughput, "
-             "lease-fold cost, executor comparison, evaluator fast "
-             "path, sampler efficiency) to PATH (default: "
-             "BENCH_dse.json)",
+             "executor comparison, evaluator fast path, sampler "
+             "efficiency) to PATH (default: BENCH_dse.json)",
     )
     args = parser.parse_args(argv)
 
@@ -976,8 +855,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.executors:
-        print("executors: 24 sleeping points, "
-              "serial vs pool vs worker-pull vs network")
+        print("executors: 24 sleeping points, serial vs pool vs network")
         summary = _check_and_save_executors(
             "dse_executor_bench.json",
             executor_bench(points=24, sleep_s=0.05, workers=2),
@@ -986,10 +864,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.snapshot:
-        print("snapshot: journal @ 10^4 points, lease fold @ 10^4 events, "
-              "analytics report @ 10^4 events, executors on 24 sleeping "
-              "points, evaluator fast path, sampler efficiency, chaos "
-              "guard overhead")
+        print("snapshot: journal @ 10^4 points, analytics report @ 10^4 "
+              "events, executors on 24 sleeping points, evaluator fast "
+              "path, sampler efficiency, chaos guard overhead")
         snapshot = {
             "analytics": _check_and_save_analytics(
                 "dse_analytics_bench.json", analytics_bench(points=5_000)
@@ -1000,10 +877,6 @@ def main(argv=None) -> int:
             "journal": _check_and_save_journal(
                 "dse_journal_bench.json",
                 journal_bench(points=10_000, legacy_points=1_000),
-            ),
-            "lease_fold": _check_and_save_lease_fold(
-                "dse_lease_fold_bench.json",
-                lease_fold_bench(events=10_000, legacy_folds=50),
             ),
             "executors": _check_and_save_executors(
                 "dse_executor_bench.json",

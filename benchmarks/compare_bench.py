@@ -44,13 +44,8 @@ METRICS = [
     # bench asserts < 1 s absolutely, the gate catches slow creep.
     ("analytics", "report_build_s", "down", True),
     ("analytics", "events_per_s", "up", False),
-    ("lease_fold", "watermark_us_per_event_last_decile", "down", True),
-    ("lease_fold", "watermark_flatness", "down", True),
-    ("lease_fold", "watermark_speedup_at_tail", "up", False),
-    ("lease_fold", "cold_fold_s", "down", False),
     ("executors", "serial_wall_s", "down", False),
     ("executors", "pool_speedup", "up", False),
-    ("executors", "worker_pull_speedup", "up", False),
     ("executors", "network_speedup", "up", False),
     ("evaluator", "vector_s_per_point", "down", True),
     ("evaluator", "vector_speedup", "up", True),

@@ -14,18 +14,14 @@ subsystem every layer plugs into:
   content-derived seeds and failure isolation;
 * :mod:`repro.dse.executors` — pluggable execution backends behind the
   :class:`Executor` protocol: :class:`SerialExecutor`,
-  :class:`ProcessPoolExecutor`, and :class:`WorkerPullExecutor` — N
-  independent ``python -m repro.dse worker`` processes (any host that
-  mounts the campaign directory) leasing points through journal-backed
-  claim events with heartbeat + expiry reclaim;
-* :mod:`repro.dse.net` — campaign-as-a-service: a TCP
-  :class:`~repro.dse.net.CampaignServer` leasing points to
-  ``worker --connect host:port`` clients on hosts with *no* shared
-  mount (:class:`~repro.dse.net.NetworkExecutor`), plus a
+  :class:`ProcessPoolExecutor`, and the network executor below;
+* :mod:`repro.dse.net` — the one distributed executor: a TCP
+  :class:`~repro.dse.net.CampaignServer` that owns the lease state in
+  memory and leases points (heartbeat + expiry reclaim) to
+  ``worker --connect host:port`` clients on any host
+  (:class:`~repro.dse.net.NetworkExecutor`), plus a
   :class:`~repro.dse.net.Supervisor` that respawns and autoscales a
   local worker fleet against queue depth;
-* :mod:`repro.dse.shard` — crash-safe, idempotent :func:`merge_caches`
-  over multi-writer cache directories;
 * :mod:`repro.dse.journal` — append-only JSONL event log with torn-line
   recovery and snapshot compaction (O(1) journal I/O per point);
 * :mod:`repro.dse.retry` — :class:`RetryPolicy`: budgeted per-point
@@ -45,7 +41,7 @@ subsystem every layer plugs into:
 * :mod:`repro.dse.pareto` — multi-objective frontier extraction;
 * :mod:`repro.dse.analytics` — pure read-side campaign analytics:
   :func:`~repro.dse.analytics.build_report` replays the journal, the
-  claim journals and the result cache into a
+  server lease logs and the result cache into a
   :class:`~repro.dse.analytics.CampaignReport` (latency percentiles,
   worker utilization, cache/retry/timeout rates, Pareto-front
   evolution) — ``python -m repro.dse analyze <dir>``;
@@ -106,18 +102,13 @@ from repro.dse.executors import (
     EXECUTOR_NAMES,
     SELFTEST_TARGET,
     Executor,
-    LeaseTable,
     ProcessPoolExecutor,
     SerialExecutor,
-    WorkerPullExecutor,
-    WorkQueue,
     make_executor,
-    run_worker,
 )
 from repro.dse.jobs import Job, JobResult, canonical_json, content_key
 from repro.dse.journal import JOURNAL_VERSION, JsonlJournal, read_events
 from repro.dse.retry import RetryPolicy
-from repro.dse.shard import merge_caches
 from repro.dse.pareto import (
     Objective,
     dominance_ranks,
@@ -145,6 +136,7 @@ from repro.dse.net import (
     CampaignServer,
     NetworkExecutor,
     Supervisor,
+    WorkerStalled,
     parse_connect,
     run_network_worker,
 )
@@ -170,20 +162,16 @@ __all__ = [
     "canonical_json",
     "content_key",
     "ResultCache",
-    "merge_caches",
     "CampaignRunner",
     "Executor",
     "EXECUTOR_NAMES",
     "SerialExecutor",
     "ProcessPoolExecutor",
-    "WorkerPullExecutor",
-    "WorkQueue",
-    "LeaseTable",
     "make_executor",
-    "run_worker",
     "CampaignServer",
     "NetworkExecutor",
     "Supervisor",
+    "WorkerStalled",
     "parse_connect",
     "run_network_worker",
     "SELFTEST_TARGET",

@@ -13,26 +13,21 @@ Subcommands:
   evolution (``--json`` for the machine-readable payload);
 * ``retry --dir DIR``       — re-release quarantined (flaky) points so
   the next ``resume`` re-runs them with a fresh retry budget;
-* ``worker DIR``            — evaluate points for a worker-pull
-  campaign rooted at DIR (start any number, on any host that mounts
-  the directory; each claims points through lease events and exits on
-  the coordinator's stop sentinel or ``--idle-timeout``);
 * ``worker --connect HOST:PORT`` — evaluate points for a *served*
-  campaign over TCP (no shared mount; retries with backoff on
-  disconnect);
+  campaign over TCP (start any number, on any host; retries with
+  backoff on disconnect, exits on the server's stop or
+  ``--idle-timeout``);
 * ``serve SPEC --dir DIR --port N`` — run a campaign whose points are
   leased to network workers by an embedded campaign server;
 * ``supervise --connect HOST:PORT --min A --max B`` — keep a local
   fleet of network workers alive, respawning dead ones and autoscaling
-  between A and B against the server's queue depth;
-* ``merge --dir DIR --workers-dirs D [D...]`` — fold cache directories
-  written elsewhere into a campaign's cache (crash-safe, idempotent).
+  between A and B against the server's queue depth.
 
 ``run``/``resume`` select the execution backend with ``--executor
-serial|pool|worker-pull|network``; ``--executor worker-pull
---spawn-workers N`` also launches N local workers for the run's
-duration (multi-host campaigns instead start ``worker`` processes by
-hand, and ``serve`` is sugar for ``run --executor network``).
+serial|pool|network``; ``--executor network --port N --spawn-workers
+M`` also launches M local workers for the run's duration (multi-host
+campaigns instead start ``worker --connect`` processes by hand, and
+``serve`` is sugar for ``run --executor network``).
 
 A campaign spec is a JSON file::
 
@@ -88,15 +83,10 @@ from repro.dse.campaign import (
 )
 from repro.dse.fidelity import FIDELITY_MODES
 from repro.dse.checkpoint import CampaignState, journal_path
-from repro.dse.executors import (
-    CACHE_DIR_NAME,
-    EXECUTOR_NAMES,
-    WorkerStalled,
-    run_worker,
-)
+from repro.dse.executors import CACHE_DIR_NAME, EXECUTOR_NAMES
+from repro.dse.net import WorkerStalled
 from repro.dse.retry import RetryPolicy
 from repro.dse.runner import Progress, default_workers
-from repro.dse.shard import merge_caches
 from repro.dse.space import ParameterSpace
 
 
@@ -359,10 +349,10 @@ def _executor_options(args) -> Optional[Dict]:
         options["lease_ttl"] = args.lease_ttl
     if getattr(args, "stall_timeout", None) is not None:
         options["timeout"] = args.stall_timeout
-    if options and executor not in ("worker-pull", "network"):
+    if options and executor != "network":
         raise SystemExit(
             "--spawn-workers/--lease-ttl/--stall-timeout apply only to "
-            "--executor worker-pull or network"
+            "--executor network"
         )
     if getattr(args, "bind", None) is not None or getattr(args, "port", None) is not None:
         if executor != "network":
@@ -390,15 +380,6 @@ def _run_campaign(spec: Dict, args, resume: bool):
         settings.setdefault("deadline", spec["deadline"])
     if getattr(args, "deadline", None) is not None:
         settings["deadline"] = args.deadline
-    workers_dirs = getattr(args, "workers_dirs", None)
-    if workers_dirs:
-        # A typo or an unmounted share must not silently merge nothing
-        # and re-evaluate every remotely-computed point.
-        missing = [d for d in workers_dirs if not os.path.isdir(d)]
-        if missing:
-            raise SystemExit(
-                "--workers-dirs: not a directory: %s" % ", ".join(missing)
-            )
     progress = None if args.quiet else progress_printer()
     common = dict(
         campaign_dir=args.dir,
@@ -408,7 +389,6 @@ def _run_campaign(spec: Dict, args, resume: bool):
         progress=progress,
         executor=getattr(args, "executor", None),
         executor_options=_executor_options(args),
-        workers_dirs=workers_dirs,
         **settings,
     )
     if spec["kind"] == "memory":
@@ -465,17 +445,11 @@ def cmd_run(args, resume: bool = False) -> int:
         result = _run_campaign(spec, args, resume=resume or args.resume)
     except WorkerStalled as exc:
         print("campaign stalled: %s" % exc, file=sys.stderr)
-        if getattr(args, "executor", None) == "network":
-            print(
-                "connect workers with: python -m repro.dse worker "
-                "--connect <host>:%s" % getattr(args, "port", "PORT"),
-                file=sys.stderr,
-            )
-        else:
-            print(
-                "start workers with: python -m repro.dse worker %s" % args.dir,
-                file=sys.stderr,
-            )
+        print(
+            "connect workers with: python -m repro.dse worker "
+            "--connect <host>:%s" % getattr(args, "port", "PORT"),
+            file=sys.stderr,
+        )
         return 3
     _summarise(result, args.dir, time.perf_counter() - start)
     return 0
@@ -483,19 +457,6 @@ def cmd_run(args, resume: bool = False) -> int:
 
 def cmd_resume(args) -> int:
     return cmd_run(args, resume=True)
-
-
-def _leased_count(campaign_dir: str) -> int:
-    """Unexpired leases on still-pending tasks of the work queue."""
-    from repro.dse.executors import WorkQueue
-
-    queue = WorkQueue(campaign_dir)
-    pending = queue.pending_tasks()
-    if not pending:
-        return 0
-    table = queue.lease_table()
-    now = time.time()
-    return sum(1 for tid in pending if table.owner(tid, now))
 
 
 def cmd_status(args) -> int:
@@ -516,7 +477,6 @@ def cmd_status(args) -> int:
         payload["cache_entries"] = len(
             ResultCache(os.path.join(args.dir, CACHE_DIR_NAME))
         )
-        payload["leased"] = _leased_count(args.dir)
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     percent = (
@@ -675,38 +635,20 @@ def cmd_retry(args) -> int:
 
 
 def cmd_worker(args) -> int:
-    """Evaluate points for a worker-pull or served campaign."""
-    if (args.dir is None) == (args.connect is None):
-        print(
-            "worker needs exactly one of DIR (shared filesystem) or "
-            "--connect host:port (campaign server)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        if args.connect is not None:
-            from repro.dse.net import run_network_worker
+    """Evaluate points for a served campaign."""
+    from repro.dse.net import run_network_worker
 
-            evaluated = run_network_worker(
-                args.connect,
-                worker_id=args.id,
-                poll=args.poll,
-                idle_timeout=args.idle_timeout,
-                once=args.once,
-                max_tasks=args.max_tasks,
-                backoff=args.reconnect_backoff,
-                reconnect_timeout=args.reconnect_timeout,
-            )
-        else:
-            evaluated = run_worker(
-                args.dir,
-                worker_id=args.id,
-                lease_ttl=args.ttl,
-                poll=args.poll,
-                idle_timeout=args.idle_timeout,
-                once=args.once,
-                max_tasks=args.max_tasks,
-            )
+    try:
+        evaluated = run_network_worker(
+            args.connect,
+            worker_id=args.id,
+            poll=args.poll,
+            idle_timeout=args.idle_timeout,
+            once=args.once,
+            max_tasks=args.max_tasks,
+            backoff=args.reconnect_backoff,
+            reconnect_timeout=args.reconnect_timeout,
+        )
     except (ValueError, ConnectionError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -771,22 +713,6 @@ def cmd_supervise(args) -> int:
     return code
 
 
-def cmd_merge(args) -> int:
-    """Fold worker cache directories into a campaign's cache."""
-    missing = [d for d in args.workers_dirs if not os.path.isdir(d)]
-    if missing:
-        print("not a directory: %s" % ", ".join(missing), file=sys.stderr)
-        return 2
-    dest = os.path.join(args.dir, CACHE_DIR_NAME)
-    counts = merge_caches(dest, args.workers_dirs)
-    print(
-        "merged %(merged)d record(s) (%(skipped)d already present, "
-        "%(corrupt)d corrupt skipped)" % counts
-    )
-    print("cache:     %d entries" % len(ResultCache(dest)))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.dse",
@@ -828,26 +754,25 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--executor", choices=EXECUTOR_NAMES, default=None,
             help="execution backend (default: in-process pool; "
-                 "worker-pull leases points to `worker` processes)",
+                 "network leases points to `worker --connect` processes)",
         )
         command.add_argument(
             "--spawn-workers", type=_nonnegative_int, default=0, metavar="N",
-            help="with --executor worker-pull/network: launch N local "
-                 "worker processes for the run's duration",
+            help="with --executor network: launch N local worker "
+                 "processes for the run's duration",
         )
         command.add_argument(
             "--lease-ttl", type=_positive_float, default=None,
             metavar="SECONDS",
-            help="with --executor worker-pull/network: lease "
-                 "time-to-live (a dead worker's points reclaim after "
-                 "this long)",
+            help="with --executor network: lease time-to-live (a dead "
+                 "worker's points reclaim after this long)",
         )
         command.add_argument(
             "--stall-timeout", type=_positive_float, default=None,
             metavar="SECONDS",
-            help="with --executor worker-pull/network: abort when no "
-                 "result arrives for this long (default: wait forever "
-                 "for workers to show up)",
+            help="with --executor network: abort when no result "
+                 "arrives for this long (default: wait forever for "
+                 "workers to show up)",
         )
         command.add_argument(
             "--bind", default=None, metavar="HOST",
@@ -857,11 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--port", type=_positive_int, default=None, metavar="PORT",
             help="with --executor network: server TCP port",
-        )
-        command.add_argument(
-            "--workers-dirs", nargs="+", default=None, metavar="DIR",
-            help="cache directories written elsewhere to merge "
-                 "into the campaign cache before running",
         )
         command.add_argument(
             "--deadline", type=_positive_float, default=None,
@@ -899,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
     status.add_argument(
         "--json", action="store_true",
         help="print exactly one machine-readable JSON object "
-             "(journal counts + leased + cache_entries) instead of text",
+             "(journal counts + cache_entries) instead of text",
     )
     status.set_defaults(func=cmd_status)
 
@@ -938,42 +858,31 @@ def build_parser() -> argparse.ArgumentParser:
     retry.set_defaults(func=cmd_retry)
 
     worker = sub.add_parser(
-        "worker",
-        help="evaluate points for a worker-pull or served campaign",
+        "worker", help="evaluate points for a served campaign",
     )
     worker.add_argument(
-        "dir", nargs="?", default=None,
-        help="campaign directory (the coordinator's --dir); omit when "
-             "connecting to a campaign server with --connect",
-    )
-    worker.add_argument(
-        "--connect", type=_connect_endpoint, default=None,
+        "--connect", type=_connect_endpoint, required=True,
         metavar="HOST:PORT",
-        help="lease points from a campaign server over TCP instead of "
-             "a shared filesystem",
+        help="the campaign server to lease points from",
     )
     worker.add_argument(
         "--id", default=None,
-        help="worker identity for lease journals (default: <host>-<pid>)",
-    )
-    worker.add_argument(
-        "--ttl", type=_positive_float, default=30.0, metavar="SECONDS",
-        help="lease time-to-live without a heartbeat (default: 30; "
-             "--connect workers use the server's TTL instead)",
+        help="worker identity in the server's lease log "
+             "(default: <host>-<pid>)",
     )
     worker.add_argument(
         "--poll", type=_positive_float, default=0.2, metavar="SECONDS",
-        help="queue scan interval when idle (default: 0.2)",
+        help="lease request interval when idle (default: 0.2)",
     )
     worker.add_argument(
         "--idle-timeout", type=_positive_float, default=None,
         metavar="SECONDS",
-        help="exit after this long with nothing claimable "
-             "(default: wait for the coordinator's stop)",
+        help="exit after this long with nothing to lease "
+             "(default: wait for the server's stop)",
     )
     worker.add_argument(
         "--once", action="store_true",
-        help="exit as soon as a scan finds nothing claimable",
+        help="exit as soon as the server has nothing to lease",
     )
     worker.add_argument(
         "--max-tasks", type=_positive_int, default=None, metavar="N",
@@ -982,14 +891,14 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "--reconnect-backoff", type=_positive_float, default=0.5,
         metavar="SECONDS",
-        help="with --connect: initial reconnect delay, doubling per "
-             "failed attempt (default: 0.5)",
+        help="initial reconnect delay, growing per failed attempt "
+             "(default: 0.5)",
     )
     worker.add_argument(
         "--reconnect-timeout", type=_positive_float, default=None,
         metavar="SECONDS",
-        help="with --connect: give up after this long continuously "
-             "disconnected (default: retry forever)",
+        help="give up after this long continuously disconnected "
+             "(default: retry forever)",
     )
     worker.set_defaults(func=cmd_worker)
 
@@ -1027,16 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress fleet-change logs"
     )
     supervise.set_defaults(func=cmd_supervise)
-
-    merge = sub.add_parser(
-        "merge", help="fold worker cache directories into a campaign"
-    )
-    merge.add_argument("--dir", required=True, help="campaign directory")
-    merge.add_argument(
-        "--workers-dirs", nargs="+", required=True, metavar="DIR",
-        help="cache directories to merge into the campaign cache",
-    )
-    merge.set_defaults(func=cmd_merge)
     return parser
 
 

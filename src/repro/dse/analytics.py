@@ -1,10 +1,11 @@
 """Read-side campaign analytics: replay the journals into a report.
 
 Every campaign already writes three durable event streams — the
-append-only campaign journal (``journal.jsonl``), one claim journal per
-worker (``work/leases/*.jsonl``), and the content-addressed result
-cache — but the write-side stack never reads them back.  This module is
-the read-side twin: :func:`build_report` folds all three into a
+append-only campaign journal (``journal.jsonl``), one lease log per
+campaign-server life (``work/leases/*.jsonl``, network campaigns only),
+and the content-addressed result cache — but the write-side stack
+reads them back only to resume.  This module is the read-side twin:
+:func:`build_report` folds all three into a
 :class:`CampaignReport` answering the questions a campaign owner
 actually asks —
 
@@ -13,7 +14,7 @@ actually asks —
   excluded, they cost nothing at replay time), overall throughput, and
   cache-hit / retry / timeout rates;
 * **are the workers busy?** — a per-worker utilization summary folded
-  from each claim journal's ``claim``/``heartbeat``/``done`` intervals
+  from the lease logs' ``claim``/``heartbeat``/``done`` intervals
   (a worker that died mid-task is credited up to its last heartbeat);
 * **is the search converging?** — the Pareto front's evolution over
   campaign time: front size and a hypervolume proxy sampled along the
@@ -39,8 +40,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dse.cache import ResultCache
 from repro.dse.checkpoint import CampaignState, journal_path
-from repro.dse.executors import CACHE_DIR_NAME, WorkQueue, read_lease_events
+from repro.dse.executors import CACHE_DIR_NAME
 from repro.dse.journal import read_events
+from repro.dse.net.server import lease_log_paths, read_lease_events
 from repro.dse.pareto import (
     ObjectiveSpec,
     hypervolume_proxy,
@@ -82,18 +84,18 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 @dataclass
 class WorkerUtilization:
-    """One worker's claim-journal fold.
+    """One worker's lease-log fold.
 
     Attributes:
-        worker: Worker id (the claim journal's single writer).
+        worker: Worker id (the ``worker`` field of its lease events).
         tasks: Claims folded (a task reclaimed after expiry counts per
             claim — it occupied the worker each time).
-        completed: Tasks the worker journaled ``done``.
+        completed: Results the worker delivered (``done`` events).
         heartbeats: Heartbeat events (liveness traffic).
         busy_s: Seconds under an open claim.  A claim with no terminal
             event (worker died mid-task) is credited up to its last
             heartbeat — the lease lawfully expired after that.
-        span_s: First-to-last event stamp in this worker's journal.
+        span_s: First-to-last stamp of this worker's events.
         utilization: ``busy_s / span_s`` (0 when the span is empty).
         first_t: Stamp of the worker's first event.
         last_t: Stamp of the worker's last event.
@@ -300,7 +302,7 @@ def _fold_latency(events: Sequence[Dict]) -> Tuple[List[float], Dict[str, str]]:
 
 
 def _fold_workers(paths: Sequence[str]) -> List[WorkerUtilization]:
-    """Per-worker busy/span fold over every claim journal."""
+    """Per-worker busy/span fold over every lease log."""
     folds: Dict[str, WorkerUtilization] = {}
     open_claims: Dict[Tuple[str, str], Tuple[float, float]] = {}
     for path in paths:
@@ -480,9 +482,7 @@ def build_report(
             "retry": status["retried"] / accounted,
             "timeout": status["timeouts"] / accounted,
         },
-        workers=_fold_workers(
-            WorkQueue(campaign_dir).lease_journal_paths()
-        ),
+        workers=_fold_workers(lease_log_paths(campaign_dir)),
         objectives=list(
             objectives if objectives else _meta_objectives(state.meta)
         ),

@@ -9,10 +9,11 @@ atomic writes via rename.
 The store is **multi-writer safe without locks**: concurrent ``put``s
 of the same key write byte-identical records (keys are content hashes
 of the full evaluation spec), so the atomic rename makes collisions
-last-writer-wins *identical* — unobservable.  Many campaign processes,
-or worker-pull workers on many hosts, may share one cache directory;
-see :mod:`repro.dse.shard` for crash-safe merging of several such
-directories.
+last-writer-wins *identical* — unobservable.  Many campaign processes
+on one host, or on hosts mounting one share, may use one cache
+directory.  Workers on other hosts never write it: they report to the
+campaign server (:mod:`repro.dse.net`), which stores their results
+here.
 
 A record that fails to parse (a torn write on an exotic filesystem, a
 disk fault, a manual edit) is **quarantined on first contact**: the bad

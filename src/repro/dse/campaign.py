@@ -56,7 +56,6 @@ from repro.dse.fidelity import (
     run_ladder,
 )
 from repro.dse.jobs import Job, JobResult
-from repro.dse.shard import merge_caches
 from repro.dse.pareto import ObjectiveSpec, pareto_front
 from repro.dse.retry import RetryPolicy
 from repro.dse.runner import (
@@ -430,19 +429,6 @@ def _memory_settings(base_config, constraints):
     return base_config, constraints
 
 
-def _campaign_cache(campaign_dir: str, workers_dirs) -> ResultCache:
-    """The campaign's shared cache, pre-merged with worker-local stores.
-
-    ``workers_dirs`` (cache directories written by workers that could
-    not mount the campaign directory) are folded in first, so the run
-    aggregates everything already evaluated elsewhere.
-    """
-    cache = ResultCache(os.path.join(campaign_dir, CACHE_DIR_NAME))
-    if workers_dirs:
-        merge_caches(cache, workers_dirs)
-    return cache
-
-
 def _campaign_executor(executor, campaign_dir, workers, executor_options):
     """Resolve the ``executor=`` argument of the campaign entry points.
 
@@ -637,7 +623,6 @@ def run_memory_campaign(
     progress: Optional[ProgressCallback] = None,
     executor=None,
     executor_options: Optional[Dict] = None,
-    workers_dirs: Optional[Sequence[str]] = None,
     deadline: Optional[float] = None,
     fidelity: str = "high",
     promote_ranks: int = 1,
@@ -665,20 +650,14 @@ def run_memory_campaign(
             journaled (the budget spans resumes), and budget-exhausted
             points are quarantined.
         executor: Execution backend: ``"serial"``, ``"pool"``,
-            ``"worker-pull"`` (points are leased to independent
-            ``python -m repro.dse worker`` processes sharing this
-            directory — see :mod:`repro.dse.executors`), ``"network"``
-            (an embedded campaign server leases points over TCP to
-            ``worker --connect`` processes with no shared mount — see
-            :mod:`repro.dse.net`), or an
+            ``"network"`` (an embedded campaign server leases points
+            over TCP to ``worker --connect`` processes on any host —
+            see :mod:`repro.dse.net`), or an
             :class:`~repro.dse.executors.Executor` instance.  The
             executor changes *where* points evaluate, never the journal
             format, the campaign signature, or the results.
         executor_options: Extra keyword arguments for a named executor
             (``spawn_workers``, ``lease_ttl``, ``timeout``, ...).
-        workers_dirs: Cache directories written elsewhere (e.g. by
-            workers without access to this directory) to merge into the
-            campaign cache before running.
         deadline: Per-evaluation wall-clock budget [s]; evaluations
             still running past it are reaped and journaled as timeout
             failures (retryable / quarantinable under ``retry``,
@@ -717,7 +696,7 @@ def run_memory_campaign(
         # (and therefore resumability) of existing journals are stable.
         signature["fidelity"] = fidelity
         signature["promote_ranks"] = promote_ranks
-    cache = _campaign_cache(campaign_dir, workers_dirs)
+    cache = ResultCache(os.path.join(campaign_dir, CACHE_DIR_NAME))
     engine, owns_executor = _campaign_executor(
         executor, campaign_dir, workers, executor_options
     )
@@ -1007,7 +986,6 @@ def run_system_campaign(
     progress: Optional[ProgressCallback] = None,
     executor=None,
     executor_options: Optional[Dict] = None,
-    workers_dirs: Optional[Sequence[str]] = None,
     deadline: Optional[float] = None,
 ) -> SystemCampaignResult:
     """Resumable :func:`explore_system`: cache + journal in a directory.
@@ -1018,7 +996,7 @@ def run_system_campaign(
     ``retry`` policy re-runs failed cells (journaled, budget spans
     resumes) before the grid's fail-fast contract raises.  See
     :func:`run_memory_campaign` for the directory layout, the
-    ``executor`` / ``executor_options`` / ``workers_dirs`` plumbing,
+    ``executor`` / ``executor_options`` plumbing,
     and the resume semantics.
     """
     from repro.magpie.flow import MagpieFlow
@@ -1034,7 +1012,7 @@ def run_system_campaign(
         "wer_target": wer_target,
         "base": flow.base.to_dict(),
     }
-    cache = _campaign_cache(campaign_dir, workers_dirs)
+    cache = ResultCache(os.path.join(campaign_dir, CACHE_DIR_NAME))
     engine, owns_executor = _campaign_executor(
         executor, campaign_dir, workers, executor_options
     )

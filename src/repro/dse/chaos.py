@@ -7,7 +7,7 @@ This module promotes fault injection into a first-class subsystem:
 * a seeded :class:`FaultPlane` injects faults at the engine's existing
   seams — the hook sites below are ``fire()`` calls already wired into
   :mod:`~repro.dse.journal`, :mod:`~repro.dse.cache`,
-  :mod:`~repro.dse.executors` and :mod:`~repro.dse.net.server` — so a
+  :mod:`~repro.dse.runner` and :mod:`~repro.dse.net.server` — so a
   *schedule* of hangs, crashes, torn tails, ENOSPC and connection drops
   replays bit-identically from one integer seed;
 * an :class:`InvariantChecker` replays a campaign directory after a
@@ -21,11 +21,11 @@ Hook sites wired today::
 
     journal.append     before a campaign-journal line is written
     journal.appended   after it is flushed (torn faults tear it here)
-    journal.atomic     before an atomic snapshot/task/result write
+    journal.atomic     before an atomic snapshot write
     cache.put          before a result-cache record is stored
-    lease.append       before a lease-journal event is written
-    lease.appended     after it is flushed
-    queue.result       before a worker publishes a result file
+    lease.append       before a server lease-log event is written
+    lease.appended     after it is written
+    queue.result       when the server records a worker's result
     evaluate           on entry to every evaluation
     server.message     on every message the campaign server receives
 
@@ -291,7 +291,7 @@ class InvariantChecker:
     """Replay a campaign directory and assert its conservation laws.
 
     The checks are exactly the engine's standing promises, verified
-    from on-disk state alone (journal + cache + work queue), so any
+    from on-disk state alone (journal + cache + lease logs), so any
     fault schedule — or production incident — can be audited the same
     way:
 
@@ -305,12 +305,8 @@ class InvariantChecker:
     3. no lost results: every point the journal records as completed-ok
        has a parseable record in the result cache;
     4. no double-apply: no point is both completed-ok and quarantined;
-    5. lease journals are monotone: per journal, ``seq`` strictly
-       increases and ``t`` never decreases, and the canonical
-       :meth:`LeaseTable.replay` accepts the merged event set;
-    6. queue conservation (when a work queue exists and the campaign
-       completed): no published task is still awaiting a result whose
-       point the journal does not know as completed.
+    5. lease logs are monotone: per server-life log, ``seq`` strictly
+       increases and ``t`` never decreases.
     """
 
     def __init__(self, campaign_dir: str):
@@ -325,7 +321,6 @@ class InvariantChecker:
             self._check_cache(state, violations)
             self._check_quarantine(state, violations)
             self._check_leases(violations)
-            self._check_queue(state, violations, expect_complete)
         return violations
 
     def _check_journal(self, violations: List[str]):
@@ -427,55 +422,27 @@ class InvariantChecker:
                 )
 
     def _check_leases(self, violations: List[str]) -> None:
-        from repro.dse.executors import LeaseTable, WorkQueue, read_lease_events
+        from repro.dse.net.server import lease_log_paths, read_lease_events
 
-        queue = WorkQueue(self.campaign_dir)
-        if not os.path.isdir(queue.leases_dir):
-            return
-        merged: List[Dict] = []
-        for path in queue.lease_journal_paths():
+        for path in lease_log_paths(self.campaign_dir):
             name = os.path.basename(path)
-            events = read_lease_events(path)
-            merged.extend(events)
             last_seq, last_t = 0, 0.0
-            for event in events:
+            for event in read_lease_events(path):
                 seq = int(event.get("seq", 0))
                 t = float(event.get("t", 0.0))
                 if seq <= last_seq:
                     violations.append(
-                        "lease journal %s: seq not strictly increasing "
+                        "lease log %s: seq not strictly increasing "
                         "(%d after %d)" % (name, seq, last_seq)
                     )
                     break
                 if t < last_t:
                     violations.append(
-                        "lease journal %s: t decreased (%r after %r)"
+                        "lease log %s: t decreased (%r after %r)"
                         % (name, t, last_t)
                     )
                     break
                 last_seq, last_t = seq, t
-        try:
-            LeaseTable.replay(merged)
-        except Exception as exc:
-            violations.append("lease replay failed: %s" % exc)
-
-    def _check_queue(
-        self, state, violations: List[str], expect_complete: bool
-    ) -> None:
-        from repro.dse.executors import WorkQueue
-
-        queue = WorkQueue(self.campaign_dir)
-        if not os.path.isdir(queue.tasks_dir) or not expect_complete:
-            return
-        finished = queue.available_results()
-        for tid in queue.pending_tasks():
-            task = queue.read_task(tid)
-            key = task.get("key") if task else None
-            if tid in finished or (key and key in state.completed):
-                continue
-            violations.append(
-                "lost task: %s published but never resolved" % tid
-            )
 
 
 # -- seeded schedules ----------------------------------------------------

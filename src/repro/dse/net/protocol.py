@@ -17,41 +17,45 @@ lease       worker                                     ok, task {task,key,
                                                        target,spec,seed,ttl}
                                                        | idle | stop
 heartbeat   worker, task                               ok
-result      worker, task, outcome [ok,result,          ok [, stale]
-            error, elapsed]
+result      worker, task, key, target, spec,           ok [, stale]
+            outcome [ok, result, error, elapsed]
 status      —                                          ok, pending, leased,
                                                        results, workers,
                                                        stopping
 ==========  =========================================  ======================
 
-A lease carries exactly one task.  Version 3 dropped the batched
-``tasks`` lease reply that version 2 could send; the hello version
-check keeps a v3 worker away from a server that might still send it.
+A lease carries exactly one task.  Version 4 added the task's ``key``,
+``target`` and ``spec`` to ``result``, so a server that never held the
+task (a restarted one) can still cache an ``ok`` outcome once ``key``
+matches ``content_key(target, spec)``.
 """
 
 import json
+import os
 import re
 import socket
 import threading
 from typing import Dict, Optional, Tuple
 
-PROTOCOL_VERSION = 3
-
-#: Default server port (--port on ``serve``/``worker``/``supervise``).
-DEFAULT_PORT = 7741
+PROTOCOL_VERSION = 4
 
 #: Hard cap on one message line.  A result payload is one evaluated
 #: point's record — megabytes would already be pathological; the cap
 #: only exists so a corrupt peer cannot balloon server memory.
 MAX_LINE_BYTES = 8 * 1024 * 1024
 
-#: Worker ids become lease-journal file names on the server; restrict
-#: them to a filesystem- and protocol-safe charset.
+#: Worker ids are written into the server's lease log; restrict them to
+#: a filesystem- and protocol-safe charset.
 _WORKER_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,99}$")
 
 
 class ProtocolError(ValueError):
     """A malformed message, oversized line, or closed-mid-line peer."""
+
+
+def default_worker_id() -> str:
+    """Host- and process-unique worker identity."""
+    return "%s-%d" % (socket.gethostname(), os.getpid())
 
 
 def valid_worker_id(worker) -> bool:
@@ -74,13 +78,17 @@ def decode_message(line: bytes) -> Dict:
     return message
 
 
-def parse_connect(value: str) -> Tuple[str, int]:
+def parse_connect(value) -> Tuple[str, int]:
     """Parse a ``host:port`` endpoint, with one-line errors.
+
+    A ``(host, port)`` pair passes through unchanged.
 
     Raises:
         ProtocolError: Empty host, missing/non-numeric/out-of-range
             port.  (``[v6::addr]:port`` bracket syntax is accepted.)
     """
+    if not isinstance(value, str):
+        return tuple(value)
     text = str(value).strip()
     host, sep, port_text = text.rpartition(":")
     if not sep or not host or not port_text:

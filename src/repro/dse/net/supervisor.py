@@ -17,13 +17,12 @@ supervisor winds the fleet down and exits.
 """
 
 import logging
-import os
 import subprocess
-import sys
 import time
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.dse.net.protocol import Connection, ProtocolError, parse_connect
+from repro.dse.net.worker import spawn_worker, worker_command
 
 logger = logging.getLogger(__name__)
 
@@ -37,9 +36,7 @@ def probe_status(
     unreachable or answers garbage — the caller decides how many
     misses to forgive.
     """
-    host, port = (
-        parse_connect(connect) if isinstance(connect, str) else connect
-    )
+    host, port = parse_connect(connect)
     conn = Connection(host, port, timeout=timeout)
     conn.connect()
     try:
@@ -75,15 +72,15 @@ class Supervisor:
             raise ValueError("min_workers must be >= 0")
         if max_workers < max(min_workers, 1):
             raise ValueError("max_workers must be >= max(min_workers, 1)")
-        self.address = (
-            parse_connect(connect) if isinstance(connect, str) else connect
-        )
+        self.address = parse_connect(connect)
         self.min_workers = int(min_workers)
         self.max_workers = int(max_workers)
         self.interval = float(interval)
         self.worker_poll = float(worker_poll)
         self.grace = int(grace)
-        self._spawn = spawn if spawn is not None else self._spawn_worker
+        self._spawn = spawn if spawn is not None else (
+            lambda: spawn_worker(worker_command(self.address, self.worker_poll))
+        )
         self._probe = (
             probe if probe is not None else lambda: probe_status(self.address)
         )
@@ -91,23 +88,6 @@ class Supervisor:
         self.spawned = 0
         self.respawned = 0
         self._misses = 0
-        self._contacted = False
-
-    def _spawn_worker(self) -> "subprocess.Popen":
-        import repro
-
-        # Workers must import this very checkout, wherever the
-        # supervisor found it.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
-        cmd = [
-            sys.executable, "-m", "repro.dse", "worker",
-            "--connect", "%s:%d" % self.address,
-            "--poll", str(self.worker_poll),
-        ]
-        return subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
 
     def target_for(self, status: Optional[Dict]) -> int:
         """The fleet size one status observation asks for."""
@@ -129,7 +109,6 @@ class Supervisor:
         try:
             status = self._probe()
             self._misses = 0
-            self._contacted = True
         except (OSError, ProtocolError):
             self._misses += 1
             status = None

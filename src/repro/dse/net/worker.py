@@ -1,11 +1,12 @@
 """The network worker client: lease over TCP, evaluate, stream back.
 
-The network twin of :func:`repro.dse.executors.run_worker`: same
-evaluation entry (:func:`repro.dse.runner.execute_task`), same
-wind-down conditions (server ``stop`` reply, ``idle_timeout``,
-``once``, ``max_tasks``) — but every queue interaction is a
-request/reply to the campaign server instead of a filesystem
-operation, so the worker host needs no shared mount.
+A worker leases one task at a time from the campaign server, evaluates
+it through :func:`repro.dse.runner.execute_task` while a background
+thread heartbeats the lease, and reports the outcome together with the
+task's ``key``/``target``/``spec`` (protocol v4).  It winds down on the
+server's ``stop`` reply, ``idle_timeout``, ``once`` or ``max_tasks``.
+Every interaction is a request/reply to the server, so the worker host
+needs no shared mount.
 
 Disconnect handling: the connection is retried with decorrelated-jitter
 exponential backoff (a SIGKILLed server restarted on the same port is
@@ -17,16 +18,19 @@ socket must not discard it.
 """
 
 import logging
+import os
 import random
+import subprocess
+import sys
 import threading
 import time
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from repro.dse.executors import default_worker_id
 from repro.dse.net.protocol import (
     PROTOCOL_VERSION,
     Connection,
     ProtocolError,
+    default_worker_id,
     parse_connect,
 )
 from repro.dse.runner import execute_task
@@ -48,6 +52,33 @@ def reconnect_backoff(
     return min(float(max_backoff), rng.uniform(base, max(base, wait * 3.0)))
 
 
+def worker_command(
+    address: Tuple[str, int], poll: float, idle_timeout: Optional[float] = None
+) -> List[str]:
+    """The ``python -m repro.dse worker --connect`` command line."""
+    cmd = [
+        sys.executable, "-m", "repro.dse", "worker",
+        "--connect", "%s:%d" % tuple(address), "--poll", str(poll),
+    ]
+    if idle_timeout is not None:
+        cmd += [
+            "--idle-timeout", str(idle_timeout),
+            "--reconnect-timeout", str(idle_timeout),
+        ]
+    return cmd
+
+
+def spawn_worker(cmd: List[str]) -> "subprocess.Popen":
+    """Start a local worker process that imports this very checkout."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+    return subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+
+
 class _NetHeartbeat:
     """Beat a leased task over the shared connection while evaluating.
 
@@ -57,9 +88,10 @@ class _NetHeartbeat:
     when it reports the result, and at worst the lease expires — which
     only risks a benign duplicate evaluation, never a lost one.
 
-    As in the filesystem worker's heartbeat, a positive ``deadline``
-    stops the beats once the evaluation has overrun its budget, so the
-    server-side lease lawfully expires and survivors reclaim the task.
+    A positive ``deadline`` stops the beats once the evaluation has
+    overrun its budget, so the server-side lease lawfully expires and
+    survivors reclaim the task — the backstop for platforms where the
+    in-process reaper cannot kill the stuck evaluation itself.
     """
 
     def __init__(
@@ -119,8 +151,8 @@ def run_network_worker(
 
     Args:
         connect: ``"host:port"`` or an ``(host, port)`` pair.
-        worker_id: Stable identity for the server-side lease journal;
-            default ``<hostname>-<pid>``.
+        worker_id: Stable identity in the server's lease log; default
+            ``<hostname>-<pid>``.
         poll: Seconds between lease requests while the server is idle.
         idle_timeout: Exit after this long without work (None = wait
             for the server's ``stop``).
@@ -134,14 +166,12 @@ def run_network_worker(
     Returns:
         Number of tasks this worker evaluated.
     """
-    host, port = (
-        parse_connect(connect) if isinstance(connect, str) else connect
-    )
+    host, port = parse_connect(connect)
     worker = worker_id if worker_id is not None else default_worker_id()
     conn = Connection(host, port)
     evaluated = 0
     idle_since = time.monotonic()
-    unreported = None  # (tid, outcome) held across reconnects
+    unreported = None  # (task, outcome) held across reconnects
     disconnected_since: Optional[float] = None
     rng = random.Random()  # per-worker stream: jitter must differ per worker
     wait = backoff
@@ -181,11 +211,14 @@ def run_network_worker(
                 if unreported is not None:
                     # A drop mid-delivery keeps the outcome for the next
                     # (re)connection.
-                    tid, outcome = unreported
+                    task, outcome = unreported
                     conn.request({
                         "op": "result",
                         "worker": worker,
-                        "task": tid,
+                        "task": task["task"],
+                        "key": task["key"],
+                        "target": task["target"],
+                        "spec": task["spec"],
                         "outcome": list(outcome),
                     })
                     unreported = None
@@ -227,7 +260,7 @@ def run_network_worker(
             finally:
                 heartbeat.stop()
             evaluated += 1
-            unreported = (task["task"], outcome)
+            unreported = (task, outcome)
     finally:
         conn.close()
     return evaluated

@@ -11,8 +11,8 @@ The runner turns a list of :class:`~repro.dse.jobs.Job` into
   :class:`~repro.dse.executors.Executor` (default: a ``multiprocessing``
   pool in chunks; workers=1 degenerates to an in-process serial loop,
   which the legacy sweep wrappers use to reproduce historic outputs
-  exactly; ``executor="worker-pull"`` hands the points to independent
-  worker processes that may live on other hosts);
+  exactly; ``executor="network"`` hands the points to worker
+  processes that may live on other hosts);
 * **streaming** — :meth:`CampaignRunner.run_iter` yields results as
   they complete (``imap_unordered`` under the hood), so checkpoints and
   progress displays see every point the moment it lands instead of
@@ -267,13 +267,13 @@ def execute_task(
 ) -> Tuple[bool, Optional[Dict], Optional[str], float]:
     """Evaluate one published task record (never raises).
 
-    The shared evaluation entry for pull-style workers: both the
-    filesystem worker (``run_worker``) and the network worker client
-    receive the same task payload (``target``/``spec``/``seed`` and an
-    optional ``deadline``, as written by :meth:`WorkQueue.publish`) and
-    must produce the same :data:`Outcome` tuple for it.  A task's
-    deadline is enforced here too — a pull/network worker
-    self-terminates a stuck evaluation instead of hanging forever.
+    The evaluation entry of the network worker client: it receives a
+    leased task payload (``target``/``spec``/``seed`` and an optional
+    ``deadline``, as built by :meth:`CampaignServer.lease
+    <repro.dse.net.CampaignServer.lease>`) and produces the same
+    :data:`Outcome` tuple the in-process executors would.  A task's
+    deadline is enforced here too — a network worker self-terminates
+    a stuck evaluation instead of hanging forever.
     """
     return _execute((
         task["target"], task["spec"], int(task["seed"]),
@@ -603,15 +603,15 @@ class CampaignRunner:
     def _executor_persists(self) -> bool:
         """True if the executor already writes results into our cache.
 
-        A :class:`~repro.dse.executors.WorkerPullExecutor` advertises
-        the cache root its workers store to (``persist_root``); when it
-        is this runner's own plain-layout cache, the write-back in
+        A :class:`~repro.dse.net.NetworkExecutor` advertises the cache
+        root its server stores to (``persist_root``); when it is this
+        runner's own plain-layout cache, the write-back in
         :meth:`_iter_indexed` would duplicate every record — skip it.
         """
         root = getattr(self.executor, "persist_root", None)
         return (
             root is not None
-            and type(self.cache) is ResultCache  # the layout workers use
+            and type(self.cache) is ResultCache  # the layout the server uses
             and os.path.abspath(root) == os.path.abspath(self.cache.root)
         )
 

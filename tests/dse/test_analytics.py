@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import socket
 
 import pytest
 
@@ -224,16 +225,18 @@ class TestEndToEnd:
         samples = payload["pareto"]["samples"]
         assert samples and samples[-1]["front_size"] >= 1
         assert samples[-1]["completed"] == 2
-        assert payload["workers"] == []  # serial: no claim journals
+        assert payload["workers"] == []  # serial: no lease logs
 
-    def test_worker_pull_campaign_reports_worker_fold(
-        self, tmp_path, capsys
-    ):
+    def test_network_campaign_reports_worker_fold(self, tmp_path, capsys):
         spec = _write_spec(tmp_path, MEMORY_SPEC)
         camp = str(tmp_path / "camp")
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
         assert main([
             "run", spec, "--dir", camp, "--quiet",
-            "--executor", "worker-pull", "--spawn-workers", "2",
+            "--executor", "network", "--port", str(port),
+            "--spawn-workers", "2",
         ]) == 0
         capsys.readouterr()
         assert main(["analyze", camp, "--json"]) == 0
@@ -242,8 +245,9 @@ class TestEndToEnd:
         assert payload["latency"]["count"] == 2
         assert payload["pareto"]["samples"]
         workers = payload["workers"]
-        assert workers  # lease journals fed the utilization fold
+        assert workers  # the server's lease log fed the utilization fold
         assert sum(fold["completed"] for fold in workers) == 2
+        assert not [f for f in workers if f["worker"].startswith("coordinator")]
         for fold in workers:
             assert 0.0 <= fold["utilization"] <= 1.0
             assert fold["busy_s"] <= fold["span_s"] or fold["span_s"] == 0

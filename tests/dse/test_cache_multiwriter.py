@@ -1,23 +1,21 @@
 """Multi-writer cache stress: 8 processes, overlapping keys, torn writes.
 
-The multi-host claim of the worker-pull executor rests on the cache
-being multi-writer safe with zero locks.  These tests hammer one store
-from 8 concurrent processes, inject torn writes
-afterwards, and prove the three invariants the design promises:
+Campaign processes sharing one directory rely on the cache being
+multi-writer safe with zero locks.  These tests hammer one store from
+8 concurrent processes, inject torn writes afterwards, and prove the
+two invariants the design promises:
 
 * no reader ever observes a torn or missing record (read-your-writes
   under concurrent replacement);
 * membership, ``get`` and the session counters stay mutually
-  consistent, with corrupt files quarantined on first contact;
-* merging cache directories that were written concurrently is
-  idempotent and converges to the union.
+  consistent, with corrupt files quarantined on first contact.
 """
 
 import json
 import os
 import random
 
-from repro.dse import ResultCache, content_key, merge_caches
+from repro.dse import ResultCache, content_key
 from test_utils import spawn_hammers, torn_write
 
 KEYS = [content_key("stress", {"i": i}) for i in range(32)]
@@ -70,26 +68,3 @@ class TestConcurrentWriters:
             assert not os.path.exists(cache.path_for(key))
             cache.put(key, {"key": key, "repaired": True})
             assert cache.get(key)["repaired"] is True
-
-    def test_concurrent_shard_merge_is_idempotent(self, tmp_path):
-        """Caches written by racing processes merge to one clean union."""
-        roots = [str(tmp_path / ("worker-%d" % i)) for i in range(2)]
-        # Overlapping key sets: both worker dirs hold half the keys in
-        # common, simulating two workers that both evaluated them.
-        assert spawn_hammers(roots[0], KEYS[:24], processes=4, rounds=4) == [0] * 4
-        assert spawn_hammers(roots[1], KEYS[8:], processes=4, rounds=4) == [0] * 4
-        dest = ResultCache(str(tmp_path / "merged"))
-        first = merge_caches(dest, roots)
-        # 24 + 24 source records with 16 keys in common: the union is
-        # copied once, the second copy of the overlap skips.
-        assert first["merged"] == len(KEYS)
-        assert first["skipped"] == 16
-        assert first["corrupt"] == 0
-        assert len(dest) == len(KEYS)
-        again = merge_caches(dest, roots)
-        assert again["merged"] == 0
-        assert again["skipped"] == 48
-        assert len(dest) == len(KEYS)
-        for key in KEYS:
-            record = dest.get(key)
-            assert record is not None and record["key"] == key

@@ -47,16 +47,14 @@ from repro.dse import (
     campaign_key,
     is_timeout_error,
     read_events,
-    WorkQueue,
     run_checkpointed,
     run_network_worker,
-    run_worker,
     seeded_schedule,
 )
 from repro.dse import chaos
-from repro.dse.executors import _Heartbeat, WorkerStalled, task_id
 from repro.dse.net import CampaignServer, ServerThread
-from repro.dse.net.worker import reconnect_backoff
+from repro.dse.net.server import WorkerStalled, task_id
+from repro.dse.net.worker import _NetHeartbeat, reconnect_backoff
 from repro.dse.runner import _execute, register_target, get_target_deadline
 
 
@@ -257,31 +255,29 @@ class TestDeadline:
 
     def test_heartbeat_stops_past_deadline(self):
         class Beats:
-            worker = "w1"
-
             def __init__(self):
                 self.stamps = []
 
-            def heartbeat(self, task, ttl):
+            def request(self, message):
                 self.stamps.append(time.monotonic())
+                return {"ok": True}
 
-        journal = Beats()
-        heartbeat = _Heartbeat(journal, "task-1", ttl=0.09, deadline=0.2)
+        conn = Beats()
+        heartbeat = _NetHeartbeat(conn, "w1", "task-1", ttl=0.09, deadline=0.2)
         time.sleep(0.7)
         # The thread returned on its own once the evaluation overran:
         # the lease stops renewing and lawfully expires.
         assert not heartbeat._thread.is_alive()
-        assert all(s < heartbeat._started + 0.45 for s in journal.stamps)
+        assert conn.stamps
+        assert all(s < heartbeat._started + 0.45 for s in conn.stamps)
         heartbeat.stop()
 
     def test_heartbeat_stop_warns_on_failed_join(self, caplog):
         class Beats:
-            worker = "w-stuck"
+            def request(self, message):
+                return {"ok": True}
 
-            def heartbeat(self, task, ttl):
-                pass
-
-        heartbeat = _Heartbeat(Beats(), "task-9", ttl=30.0)
+        heartbeat = _NetHeartbeat(Beats(), "w-stuck", "task-9", ttl=30.0)
 
         class StuckThread:
             name = "hb-thread"
@@ -293,7 +289,7 @@ class TestDeadline:
                 return True
 
         heartbeat._thread = StuckThread()
-        with caplog.at_level(logging.WARNING, "repro.dse.executors"):
+        with caplog.at_level(logging.WARNING, "repro.dse.net.worker"):
             heartbeat.stop()
         assert "did not stop within" in caplog.text
         assert "w-stuck" in caplog.text and "task-9" in caplog.text
@@ -462,13 +458,10 @@ class TestInvariantChecker:
 
 
 class TestEvaluateHookOnPullWorkers:
-    """Pull and network workers evaluate through the same entry as the
+    """Network workers evaluate through the same entry as the
     in-process executors, so the ``evaluate`` hook fires there too."""
 
-    @pytest.mark.parametrize("transport", ["worker-pull", "network"])
-    def test_evaluate_crash_reaches_the_published_outcome(
-        self, tmp_path, transport
-    ):
+    def test_evaluate_crash_reaches_the_published_outcome(self, tmp_path):
         from repro.nvsim.config import MemoryConfig
         from repro.vaet.explorer import DesignConstraints
 
@@ -483,27 +476,19 @@ class TestEvaluateHookOnPullWorkers:
         plane = FaultPlane(
             faults=[Fault("evaluate", "crash", match="vaet-memory")]
         )
-        if transport == "worker-pull":
-            queue = WorkQueue(str(tmp_path))
-            queue.ensure()
-            queue.publish(job)
+        server = CampaignServer(str(tmp_path), lease_ttl=5.0)
+        server.submit([job])
+        thread = ServerThread(server)
+        thread.start()
+        try:
             with plane:
-                assert run_worker(str(tmp_path), worker_id="w", once=True) == 1
-        else:
-            server = CampaignServer(str(tmp_path), lease_ttl=5.0)
-            queue = server.queue
-            queue.publish(job)
-            thread = ServerThread(server)
-            thread.start()
-            try:
-                with plane:
-                    assert run_network_worker(
-                        ("127.0.0.1", server.port), worker_id="w", once=True
-                    ) == 1
-            finally:
-                thread.stop()
+                assert run_network_worker(
+                    ("127.0.0.1", server.port), worker_id="w", once=True
+                ) == 1
+        finally:
+            thread.stop()
         assert [fired["site"] for fired in plane.fired] == ["evaluate"]
-        ok, result, error, _ = queue.read_result(task_id(job))
+        ok, result, error, _ = server.take(task_id(job))
         assert not ok and result is None
         assert error.startswith("ChaosCrash")
 

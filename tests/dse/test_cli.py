@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro.dse`` command line."""
 
 import json
+import socket
 
 import pytest
 
@@ -12,6 +13,12 @@ MEMORY_SPEC = {
     "settings": {"num_words": 100, "error_population": 5000},
     "sampler": "grid",
 }
+
+
+def _free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
 def _write_spec(tmp_path, spec):
@@ -231,7 +238,7 @@ class TestRunResumeStatus:
         assert payload["failed"] == 0
         assert payload["retried"] == 0
         assert payload["quarantined"] == 0
-        assert payload["leased"] == 0
+        assert "leased" not in payload  # only a live server knows leases
         assert payload["cache_entries"] == 1
 
         assert main(["resume", spec, "--dir", campaign_dir, "--quiet"]) == 0
@@ -252,14 +259,14 @@ class TestRunResumeStatus:
         with pytest.raises(SystemExit):
             main(["run", spec, "--dir", str(tmp_path), "--executor", "warp"])
 
-    def test_worker_pull_flags_require_worker_pull(self, tmp_path):
+    def test_network_executor_flags_require_network(self, tmp_path):
         spec = _write_spec(tmp_path, MEMORY_SPEC)
-        with pytest.raises(SystemExit, match="worker-pull"):
+        with pytest.raises(SystemExit, match="--executor network"):
             main([
                 "run", spec, "--dir", str(tmp_path / "c"), "--quiet",
                 "--executor", "pool", "--spawn-workers", "2",
             ])
-        with pytest.raises(SystemExit, match="worker-pull"):
+        with pytest.raises(SystemExit, match="--executor network"):
             main([
                 "run", spec, "--dir", str(tmp_path / "c"), "--quiet",
                 "--lease-ttl", "5",
@@ -268,49 +275,55 @@ class TestRunResumeStatus:
     def test_stall_timeout_aborts_cleanly_without_workers(
         self, tmp_path, capsys
     ):
-        """A worker-pull run with no workers must not hang silently."""
+        """A network run with no workers must not hang silently."""
         spec = _write_spec(tmp_path, MEMORY_SPEC)
         code = main([
             "run", spec, "--dir", str(tmp_path / "stall"), "--quiet",
-            "--executor", "worker-pull", "--stall-timeout", "0.2",
+            "--executor", "network", "--port", str(_free_port()),
+            "--stall-timeout", "0.2",
         ])
         assert code == 3
         err = capsys.readouterr().err
         assert "campaign stalled" in err
-        assert "python -m repro.dse worker" in err
+        assert "python -m repro.dse worker --connect" in err
+
+
+@pytest.fixture
+def served(tmp_path):
+    """A campaign server on a background thread."""
+    from repro.dse.net import CampaignServer, ServerThread
+
+    server = CampaignServer(str(tmp_path / "camp"), lease_ttl=5.0)
+    thread = ServerThread(server).start()
+    yield server
+    thread.stop()
 
 
 class TestWorkerSubcommand:
-    def test_worker_once_on_empty_queue(self, tmp_path, capsys):
-        assert main(["worker", str(tmp_path), "--once"]) == 0
+    def test_worker_once_on_empty_queue(self, served, capsys):
+        assert main([
+            "worker", "--connect", "127.0.0.1:%d" % served.port, "--once",
+        ]) == 0
         assert "evaluated 0 task(s)" in capsys.readouterr().out
 
-    def test_worker_drains_published_tasks(self, tmp_path, capsys):
-        from repro.dse import Job, SELFTEST_TARGET, WorkQueue
+    def test_worker_drains_published_tasks(self, served, capsys):
+        from repro.dse import Job, SELFTEST_TARGET
 
-        queue = WorkQueue(str(tmp_path))
-        queue.ensure()
-        for i in range(3):
-            queue.publish(Job(SELFTEST_TARGET, {"x": i}))
+        served.submit([Job(SELFTEST_TARGET, {"x": i}) for i in range(3)])
         assert main([
-            "worker", str(tmp_path), "--once", "--id", "cli-worker",
+            "worker", "--connect", "127.0.0.1:%d" % served.port,
+            "--once", "--id", "cli-worker",
         ]) == 0
         assert "evaluated 3 task(s)" in capsys.readouterr().out
 
-    def test_worker_rejects_bad_ttl(self, tmp_path, capsys):
+    def test_worker_needs_connect(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
-            main(["worker", str(tmp_path), "--ttl", "0", "--once"])
-        assert "must be > 0" in capsys.readouterr().err
-
-    def test_worker_needs_exactly_one_of_dir_and_connect(
-        self, tmp_path, capsys
-    ):
-        assert main(["worker"]) == 2
-        assert "exactly one" in capsys.readouterr().err
-        assert main([
-            "worker", str(tmp_path), "--connect", "localhost:4000",
-        ]) == 2
-        assert "exactly one" in capsys.readouterr().err
+            main(["worker"])
+        assert "--connect" in capsys.readouterr().err
+        # The shared-directory form is gone.
+        with pytest.raises(SystemExit):
+            main(["worker", str(tmp_path), "--connect", "localhost:4000"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestArgumentValidation:
@@ -374,44 +387,3 @@ class TestArgumentValidation:
                 "run", spec, "--dir", str(tmp_path / "c"), "--quiet",
                 "--port", "4000",
             ])
-
-
-class TestMergeSubcommand:
-    def test_merge_folds_workers_dirs(self, tmp_path, capsys):
-        from repro.dse import ResultCache, content_key
-
-        source = ResultCache(str(tmp_path / "worker-cache"))
-        keys = [content_key("cli-merge", {"i": i}) for i in range(4)]
-        for key in keys:
-            source.put(key, {"result": 1})
-        campaign_dir = str(tmp_path / "camp")
-        assert main([
-            "merge", "--dir", campaign_dir,
-            "--workers-dirs", str(tmp_path / "worker-cache"),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "merged 4 record(s)" in out
-        assert "4 entries" in out
-        # Idempotent re-merge.
-        assert main([
-            "merge", "--dir", campaign_dir,
-            "--workers-dirs", str(tmp_path / "worker-cache"),
-        ]) == 0
-        assert "merged 0 record(s) (4 already present" in capsys.readouterr().out
-
-    def test_run_rejects_missing_workers_dirs(self, tmp_path):
-        """A typo'd --workers-dirs must fail loudly, not silently merge
-        nothing and re-evaluate every remotely-computed point."""
-        spec = _write_spec(tmp_path, MEMORY_SPEC)
-        with pytest.raises(SystemExit, match="not a directory"):
-            main([
-                "run", spec, "--dir", str(tmp_path / "c"), "--quiet",
-                "--workers-dirs", str(tmp_path / "ghost"),
-            ])
-
-    def test_merge_rejects_missing_source(self, tmp_path, capsys):
-        assert main([
-            "merge", "--dir", str(tmp_path),
-            "--workers-dirs", str(tmp_path / "ghost"),
-        ]) == 2
-        assert "not a directory" in capsys.readouterr().err

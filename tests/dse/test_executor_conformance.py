@@ -8,9 +8,9 @@ reference for each scenario is computed in a separate campaign
 directory with the plain historic runner, so an executor can only pass
 by agreeing with the executor-free semantics byte for byte.
 
-The worker-pull harness runs a real worker loop (in a background
-thread, so the claim/lease/heartbeat protocol is exercised end to end
-in-process); subprocess workers are covered by ``test_worker_pull.py``.
+The network harness runs a real worker client (in a background thread,
+so the lease/heartbeat/result protocol is exercised end to end over
+loopback TCP); subprocess workers are covered by ``test_network.py``.
 """
 
 import os
@@ -30,19 +30,17 @@ from repro.dse import (
     ResultCache,
     RetryPolicy,
     SerialExecutor,
-    WorkerPullExecutor,
     campaign_key,
     is_timeout_error,
     pareto_front,
     run_checkpointed,
     run_network_worker,
-    run_worker,
 )
 from test_utils import CampaignKilled, CrashingRunner
 
 KEY = campaign_key({"kind": "executor-conformance"})
 
-EXECUTORS = ("serial", "pool", "worker-pull", "network")
+EXECUTORS = ("serial", "pool", "network")
 
 #: Status fields that must match across executors (timestamps and meta
 #: are run-specific by design).
@@ -80,9 +78,9 @@ def _records(outcomes):
 class ExecutorHarness:
     """One campaign directory wired to one executor implementation.
 
-    For ``worker-pull`` a single worker loop runs in a background
-    thread (one worker keeps claim ordering deterministic; multi-worker
-    races are covered by the worker-pull suite).
+    For ``network`` a single worker client runs in a background thread
+    (one worker keeps lease ordering deterministic; multi-worker races
+    are covered by the network suite).
     """
 
     def __init__(self, name, campaign_dir):
@@ -93,18 +91,6 @@ class ExecutorHarness:
             self.executor = SerialExecutor()
         elif name == "pool":
             self.executor = ProcessPoolExecutor(workers=2)
-        elif name == "worker-pull":
-            self.executor = WorkerPullExecutor(
-                self.campaign_dir, lease_ttl=10.0, poll=0.005, timeout=60
-            )
-            thread = threading.Thread(
-                target=run_worker,
-                args=(self.campaign_dir,),
-                kwargs=dict(worker_id="conformance", lease_ttl=10.0, poll=0.005),
-                daemon=True,
-            )
-            thread.start()
-            self.threads.append(thread)
         elif name == "network":
             self.executor = NetworkExecutor(
                 self.campaign_dir, lease_ttl=10.0, poll=0.005, timeout=60
@@ -227,9 +213,10 @@ class TestConformance:
                 # point may legitimately evaluate a second time.
                 assert invocations in (1, 2)
             else:
-                # Serial evaluates lazily and worker-pull evaluations
-                # are durable (workers write the shared cache), so a
-                # kill re-evaluates *nothing* — the acceptance bar.
+                # Serial evaluates lazily and network evaluations are
+                # durable (the server caches them before counting
+                # them), so a kill re-evaluates *nothing* — the
+                # acceptance bar.
                 assert invocations == 1
         reloaded = CampaignState.load(
             os.path.join(harness.campaign_dir, "journal.jsonl")
@@ -240,8 +227,8 @@ class TestConformance:
         self, harness, tmp_path, monkeypatch
     ):
         """Regression: a resumed failed point reuses its task identity
-        (``reseed=0``), so worker-pull must reopen the stale ``done``
-        lease event instead of waiting forever for a claim."""
+        (``reseed=0``), so the network server must lease it afresh
+        instead of treating it as done."""
         scratch = tmp_path / "heal"
         monkeypatch.setenv("REPRO_DSE_SELFTEST_DIR", str(scratch))
         jobs = _jobs(2) + [Job(SELFTEST_TARGET, {"x": 77, "fail_first": 1})]

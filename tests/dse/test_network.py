@@ -2,11 +2,12 @@
 
 The conformance suite proves :class:`NetworkExecutor`'s campaign
 semantics match every other backend; this module proves the
-*distributed* mechanics the issue demands — the wire protocol, the
-server's synchronous claim core, a SIGKILLed server resuming with zero
-re-evaluation (real subprocesses, real SIGKILL), a dropped connection
-not losing an evaluated outcome, a killed worker's points being
-reclaimed, and the supervisor's respawn/autoscale policy.
+*distributed* mechanics — the wire protocol, the server's synchronous
+core (lease rules: ``test_lease_properties.py``), the executor's stall
+guard and worker fleet, the worker client, a SIGKILLed server resuming
+with zero re-evaluation (real subprocesses, real SIGKILL), a dropped
+connection not losing an evaluated outcome, a killed worker's points
+being reclaimed, and the supervisor's respawn/autoscale policy.
 """
 
 import json
@@ -25,15 +26,21 @@ from repro.dse import (
     SELFTEST_TARGET,
     CampaignRunner,
     CampaignState,
+    Fault,
+    FaultPlane,
     Job,
     NetworkExecutor,
     ResultCache,
+    SerialExecutor,
+    WorkerStalled,
     campaign_key,
+    make_executor,
     run_checkpointed,
     run_network_worker,
 )
-from repro.dse.executors import task_id
+from repro.dse import chaos
 from repro.dse.net import CampaignServer, ServerThread, Supervisor
+from repro.dse.net.server import task_id
 from repro.dse.net.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -101,6 +108,23 @@ class TestProtocol:
         assert not valid_worker_id("x" * 200)
 
 
+def _result(task, outcome, worker="w1"):
+    """A v4 ``result`` message for a leased task payload."""
+    return {
+        "op": "result", "worker": worker, "task": task["task"],
+        "key": task["key"], "target": task["target"], "spec": task["spec"],
+        "outcome": outcome,
+    }
+
+
+def _payload(job):
+    """The task fields a worker echoes back for ``job``."""
+    return {
+        "task": task_id(job), "key": job.key, "target": job.target,
+        "spec": dict(job.spec),
+    }
+
+
 class TestServerCore:
     """The synchronous protocol core, without sockets."""
 
@@ -113,7 +137,7 @@ class TestServerCore:
             {"op": "hello", "worker": "w1", "version": PROTOCOL_VERSION}
         )
         assert reply["ok"] and reply["version"] == PROTOCOL_VERSION
-        for stale in (99, 2):
+        for stale in (99, 3, 2):
             assert not server.handle_message(
                 {"op": "hello", "worker": "w1", "version": stale}
             )["ok"]
@@ -127,43 +151,88 @@ class TestServerCore:
 
     def test_lease_result_cycle(self, tmp_path):
         server = self._server(tmp_path)
-        jobs = _jobs(2)
-        for job in jobs:
-            server.queue.publish(job)
+        server.submit(_jobs(2))
         assert server.handle_message({"op": "lease", "worker": "w1"})["op"] == "task"
         granted = server.handle_message({"op": "lease", "worker": "w2"})
         assert granted["op"] == "task"
         task = granted["task"]
         assert task["ttl"] == 10.0
-        # A repeat lease from w2 renews its own claim (same task); a
-        # third worker sees nothing — both points are held.
+        # A repeat lease from w2 releases and re-leases its own task (the
+        # oldest free one); a third worker sees nothing — both are held.
         renewed = server.handle_message({"op": "lease", "worker": "w2"})
         assert renewed["op"] == "task" and renewed["task"]["task"] == task["task"]
         assert server.handle_message({"op": "lease", "worker": "w3"})["op"] == "idle"
         assert server.handle_message(
             {"op": "heartbeat", "worker": "w2", "task": task["task"]}
         )["ok"]
-        reply = server.handle_message({
-            "op": "result", "worker": "w2", "task": task["task"],
-            "outcome": [True, {"value": 42, "cost": 1}, None, 0.25],
-        })
+        reply = server.handle_message(
+            _result(task, [True, {"value": 42, "cost": 1}, None, 0.25], "w2")
+        )
         assert reply["ok"] and "stale" not in reply
-        # Result file + durable cache record both landed.
-        ok, result, _, elapsed = server.queue.read_result(task["task"])
+        # The outcome is queued for imap and the durable record landed.
+        assert server.completed.get_nowait() == task["task"]
+        ok, result, _, elapsed = server.take(task["task"])
         assert ok and result["value"] == 42 and elapsed == 0.25
         assert server.cache.get(task["key"])["result"]["value"] == 42
 
     def test_result_for_consumed_task_is_stale_ack(self, tmp_path):
         server = self._server(tmp_path)
-        reply = server.handle_message({
-            "op": "result", "worker": "w1", "task": "ghost-0",
-            "outcome": [True, {}, None, 0.0],
-        })
+        (job,) = _jobs(1)
+        server.submit([job])
+        task = server.handle_message({"op": "lease", "worker": "w1"})["task"]
+        outcome = [False, None, "RuntimeError: boom", 0.1]
+        assert "stale" not in server.handle_message(_result(task, outcome))
+        # A second result while the first is still unconsumed, and one
+        # after imap took it: both are late duplicates.
+        assert server.handle_message(_result(task, outcome))["stale"]
+        assert server.take(task["task"])[0] is False
+        assert server.handle_message(_result(task, outcome))["stale"]
+        assert server.stats["results"] == 1
+
+    def test_ok_result_for_unknown_task_is_cached_then_served(self, tmp_path):
+        """A worker that outlived the previous server redelivers to one
+        that never saw the task: the outcome lands in the cache, and the
+        task's next lease is served from it without any worker."""
+        server = self._server(tmp_path)
+        job = _jobs(1, sleep_s=99.0)[0]  # would hang if ever evaluated
+        reply = server.handle_message(
+            _result(_payload(job), [True, {"value": 0, "cost": 100}, None, 0.5])
+        )
         assert reply["ok"] and reply["stale"]
-        assert not os.path.exists(server.queue.result_path("ghost-0"))
+        assert server.cache.get(job.key)["result"]["value"] == 0
+        server.submit([job])
+        assert server.handle_message({"op": "lease", "worker": "w2"})["op"] == "idle"
+        assert server.stats["cache_served"] == 1
+        assert server.take(task_id(job)) == (True, {"value": 0, "cost": 100}, None, 0.5)
+
+    def test_failed_result_for_unknown_task_is_dropped(self, tmp_path):
+        server = self._server(tmp_path)
+        (job,) = _jobs(1)
+        reply = server.handle_message(
+            _result(_payload(job), [False, None, "boom", 0.1])
+        )
+        assert reply["ok"] and reply["stale"]
+        assert server.cache.get(job.key) is None
+
+    def test_mismatched_key_is_rejected(self, tmp_path):
+        server = self._server(tmp_path)
+        job, other = _jobs(2)
+        forged = dict(_payload(job), spec=dict(other.spec))
+        reply = server.handle_message(
+            _result(forged, [True, {"value": 2, "cost": 99}, None, 0.0])
+        )
+        assert not reply["ok"] and "does not match" in reply["error"]
+        foreign = dict(_payload(job), task=task_id(other))
+        reply = server.handle_message(
+            _result(foreign, [True, {"value": 0, "cost": 100}, None, 0.0])
+        )
+        assert not reply["ok"] and "does not match" in reply["error"]
+        assert server.cache.get(job.key) is None
+        assert server.cache.get(other.key) is None
 
     def test_malformed_requests_are_one_line_errors(self, tmp_path):
         server = self._server(tmp_path)
+        (job,) = _jobs(1)
         assert not server.handle_message({"op": "lease"})["ok"]
         assert not server.handle_message(
             {"op": "heartbeat", "worker": "w1"}
@@ -171,55 +240,122 @@ class TestServerCore:
         assert not server.handle_message(
             {"op": "result", "worker": "w1", "task": "t", "outcome": [1]}
         )["ok"]
+        reply = server.handle_message({
+            "op": "result", "worker": "w1", "task": task_id(job),
+            "outcome": [True, {}, None, 0.0],
+        })
+        assert not reply["ok"] and "key/target/spec" in reply["error"]
 
     def test_stopping_turns_leases_into_stop(self, tmp_path):
         server = self._server(tmp_path)
-        server.queue.publish(_jobs(1)[0])
+        server.submit(_jobs(1))
         server.stopping = True
         assert server.handle_message({"op": "lease", "worker": "w1"})["op"] == "stop"
 
     def test_cache_short_circuit_serves_without_a_worker(self, tmp_path):
-        """A durable cache record with no result file (the server was
-        killed between a result upload's cache write and ... nothing:
-        the cache IS written first — this is the crashed-server resume
-        window) is served directly at lease time."""
+        """A task whose record is already in the durable cache (the
+        previous server was killed after caching a result but before
+        the journal counted it) is served directly at lease time."""
         server = self._server(tmp_path)
         job = _jobs(1, sleep_s=99.0)[0]  # would hang if ever evaluated
-        server.queue.publish(job)
+        server.submit([job])
         server.cache.put(job.key, {
             "target": job.target, "spec": dict(job.spec),
             "result": {"value": 7, "cost": 3}, "elapsed": 0.1,
         })
         assert server.handle_message({"op": "lease", "worker": "w1"})["op"] == "idle"
         assert server.stats["cache_served"] == 1
-        ok, result, _, _ = server.queue.read_result(task_id(job))
+        ok, result, _, _ = server.take(task_id(job))
         assert ok and result["value"] == 7
+
+    def test_cache_served_points_credit_no_worker(self, tmp_path):
+        """``analyze``'s per-worker table counts only what workers
+        evaluated: a cache-served point writes no claim/done for anyone,
+        and nothing but a worker gets a row."""
+        from repro.dse.analytics import _fold_workers
+        from repro.dse.net.server import lease_log_paths
+
+        server = self._server(tmp_path)
+        jobs = _jobs(3)
+        cached = jobs[1]
+        server.cache.put(cached.key, {
+            "target": cached.target, "spec": dict(cached.spec),
+            "result": {"value": 2, "cost": 99}, "elapsed": 0.1,
+        })
+        server.submit(jobs)
+        evaluated = 0
+        while True:
+            reply = server.handle_message({"op": "lease", "worker": "w1"})
+            if reply["op"] != "task":
+                break
+            task = reply["task"]
+            value = 2 * task["spec"]["x"]
+            server.handle_message(
+                _result(task, [True, {"value": value, "cost": 0}, None, 0.0])
+            )
+            evaluated += 1
+        assert evaluated == 2 and server.stats["cache_served"] == 1
+        folds = _fold_workers(lease_log_paths(str(tmp_path)))
+        assert [fold.worker for fold in folds] == ["w1"]
+        assert sum(fold.completed for fold in folds) == evaluated
+        assert sum(fold.tasks for fold in folds) == evaluated
 
     def test_status_counts(self, tmp_path):
         server = self._server(tmp_path)
-        for job in _jobs(3):
-            server.queue.publish(job)
+        server.submit(_jobs(3))
         reply = server.handle_message({"op": "status"})
         assert reply["ok"] and reply["pending"] == 3 and reply["leased"] == 0
         grant = server.handle_message({"op": "lease", "worker": "w1"})
         reply = server.handle_message({"op": "status"})
         assert reply["leased"] == 1 and reply["workers"] == 1
-        server.handle_message({
-            "op": "result", "worker": "w1", "task": grant["task"]["task"],
-            "outcome": [True, {"value": 0, "cost": 0}, None, 0.0],
-        })
+        server.handle_message(
+            _result(grant["task"], [True, {"value": 0, "cost": 0}, None, 0.0])
+        )
         reply = server.handle_message({"op": "status"})
         assert reply["pending"] == 2 and reply["leased"] == 0
         assert reply["results"] == 1
+
+    def test_rejects_nonpositive_ttl(self, tmp_path):
+        with pytest.raises(ValueError, match="lease_ttl"):
+            CampaignServer(str(tmp_path), lease_ttl=0.0)
+
+    def test_submit_is_idempotent_and_reseed_aware(self, tmp_path):
+        server = self._server(tmp_path)
+        job = Job(SELFTEST_TARGET, {"x": 1})
+        assert list(server.submit([job])) == [task_id(job)]
+        assert task_id(job) == "%s-0" % job.key
+        server.submit([job])  # a second submit does not duplicate it
+        retried = Job(job.target, job.spec, reseed=2)
+        assert list(server.submit([retried])) == ["%s-2" % job.key]
+        assert server.handle_message({"op": "status"})["pending"] == 2
+
+    def test_lease_log_is_append_only_and_per_life(self, tmp_path):
+        first = self._server(tmp_path)
+        first.submit(_jobs(1))
+        task = first.lease("w1", time.time())
+        first.heartbeat("w1", task["task"], time.time())
+        first.handle_message(_result(task, [True, {"value": 0, "cost": 100},
+                                            None, 0.0]))
+        second = self._server(tmp_path)
+        assert first.log.path != second.log.path
+        events = [
+            json.loads(line)
+            for line in open(first.log.path).read().splitlines()
+        ]
+        assert [e["event"] for e in events] == ["claim", "heartbeat", "done"]
+        assert [e["seq"] for e in events] == [1, 2, 3]
+        assert all(e["worker"] == "w1" for e in events)
+        assert all(a["t"] <= b["t"] for a, b in zip(events, events[1:]))
 
 
 class TestNetworkFaults:
     def test_dropped_connection_keeps_the_evaluated_outcome(
         self, tmp_path, monkeypatch
     ):
-        """Satellite: drop every connection *while* a worker evaluates;
-        the worker must reconnect with backoff and deliver the already
-        computed outcome — one invocation, one result."""
+        """Drop the worker's connection while it evaluates (the fault
+        plane's ``server.message`` drop aborts it at the next message,
+        its result); the worker must reconnect with backoff and deliver
+        the already computed outcome — one invocation, one result."""
         monkeypatch.setenv("REPRO_DSE_SELFTEST_DIR", str(tmp_path / "inv"))
         campaign_dir = str(tmp_path / "camp")
         executor = NetworkExecutor(
@@ -234,16 +370,18 @@ class TestNetworkFaults:
         )
         worker.start()
 
-        def chaos():
+        plane = FaultPlane(faults=[Fault("server.message", "drop")])
+
+        def drop_mid_evaluation():
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
                 if executor.server.stats["leases"] >= 1:
                     time.sleep(0.1)  # mid-evaluation (sleep_s=0.5)
-                    executor.drop_connections()
+                    chaos.install(plane)
                     return
                 time.sleep(0.005)
 
-        saboteur = threading.Thread(target=chaos, daemon=True)
+        saboteur = threading.Thread(target=drop_mid_evaluation, daemon=True)
         saboteur.start()
         jobs = _jobs(1, count=True, sleep_s=0.5)
         runner = CampaignRunner(
@@ -254,8 +392,11 @@ class TestNetworkFaults:
         state = CampaignState.open(
             os.path.join(campaign_dir, "journal.jsonl"), KEY, total=1
         )
-        outcomes = run_checkpointed(jobs, runner, state)
-        saboteur.join(timeout=15)
+        try:
+            outcomes = run_checkpointed(jobs, runner, state)
+            saboteur.join(timeout=15)
+        finally:
+            chaos.uninstall()
         executor.close()
         state.close()
         worker.join(timeout=15)
@@ -263,6 +404,9 @@ class TestNetworkFaults:
         assert [o.ok for o in outcomes] == [True]
         assert outcomes[0].result["value"] == 0
         # The drop really happened, and the point still ran exactly once.
+        assert [(f["site"], f["kind"]) for f in plane.fired] == [
+            ("server.message", "drop")
+        ]
         assert executor.server.stats["results"] == 1
         marker = tmp_path / "inv" / "count-0"
         assert marker.stat().st_size == 1
@@ -551,8 +695,7 @@ class TestSupervisorIntegration:
         thread = ServerThread(server)
         thread.start()
         jobs = _jobs(4, sleep_s=0.3)
-        for job in jobs:
-            server.queue.publish(job)
+        server.submit(jobs)
         sup = Supervisor(
             ("127.0.0.1", server.port), min_workers=1, max_workers=2,
             interval=0.1, worker_poll=0.05,
@@ -569,14 +712,13 @@ class TestSupervisorIntegration:
                 ):
                     os.kill(sup.procs[0].pid, signal.SIGKILL)
                     killed = True
-                if len(server.queue.available_results()) == 4:
+                if server.handle_message({"op": "status"})["results"] == 4:
                     break
                 time.sleep(0.1)
-            results = server.queue.available_results()
-            assert len(results) == 4
+            assert server.handle_message({"op": "status"})["results"] == 4
             assert killed and sup.respawned >= 1
             for job in jobs:
-                ok, result, _, _ = server.queue.read_result(task_id(job))
+                ok, result, _, _ = server.take(task_id(job))
                 assert ok and result["value"] == 2 * job.spec["x"]
         finally:
             sup.shutdown()
@@ -623,7 +765,247 @@ class TestConnectionClient:
             conn.connect()
 
 
+class TestNetworkExecutor:
+    def test_stall_guard_raises_without_workers(self, tmp_path):
+        executor = NetworkExecutor(str(tmp_path), timeout=0.15)
+        runner = CampaignRunner(workers=2, executor=executor)
+        with pytest.raises(WorkerStalled, match="still pending"):
+            runner.run(_jobs(2))
+        executor.close()
+
+    def test_closed_executor_refuses_work(self, tmp_path):
+        executor = NetworkExecutor(str(tmp_path))
+        executor.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            list(executor.imap(_jobs(1)))
+
+    def test_context_manager_stops_workers_on_exit(self, tmp_path):
+        with NetworkExecutor(str(tmp_path)) as executor:
+            assert not executor.server.stopping
+        assert executor.server.stopping
+        assert executor.server.handle_message(
+            {"op": "lease", "worker": "late"}
+        )["op"] == "stop"
+        executor.close()  # idempotent
+
+    def test_make_executor_resolution(self, tmp_path):
+        assert isinstance(make_executor("serial"), SerialExecutor)
+        assert make_executor("pool", workers=2).workers == 2
+        network = make_executor("network", campaign_dir=str(tmp_path))
+        assert isinstance(network, NetworkExecutor)
+        network.close()
+        passthrough = SerialExecutor()
+        assert make_executor(passthrough) is passthrough
+        with pytest.raises(ValueError, match="campaign directory"):
+            make_executor("network")
+        with pytest.raises(ValueError, match="unknown executor"):
+            make_executor("quantum")
+        with pytest.raises(ValueError, match="spawn_workers"):
+            NetworkExecutor(str(tmp_path), spawn_workers=-1)
+
+    def test_make_executor_rejects_inapplicable_options(self, tmp_path):
+        with pytest.raises(ValueError, match="does not accept"):
+            make_executor("pool", spawn_workers=2)
+        with pytest.raises(ValueError, match="does not accept"):
+            make_executor("serial", lease_ttl=5.0)
+        # Options alongside a ready-made instance would be silently
+        # dropped (the caller would believe its lease_ttl applies).
+        with pytest.raises(ValueError, match="executor instance"):
+            make_executor(SerialExecutor(), lease_ttl=5.0)
+
+    def test_crashing_spawned_workers_fail_fast(self, tmp_path, monkeypatch):
+        """Nonzero worker exits abort the run instead of crash-looping."""
+        executor = NetworkExecutor(
+            str(tmp_path), spawn_workers=1, poll=0.01, timeout=10.0
+        )
+        monkeypatch.setattr(
+            executor, "_spawn_command",
+            lambda: [sys.executable, "-c", "import sys; sys.exit(7)"],
+        )
+        runner = CampaignRunner(workers=2, executor=executor)
+        with pytest.raises(WorkerStalled, match="failed"):
+            runner.run(_jobs(2))
+        executor.close()
+
+    def test_cleanly_exited_spawned_workers_are_respawned(
+        self, tmp_path, monkeypatch
+    ):
+        """Spawned workers that idle-time out (exit 0) keep relaunching
+        while tasks are pending (workers on other hosts may hold them);
+        only the stall timeout ends the wait."""
+        executor = NetworkExecutor(
+            str(tmp_path), spawn_workers=1, poll=0.01, timeout=2.5
+        )
+        spawn_rounds = []
+        monkeypatch.setattr(
+            executor, "_spawn_command",
+            lambda: spawn_rounds.append(1)
+            or [sys.executable, "-c", "raise SystemExit(0)"],
+        )
+        runner = CampaignRunner(workers=2, executor=executor)
+        with pytest.raises(WorkerStalled, match="no result"):
+            runner.run(_jobs(1))
+        # The initial launch plus >= 1 respawn round (rate-limited 1/s).
+        assert len(spawn_rounds) >= 2
+        executor.close()
+
+    def test_spawned_workers_get_an_idle_timeout(self, tmp_path):
+        """Orphan insurance: a coordinator SIGKILLed without close()
+        must not leave spawned workers polling forever."""
+        executor = NetworkExecutor(str(tmp_path), spawn_workers=2)
+        cmd = executor._spawn_command()
+        executor.close()
+        assert "--idle-timeout" in cmd
+        assert float(cmd[cmd.index("--idle-timeout") + 1]) > 0
+        assert cmd[cmd.index("--connect") + 1] == "%s:%d" % executor.address
+
+    def test_spawned_workers_run_a_campaign(self, tmp_path):
+        executor = NetworkExecutor(
+            str(tmp_path), spawn_workers=2, lease_ttl=5.0, poll=0.02,
+            timeout=120,
+        )
+        cache = ResultCache(os.path.join(str(tmp_path), "cache"))
+        runner = CampaignRunner(workers=2, cache=cache, executor=executor)
+        try:
+            results = runner.run(_jobs(6))
+        finally:
+            executor.close()
+        assert [r.result["value"] for r in results] == [2 * i for i in range(6)]
+        assert len(cache) == 6
+        # The server persisted every record; the runner must not have
+        # written the same bytes a second time.
+        assert cache.writes == 0
+        # Nothing but the lease log is left under work/.
+        leases = os.path.join(str(tmp_path), "work", "leases")
+        assert os.listdir(os.path.join(str(tmp_path), "work")) == ["leases"]
+        assert os.listdir(leases) == [os.path.basename(executor.server.log.path)]
+
+    def test_server_cache_records_are_valid_results(self, tmp_path):
+        """Server-written cache records match the runner's own schema."""
+        executor = NetworkExecutor(
+            str(tmp_path), spawn_workers=1, lease_ttl=5.0, poll=0.02,
+            timeout=120,
+        )
+        cache = ResultCache(os.path.join(str(tmp_path), "cache"))
+        runner = CampaignRunner(workers=2, cache=cache, executor=executor)
+        (job,) = _jobs(1)
+        try:
+            runner.run([job])
+        finally:
+            executor.close()
+        with open(cache.path_for(job.key)) as handle:
+            record = json.load(handle)
+        assert record["target"] == SELFTEST_TARGET
+        assert record["spec"] == {"x": 0}
+        assert record["result"]["value"] == 0
+
+
+class _Served:
+    """A campaign server on a background thread, for worker-client tests."""
+
+    def __init__(self, campaign_dir, lease_ttl=5.0):
+        self.server = CampaignServer(str(campaign_dir), lease_ttl=lease_ttl)
+        self.thread = ServerThread(self.server).start()
+        self.address = ("127.0.0.1", self.server.port)
+
+    def __enter__(self):
+        return self.server
+
+    def __exit__(self, *exc_info):
+        self.thread.stop()
+
+
 class TestWorkerClient:
+    def test_once_drains_queue_and_exits(self, tmp_path):
+        served = _Served(tmp_path)
+        with served as server:
+            jobs = _jobs(3)
+            server.submit(jobs)
+            assert run_network_worker(
+                served.address, worker_id="solo", once=True
+            ) == 3
+        for job in jobs:
+            ok, result, _, _ = server.take(task_id(job))
+            assert ok and result["value"] == 2 * job.spec["x"]
+        # Evaluations are durable: the campaign cache has them.
+        assert all(job.key in server.cache for job in jobs)
+
+    def test_max_tasks_bounds_the_worker(self, tmp_path):
+        served = _Served(tmp_path)
+        with served as server:
+            server.submit(_jobs(4))
+            assert run_network_worker(
+                served.address, worker_id="w", once=True, max_tasks=2
+            ) == 2
+            assert server.handle_message({"op": "status"})["pending"] == 2
+
+    def test_idle_timeout_expires(self, tmp_path):
+        served = _Served(tmp_path)
+        with served:
+            start = time.monotonic()
+            assert run_network_worker(
+                served.address, worker_id="w", poll=0.01, idle_timeout=0.05
+            ) == 0
+            assert time.monotonic() - start < 5.0
+
+    def test_stop_reply_ends_a_live_worker(self, tmp_path):
+        """A stop that appears during the worker's lifetime ends it;
+        work submitted afterwards stays unleased."""
+        served = _Served(tmp_path)
+        with served as server:
+            worker = threading.Thread(
+                target=run_network_worker, args=(served.address,),
+                kwargs=dict(worker_id="w", poll=0.01), daemon=True,
+            )
+            worker.start()
+            time.sleep(0.1)  # the worker is polling an empty server
+            server.stopping = True
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            server.submit(_jobs(1))
+            assert server.handle_message({"op": "status"})["leased"] == 0
+
+    def test_dead_worker_lease_reclaimed_by_survivor(self, tmp_path):
+        """A leased-but-never-finished task re-runs after lease expiry."""
+        served = _Served(tmp_path, lease_ttl=0.3)
+        with served as server:
+            job = Job(SELFTEST_TARGET, {"x": 7})
+            server.submit([job])
+            # The "dead" worker leases and vanishes: no heartbeat, no
+            # result, exactly like a SIGKILL mid-task.
+            assert server.handle_message(
+                {"op": "lease", "worker": "dead"}
+            )["op"] == "task"
+            assert run_network_worker(
+                served.address, worker_id="survivor", once=True
+            ) == 0
+            time.sleep(0.35)  # the dead worker's lease expires
+            assert run_network_worker(
+                served.address, worker_id="survivor", once=True
+            ) == 1
+        ok, result, _, _ = server.take(task_id(job))
+        assert ok and result["value"] == 14
+
+    def test_heartbeat_extends_lease_during_evaluation(self, tmp_path):
+        served = _Served(tmp_path, lease_ttl=0.3)
+        with served as server:
+            (job,) = _jobs(1, sleep_s=0.6)
+            server.submit([job])
+            worker = threading.Thread(
+                target=run_network_worker, args=(served.address,),
+                kwargs=dict(worker_id="beater", once=True), daemon=True,
+            )
+            worker.start()
+            deadline = time.monotonic() + 10.0
+            while not server.stats["leases"] and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.45)  # past the original TTL, mid-evaluation
+            # The beats kept the lease alive: nobody else may take it.
+            assert server.lease("thief", time.time()) is None
+            worker.join(timeout=10)
+        assert server.stats["heartbeats"] >= 1
+        assert server.take(task_id(job))[0] is True
+
     def test_once_on_idle_server(self, tmp_path):
         server = CampaignServer(str(tmp_path), lease_ttl=5.0)
         thread = ServerThread(server)
@@ -755,5 +1137,11 @@ class TestCliEndToEnd:
         assert status.returncode == 0, status.stderr
         payload = json.loads(status.stdout)
         assert payload["done"] == 2 and payload["failed"] == 0
-        assert payload["leased"] == 0
+        assert "leased" not in payload  # only a live server knows leases
         assert payload["cache_entries"] == 2
+        # Nothing but this life's lease log is left under work/.
+        work = os.path.join(campaign_dir, "work")
+        (leases,) = os.listdir(work)
+        assert leases == "leases"
+        (log,) = os.listdir(os.path.join(work, leases))
+        assert log.startswith("coordinator-") and log.endswith(".jsonl")

@@ -29,16 +29,9 @@ def _snapshot(**overrides):
             "resume_load_s": 0.05,
             "jsonl_speedup_at_tail": 100.0,
         },
-        "lease_fold": {
-            "watermark_us_per_event_last_decile": 60.0,
-            "watermark_flatness": 1.1,
-            "watermark_speedup_at_tail": 200.0,
-            "cold_fold_s": 0.02,
-        },
         "executors": {
             "serial_wall_s": 1.2,
             "pool_speedup": 1.8,
-            "worker_pull_speedup": 1.5,
             "network_speedup": 1.4,
         },
         "evaluator": {
@@ -97,7 +90,7 @@ class TestCompare:
         current = _snapshot(**{
             "executors.pool_speedup": 0.5,
             "executors.serial_wall_s": 10.0,
-            "lease_fold.cold_fold_s": 1.0,
+            "executors.network_speedup": 0.5,
         })
         regressions, report = _compare(_snapshot(), current)
         assert regressions == []
