@@ -252,6 +252,41 @@ class TestServerCore:
         server.stopping = True
         assert server.handle_message({"op": "lease", "worker": "w1"})["op"] == "stop"
 
+    def test_result_roundtrip_is_taken_once(self, tmp_path):
+        """An outcome reaches ``take`` exactly as the worker sent it,
+        and taking it removes the task from the table."""
+        server = self._server(tmp_path)
+        job = Job(SELFTEST_TARGET, {"x": 3})
+        server.submit([job])
+        tid = task_id(job)
+        assert server.take(tid) is None  # no result yet
+        task = server.handle_message({"op": "lease", "worker": "w0"})["task"]
+        server.handle_message(_result(task, [True, {"value": 6}, None, 0.5], "w0"))
+        assert server.take(tid) == (True, {"value": 6}, None, 0.5)
+        assert server.take(tid) is None
+        status = server.handle_message({"op": "status"})
+        assert status["pending"] == 0 and status["results"] == 0
+        assert server.handle_message({"op": "lease", "worker": "w0"})["op"] == "idle"
+
+    def test_stopping_is_reported_and_clearable(self, tmp_path):
+        """``stopping`` shows in ``status`` and binds only lease replies:
+        an in-flight result is still accepted, and clearing the flag
+        hands out work again."""
+        server = self._server(tmp_path)
+        server.submit(_jobs(2))
+        assert not server.handle_message({"op": "status"})["stopping"]
+        task = server.handle_message({"op": "lease", "worker": "w1"})["task"]
+        server.stopping = True
+        assert server.handle_message({"op": "status"})["stopping"]
+        assert server.handle_message({"op": "lease", "worker": "w2"})["op"] == "stop"
+        reply = server.handle_message(
+            _result(task, [True, {"value": 0, "cost": 100}, None, 0.0])
+        )
+        assert reply["ok"] and "stale" not in reply
+        server.stopping = False
+        assert not server.handle_message({"op": "status"})["stopping"]
+        assert server.handle_message({"op": "lease", "worker": "w2"})["op"] == "task"
+
     def test_cache_short_circuit_serves_without_a_worker(self, tmp_path):
         """A task whose record is already in the durable cache (the
         previous server was killed after caching a result but before
@@ -461,6 +496,36 @@ class TestNetworkFaults:
         ]
         assert all(size >= 1 for size in sizes)
         assert sum(size - 1 for size in sizes) <= 1
+
+    def test_kill_one_of_two_workers_loses_no_points(self, tmp_path):
+        """SIGKILL one spawned worker while the coordinator iterates
+        outcomes; the survivor reclaims its leased point and every
+        point lands, durable in the campaign cache."""
+        campaign_dir = str(tmp_path / "camp")
+        executor = NetworkExecutor(
+            campaign_dir, spawn_workers=2, lease_ttl=2.0, poll=0.02,
+            timeout=120,
+        )
+        cache = ResultCache(os.path.join(campaign_dir, "cache"))
+        runner = CampaignRunner(workers=2, cache=cache, executor=executor)
+        outcomes = []
+        killed = False
+        try:
+            for outcome in runner.run_iter(_jobs(8, sleep_s=0.2)):
+                outcomes.append(outcome)
+                if not killed:
+                    # Both workers are mid-task; this one dies hard.
+                    os.kill(executor.procs[0].pid, signal.SIGKILL)
+                    executor.procs[0].wait()
+                    killed = True
+        finally:
+            executor.close()
+        assert killed
+        assert len(outcomes) == 8 and all(o.ok for o in outcomes)
+        assert sorted(o.result["value"] for o in outcomes) == [
+            2 * i for i in range(8)
+        ]
+        assert len(cache) == 8
 
 
 #: Driver script for the SIGKILL-the-server test: a coordinator whose
@@ -985,6 +1050,30 @@ class TestWorkerClient:
             ) == 1
         ok, result, _, _ = server.take(task_id(job))
         assert ok and result["value"] == 14
+
+    def test_cached_task_served_without_evaluation(self, tmp_path, monkeypatch):
+        """A point already evaluated durably (cache written, outcome
+        lost to a kill) is served from the cache when a live worker
+        asks for work, and never re-run through the evaluator."""
+        monkeypatch.setenv("REPRO_DSE_SELFTEST_DIR", str(tmp_path / "inv"))
+        served = _Served(tmp_path / "camp")
+        with served as server:
+            job = Job(SELFTEST_TARGET, {"x": 6, "count": True})
+            server.cache.put(job.key, {
+                "target": job.target, "spec": dict(job.spec),
+                "result": {"value": 12, "cost": 94, "seed": job.seed},
+                "elapsed": 1.5,
+            })
+            server.submit([job])
+            assert run_network_worker(
+                served.address, worker_id="w", once=True
+            ) == 0
+        ok, result, error, elapsed = server.take(task_id(job))
+        assert ok and result["value"] == 12 and error is None
+        assert elapsed == 1.5
+        assert server.stats["cache_served"] == 1
+        # No invocation marker: the evaluator never ran.
+        assert not (tmp_path / "inv" / "count-6").exists()
 
     def test_heartbeat_extends_lease_during_evaluation(self, tmp_path):
         served = _Served(tmp_path, lease_ttl=0.3)
