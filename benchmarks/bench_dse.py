@@ -412,20 +412,24 @@ def test_executor_comparison():
 # -- evaluator fast path -------------------------------------------------
 
 
-#: ErrorRateAnalysis methods that each make one pass over the error
-#: population, by kernel: the write-error and read-error kernels.
+#: Methods that each make one pass over the error population, by
+#: kernel: the write-error and read-error kernels.
 KERNEL_PASSES = {
-    "write_passes_per_point": ("mean_cell_wer", "_write_pass"),
-    "read_passes_per_point": ("word_rer", "_read_pass"),
+    "write_passes_per_point": (
+        ("ErrorRateAnalysis", "mean_cell_wer"), ("WriteKernel", "write_pass"),
+    ),
+    "read_passes_per_point": (
+        ("ErrorRateAnalysis", "word_rer"), ("ErrorRateAnalysis", "_read_pass"),
+    ),
 }
 
 
 def count_kernel_passes(evaluate):
     """Run ``evaluate()`` and count its population passes per kernel."""
-    from repro.vaet.error_rates import ErrorRateAnalysis
+    from repro.vaet import error_rates
 
     counts = dict.fromkeys(KERNEL_PASSES, 0)
-    originals = {}
+    originals = []
 
     def counting(name, method):
         def wrapper(*args, **kwargs):
@@ -435,14 +439,16 @@ def count_kernel_passes(evaluate):
         return wrapper
 
     for name, methods in KERNEL_PASSES.items():
-        for attr in methods:
-            originals[attr] = ErrorRateAnalysis.__dict__[attr]
-            setattr(ErrorRateAnalysis, attr, counting(name, originals[attr]))
+        for owner_name, attr in methods:
+            owner = getattr(error_rates, owner_name)
+            original = owner.__dict__[attr]
+            originals.append((owner, attr, original))
+            setattr(owner, attr, counting(name, original))
     try:
         evaluate()
     finally:
-        for attr, method in originals.items():
-            setattr(ErrorRateAnalysis, attr, method)
+        for owner, attr, original in originals:
+            setattr(owner, attr, original)
     return counts
 
 
@@ -477,32 +483,39 @@ def evaluator_bench(points=4, scalar_points=2,
     default) and again with ``REPRO_VAET_SCALAR=1`` selecting the
     cell-at-a-time reference implementations.  The scalar side runs
     fewer points — it is the slow path by construction — and medians
-    keep single-point noise out of the ratio.
+    keep single-point noise out of the ratio.  Every timed point has
+    its own seed, so none is served by the explorer's physics memo.
 
     One fixed point also runs at the evaluator's default effort (1500
     words, 200k cells): its kernel population passes, which are
     deterministic, and the medians of ``default_repeats`` wall-clocks
-    and minor page faults.  The pass count runs first, so every timed
-    repeat follows a warm-up point.  The worker's cold start is timed
-    in fresh interpreters.
+    and minor page faults.  Each of those starts on an empty physics
+    memo, so it times a full point.  Its sibling at another
+    ``wer_target`` follows, and is timed as the shared point: the memo
+    serves its physics, so it pays only for its ECC sweep.  The pass
+    count runs first, so every timed repeat follows a warm-up point.
+    The worker's cold start is timed in fresh interpreters.
     """
     from repro.dse.campaign import evaluate_memory_point
     from repro.nvsim import MemoryConfig
-    from repro.vaet.explorer import DesignConstraints
+    from repro.vaet.explorer import DesignConstraints, clear_physics_memo
     from repro.vaet.variation_model import SCALAR_REFERENCE_ENV
 
-    def spec(seed, words=num_words, population=error_population):
+    def spec(seed, words=num_words, population=error_population,
+             wer_target=DesignConstraints().wer_target):
         return {
             "node_nm": 45,
             "config": MemoryConfig().to_dict(),
-            "constraints": DesignConstraints().to_dict(),
+            "constraints": DesignConstraints(wer_target=wer_target).to_dict(),
             "num_words": words,
             "error_population": population,
             "seed": seed,
         }
 
-    def default_point():
-        outcome = evaluate_memory_point(spec(2018, 1500, 200_000), 0)
+    def default_point(wer_target=DesignConstraints().wer_target):
+        outcome = evaluate_memory_point(
+            spec(2018, 1500, 200_000, wer_target), 0
+        )
         assert "feasible" in outcome
 
     def timed(count):
@@ -516,10 +529,13 @@ def evaluator_bench(points=4, scalar_points=2,
 
     saved = os.environ.pop(SCALAR_REFERENCE_ENV, None)
     try:
+        clear_physics_memo()
         vector = timed(points)
+        clear_physics_memo()
         passes = count_kernel_passes(default_point)
-        default_times, default_faults = [], []
+        default_times, default_faults, shared_times = [], [], []
         for _ in range(default_repeats):
+            clear_physics_memo()
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             tick = time.perf_counter()
             default_point()
@@ -527,6 +543,9 @@ def evaluator_bench(points=4, scalar_points=2,
             default_faults.append(
                 resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             )
+            tick = time.perf_counter()
+            default_point(wer_target=1e-9)
+            shared_times.append(time.perf_counter() - tick)
         os.environ[SCALAR_REFERENCE_ENV] = "1"
         scalar = timed(scalar_points)
     finally:
@@ -543,6 +562,7 @@ def evaluator_bench(points=4, scalar_points=2,
         "scalar_s_per_point": scalar,
         "vector_speedup": scalar / max(vector, 1e-9),
         "default_s_per_point": statistics.median(default_times),
+        "shared_s_per_point": statistics.median(shared_times),
         "minor_faults_per_point": statistics.median(default_faults),
         "worker_ready_s": worker_ready_s(),
         **passes,
@@ -582,7 +602,7 @@ def chaos_guard_bench(fires=200_000, evaluator_points=3):
     from repro.dse import chaos
     from repro.dse.campaign import evaluate_memory_point
     from repro.nvsim import MemoryConfig
-    from repro.vaet.explorer import DesignConstraints
+    from repro.vaet.explorer import DesignConstraints, clear_physics_memo
 
     assert chaos.active() is None, "chaos must stay disabled in benchmarks"
     tick = time.perf_counter()
@@ -600,6 +620,9 @@ def chaos_guard_bench(fires=200_000, evaluator_points=3):
     }
     times = []
     for k in range(evaluator_points):
+        # The spec pins its seed: without a clear, the explorer's
+        # physics memo would serve every repeat after the first.
+        clear_physics_memo()
         tick = time.perf_counter()
         outcome = evaluate_memory_point(spec, k)
         times.append(time.perf_counter() - tick)

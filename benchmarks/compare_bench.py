@@ -54,6 +54,10 @@ METRICS = [
     ("evaluator", "write_passes_per_point", "down", True),
     ("evaluator", "read_passes_per_point", "down", True),
     ("evaluator", "default_s_per_point", "down", False),
+    # The second point of a default-effort wer_target pair: the physics
+    # memo serves its WER-independent stage, so it pays for its ECC
+    # sweep alone.  A memo that stops hitting multiplies it ~10x.
+    ("evaluator", "shared_s_per_point", "down", True),
     # Cold start of a spawned worker: fresh interpreters importing what
     # it needs to evaluate a memory point (numpy, scipy.special, vaet).
     ("evaluator", "worker_ready_s", "down", True),

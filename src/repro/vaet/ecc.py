@@ -25,8 +25,10 @@ from scipy.special import bdtrc
 from repro.vaet.error_rates import (
     ErrorRateAnalysis,
     UnreachableTargetError,
+    WriteKernel,
     brentq_log_root,
 )
+from repro.vaet.montecarlo import MonteCarloEngine
 from repro.vaet.variation_model import scalar_reference_enabled
 
 
@@ -104,25 +106,59 @@ class ECCPoint:
 
 
 class ECCAnalysis:
-    """Write-latency vs ECC strength study over one array."""
+    """Write-latency vs ECC strength study over one array.
+
+    Each t inverts the array's :class:`WriteKernel` with Newton, warm
+    started from the previous t's solve.  The warm start only moves the
+    root within the Newton tolerance, yet that is enough to break
+    bit-for-bit equality between runs that order points differently,
+    so one instance serves one point's sweep: the explorer builds a
+    fresh one (:meth:`pinned`) per point even when sibling points share
+    the kernel.  Under ``REPRO_VAET_SCALAR`` the analysis's
+    population-mean WER is inverted with brentq instead.
+
+    Args:
+        analysis: The array's margin solver.
+    """
 
     def __init__(self, analysis: ErrorRateAnalysis):
         self.analysis = analysis
         self.engine = analysis.engine
+        self.kernel = analysis.kernel
         self._floor = None
         # The last Newton pass: the per-bit budget rises with t, so the
         # previous solve's pulse brackets the next root from above.
         self._warm = None
 
-    def _pulse_for_per_bit_wer(self, per_bit: float) -> float:
-        """Invert the population-mean per-cell WER for a pulse width."""
+    @classmethod
+    def pinned(cls, engine: MonteCarloEngine, kernel: WriteKernel,
+               floor: float) -> "ECCAnalysis":
+        """A sweep over a kernel alone, its stuck-cell floor given.
+
+        ``floor`` is the analysis's ``mean_cell_wer(1.0)``.  With no
+        analysis to fall back on, this sweep has only the Newton path;
+        :class:`repro.vaet.explorer.DesignSpaceExplorer` builds one per
+        point from a memoised record and never under the scalar flag.
+        """
+        ecc = cls.__new__(cls)
+        ecc.analysis, ecc.engine, ecc.kernel = None, engine, kernel
+        ecc._floor, ecc._warm = floor, None
+        return ecc
+
+    @property
+    def floor(self) -> float:
+        """The stuck-cell floor no pulse gets the per-bit WER below."""
         if self._floor is None:
             # 1 s pulse: only stuck cells remain.
             self._floor = self.analysis.mean_cell_wer(1.0)
-        if per_bit <= self._floor:
+        return self._floor
+
+    def _pulse_for_per_bit_wer(self, per_bit: float) -> float:
+        """Invert the population-mean per-cell WER for a pulse width."""
+        if per_bit <= self.floor:
             raise UnreachableTargetError(
                 "per-bit WER %.1e below stuck-cell floor %.1e"
-                % (per_bit, self._floor)
+                % (per_bit, self.floor)
             )
         lo, hi = math.log(5e-12), math.log(0.9)
         what = "per-bit WER %.1e" % per_bit
@@ -134,7 +170,7 @@ class ECCAnalysis:
                 return math.log(wer) - math.log(per_bit)
 
             return math.exp(brentq_log_root(gap, lo, hi, 1e-4, what))
-        log_pulse, self._warm = self.analysis._newton_pulse(
+        log_pulse, self._warm = self.kernel.newton_pulse(
             per_bit, lo, hi, what, start=self._warm
         )
         return math.exp(log_pulse)

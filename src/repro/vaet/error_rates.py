@@ -141,8 +141,96 @@ class ReadMarginResult:
     total_latency: float
 
 
+class WriteKernel:
+    """The Newton write kernel of one cell population.
+
+    Everything a write-pulse solve reads, and nothing else: the
+    switching cells' rates and WER envelopes, with the stuck cells
+    (zero rate) kept only as a count, since each adds WER 1 at any
+    pulse.  :meth:`ErrorRateAnalysis.write_margin` and the ECC pulse
+    inversion (:class:`repro.vaet.ecc.ECCAnalysis`) both solve on it.
+    It holds two population-sized arrays, not the analysis's dozen, so
+    :class:`repro.vaet.explorer.DesignSpaceExplorer` can keep a
+    :meth:`compact` copy for the sibling points of a sweep.
+
+    Args:
+        rates: Precessional rate of each switching cell [1/s].
+        envelope: WER envelope ``pi^2 Delta / 4`` of each switching cell.
+        population: Cells sampled, stuck ones included.
+        stuck_fraction: Share of the population that never switches.
+    """
+
+    def __init__(self, rates: np.ndarray, envelope: np.ndarray,
+                 population: int, stuck_fraction: float):
+        self.rates = rates
+        self.envelope = envelope
+        self.population = population
+        self.stuck_fraction = stuck_fraction
+        self.stuck_count = float(population - len(rates))
+
+    def compact(self) -> "WriteKernel":
+        """A copy whose two arrays share one read-only block."""
+        block = np.stack((self.rates, self.envelope))
+        block.flags.writeable = False
+        return WriteKernel(block[0], block[1], self.population,
+                           self.stuck_fraction)
+
+    def write_pass(self, log_pulse: float):
+        """One write-kernel pass: log mean cell WER and its slope in log t.
+
+        WER_i = min(A_i e^(-2 r_i t), 1) over the switching cells, plus
+        the stuck count.
+        """
+        pulse = math.exp(log_pulse)
+        rates = self.rates
+        wer = np.exp(np.multiply(rates, -2.0 * pulse))
+        wer *= self.envelope
+        # Cells capped at WER 1 contribute no slope.
+        capped_rate = 0.0
+        if wer.max() >= 1.0:
+            capped = wer >= 1.0
+            capped_rate = float(rates[capped].sum())
+            wer[capped] = 1.0
+        total = float(wer.sum()) + self.stuck_count
+        if total <= 0.0:
+            return -math.inf, math.nan
+        decay = float(np.dot(rates, wer)) - capped_rate
+        return math.log(total / self.population), -2.0 * pulse * decay / total
+
+    def write_start(self, mean_wer: float) -> float:
+        """A log pulse at or beyond the root of mean cell WER = ``mean_wer``.
+
+        No cell beats the slowest rate with the largest envelope, so the
+        pulse that brings that bound down to the target is an upper one.
+        """
+        stuck = self.stuck_fraction
+        excess = (mean_wer - stuck) / (1.0 - stuck)
+        bound = math.log(float(self.envelope.max()) / excess)
+        slowest = float(self.rates.min())
+        return math.log(max(bound, 1e-300) / (2.0 * slowest))
+
+    def newton_pulse(self, mean_wer: float, lo: float, hi: float,
+                     what: str, start=None):
+        """Newton solve of mean cell WER = ``mean_wer`` for a log pulse.
+
+        ``start`` is as for :func:`newton_log_root` and defaults to a
+        cold upper bound.  Returns the root and the last pass.
+        """
+        if start is None:
+            start = self.write_start(mean_wer)
+        return newton_log_root(
+            self.write_pass, math.log(mean_wer), lo, hi, start, what
+        )
+
+
 class ErrorRateAnalysis:
-    """WER/RER timing-margin solver bound to one Monte Carlo engine."""
+    """WER/RER timing-margin solver bound to one Monte Carlo engine.
+
+    Samples the error population once.  The write solves run on
+    :attr:`kernel`, the population's :class:`WriteKernel`; the read
+    solve and the population-mean WER (:meth:`mean_cell_wer`, the ECC
+    stuck-cell floor and the scalar reference) use the full arrays.
+    """
 
     def __init__(self, engine: MonteCarloEngine, population: int = 200_000,
                  seed: int = 2018):
@@ -162,11 +250,10 @@ class ErrorRateAnalysis:
         # C such that t_nom develops dV across the nominal cell.
         self._capacitance_equiv = cdv / SENSE_MARGIN
         self._developed_per_second = self._signals / self._capacitance_equiv
-        # The Newton write kernel works on the switching cells alone:
-        # WER_i = min(A_i e^(-2 r_i t), 1); stuck cells add 1 each.
-        self._switching_envelope = self._envelope[self._switching]
-        self._switching_rates = self._rates[self._switching]
-        self._stuck_count = float(len(self._rates) - len(self._switching_rates))
+        self.kernel = WriteKernel(
+            self._rates[self._switching], self._envelope[self._switching],
+            len(self._rates), self._stuck_fraction,
+        )
         # The Newton read kernel's per-cell k in Phi(-k t).
         self._sense_gain = self._developed_per_second / (SENSE_MARGIN / 3.0)
 
@@ -229,49 +316,6 @@ class ErrorRateAnalysis:
             1.0, np.maximum(mean_wer * self.engine.word_bits, 1e-300)
         )
 
-    def _write_pass(self, log_pulse: float):
-        """One write-kernel pass: log mean cell WER and its slope in log t."""
-        pulse = math.exp(log_pulse)
-        rates = self._switching_rates
-        wer = np.exp(np.multiply(rates, -2.0 * pulse))
-        wer *= self._switching_envelope
-        # Cells capped at WER 1 contribute no slope.
-        capped_rate = 0.0
-        if wer.max() >= 1.0:
-            capped = wer >= 1.0
-            capped_rate = float(rates[capped].sum())
-            wer[capped] = 1.0
-        total = float(wer.sum()) + self._stuck_count
-        if total <= 0.0:
-            return -math.inf, math.nan
-        decay = float(np.dot(rates, wer)) - capped_rate
-        return math.log(total / len(self._rates)), -2.0 * pulse * decay / total
-
-    def _write_start(self, mean_wer: float) -> float:
-        """A log pulse at or beyond the root of mean cell WER = ``mean_wer``.
-
-        No cell beats the slowest rate with the largest envelope, so the
-        pulse that brings that bound down to the target is an upper one.
-        """
-        stuck = self._stuck_fraction
-        excess = (mean_wer - stuck) / (1.0 - stuck)
-        bound = math.log(float(self._switching_envelope.max()) / excess)
-        slowest = float(self._switching_rates.min())
-        return math.log(max(bound, 1e-300) / (2.0 * slowest))
-
-    def _newton_pulse(self, mean_wer: float, lo: float, hi: float,
-                      what: str, start=None):
-        """Newton solve of mean cell WER = ``mean_wer`` for a log pulse.
-
-        ``start`` is as for :func:`newton_log_root` and defaults to a
-        cold upper bound.  Returns the root and the last pass.
-        """
-        if start is None:
-            start = self._write_start(mean_wer)
-        return newton_log_root(
-            self._write_pass, math.log(mean_wer), lo, hi, start, what
-        )
-
     def write_margin(self, wer_target: float) -> WriteMarginResult:
         """Solve the pulse width for a per-word WER target.
 
@@ -298,7 +342,7 @@ class ErrorRateAnalysis:
 
             log_pulse = brentq_log_root(gap, lo, hi, 1e-4, what)
         else:
-            log_pulse, _ = self._newton_pulse(
+            log_pulse, _ = self.kernel.newton_pulse(
                 wer_target / self.engine.word_bits, lo, hi, what
             )
         pulse = math.exp(log_pulse)

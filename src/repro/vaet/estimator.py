@@ -27,6 +27,10 @@ from repro.vaet.montecarlo import MonteCarloEngine
 from repro.vaet.read_disturb import ReadDisturbAnalysis
 from repro.vaet.variation_model import VariationModel
 
+#: The tool's Monte Carlo seed unless one is given (fixed for
+#: reproducible tables).
+DEFAULT_SEED = 2018
+
 
 @dataclass(frozen=True)
 class VariationAwareEstimate:
@@ -80,7 +84,7 @@ class VAETSTT:
         pdk: ProcessDesignKit,
         config: MemoryConfig,
         cell_config: Optional[CellConfig] = None,
-        seed: int = 2018,
+        seed: int = DEFAULT_SEED,
         error_population: int = 200_000,
     ):
         self.pdk = pdk

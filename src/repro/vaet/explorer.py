@@ -13,14 +13,20 @@ under reliability constraints (target WER/RER, read-disturb budget)
 and reports the latency/energy/area frontier.
 """
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.nvsim.config import MemoryConfig
 from repro.pdk.kit import ProcessDesignKit
 from repro.utils.serde import check_known_fields
 from repro.utils.table import Table
-from repro.vaet.estimator import VAETSTT
+from repro.vaet.ecc import ECCAnalysis
+from repro.vaet.error_rates import ReadMarginResult, WriteKernel
+from repro.vaet.estimator import DEFAULT_SEED, VAETSTT
+from repro.vaet.montecarlo import MonteCarloEngine
+from repro.vaet.variation_model import scalar_reference_enabled
 
 
 @dataclass(frozen=True)
@@ -119,6 +125,47 @@ class DesignPoint:
         return cls(**values)
 
 
+@dataclass(frozen=True)
+class _Physics:
+    """The WER-independent stage of one point: everything but the ECC
+    choice, which alone reads ``wer_target`` and ``max_ecc_bits``.
+
+    Attributes:
+        area: Nominal macro area, before ECC storage [m^2].
+        write_energy: Mean variation-aware write energy [J].
+        read_energy: Mean variation-aware read energy [J].
+        read: The read-margin solve at the RER target.
+        disturb_ok: Whether its sense time respects the disturb budget.
+        engine: The array's Monte Carlo engine (word width, overheads).
+        kernel: The error population's write kernel.
+        floor: Its stuck-cell floor, ``mean_cell_wer(1.0)``.
+    """
+
+    area: float
+    write_energy: float
+    read_energy: float
+    read: ReadMarginResult
+    disturb_ok: bool
+    engine: MonteCarloEngine
+    kernel: WriteKernel
+    floor: float
+
+
+#: WER-independent records kept for sibling points.  In every grid of
+#: the repo a point's siblings sit 1-4 positions apart, with at most two
+#: physics keys interleaved.
+PHYSICS_MEMO_ENTRIES = 2
+
+_physics_memo: "OrderedDict[tuple, Optional[_Physics]]" = OrderedDict()
+_physics_lock = threading.Lock()
+
+
+def clear_physics_memo() -> None:
+    """Forget every memoised WER-independent record."""
+    with _physics_lock:
+        _physics_memo.clear()
+
+
 class DesignSpaceExplorer:
     """Sweep subarray shapes and ECC strengths under constraints.
 
@@ -149,49 +196,113 @@ class DesignSpaceExplorer:
     ) -> Optional[DesignPoint]:
         """Evaluate one configuration; None if it cannot meet targets.
 
+        Two stages.  The WER-independent one draws the point's
+        populations and solves everything that neither ``wer_target``
+        nor ``max_ecc_bits`` touches: nominal area, MC energy means,
+        read margin, read disturb, and the stuck-cell floor and write
+        kernel of the ECC sweep.  The ECC choice then solves the pulse
+        for t = 0..``max_ecc_bits`` on a fresh sweep.
+
+        The last ``PHYSICS_MEMO_ENTRIES`` WER-independent records stay
+        in a process-level memo keyed by ``(pdk, config, seed,
+        num_words, error_population, rer_target, disturb_budget)``, so
+        a sibling point that differs only in the ECC axes pays only for
+        its ECC sweep.  The result stays a pure function of the
+        arguments.  Under ``REPRO_VAET_SCALAR`` the memo is bypassed
+        and every point recomputes everything.  Entries filled inside a
+        forked ``--deadline`` child are lost with it.
+
         Args:
             config: The organisation to evaluate.
             seed: Explicit Monte Carlo seed (defaults to the VAET-STT
                 tool seed, preserving historic sweep outputs).
         """
-        if seed is None:
-            tool = VAETSTT(self.pdk, config, error_population=self.error_population)
+        seed = DEFAULT_SEED if seed is None else seed
+        if scalar_reference_enabled():
+            physics, ecc = self._physics(config, seed)
         else:
-            tool = VAETSTT(
-                self.pdk, config, seed=seed, error_population=self.error_population
+            physics = self._memoised_physics(config, seed)
+            ecc = None if physics is None else ECCAnalysis.pinned(
+                physics.engine, physics.kernel, physics.floor
             )
-        estimate = tool.estimate(num_words=self.num_words)
-        ecc = tool.ecc()
-        constraints = self.constraints
-        # The read margin and the disturb budget do not depend on the
-        # ECC strength — solve them once, outside the t sweep.
-        try:
-            read = tool.error_rates().read_margin(constraints.rer_target)
-        except ValueError:
+        if physics is None:
             return None
-        disturb = tool.read_disturb()
-        period_cap = disturb.max_read_period(constraints.disturb_budget)
-        disturb_ok = read.sense_time <= period_cap
         best: Optional[DesignPoint] = None
-        for t in range(constraints.max_ecc_bits + 1):
+        for t in range(self.constraints.max_ecc_bits + 1):
             try:
-                point = ecc.point(t, constraints.wer_target)
+                point = ecc.point(t, self.constraints.wer_target)
             except ValueError:
                 continue
-            area = estimate.nominal.area * (1.0 + point.storage_overhead)
             candidate = DesignPoint(
                 config=config,
                 ecc_bits=t,
                 write_latency=point.total_latency,
-                read_latency=read.total_latency,
-                write_energy=estimate.write_energy.mean,
-                read_energy=estimate.read_energy.mean,
-                area=area,
-                read_disturb_ok=disturb_ok,
+                read_latency=physics.read.total_latency,
+                write_energy=physics.write_energy,
+                read_energy=physics.read_energy,
+                area=physics.area * (1.0 + point.storage_overhead),
+                read_disturb_ok=physics.disturb_ok,
             )
             if best is None or candidate.write_latency < best.write_latency:
                 best = candidate
         return best
+
+    def _physics(
+        self, config: MemoryConfig, seed: int
+    ) -> Tuple[Optional[_Physics], ECCAnalysis]:
+        """The WER-independent stage, computed afresh.
+
+        Returns the record (None if the read target is unreachable) and
+        an ECC sweep over the point's full error-rate analysis.
+        """
+        tool = VAETSTT(
+            self.pdk, config, seed=seed, error_population=self.error_population
+        )
+        estimate = tool.estimate(num_words=self.num_words)
+        ecc = tool.ecc()
+        constraints = self.constraints
+        try:
+            read = tool.error_rates().read_margin(constraints.rer_target)
+        except ValueError:
+            return None, ecc
+        disturb = tool.read_disturb()
+        period_cap = disturb.max_read_period(constraints.disturb_budget)
+        physics = _Physics(
+            area=estimate.nominal.area,
+            write_energy=estimate.write_energy.mean,
+            read_energy=estimate.read_energy.mean,
+            read=read,
+            disturb_ok=read.sense_time <= period_cap,
+            engine=tool.engine,
+            kernel=ecc.kernel,
+            floor=ecc.floor,
+        )
+        return physics, ecc
+
+    def _memoised_physics(
+        self, config: MemoryConfig, seed: int
+    ) -> Optional[_Physics]:
+        """:meth:`_physics` through the memo, its kernel compacted."""
+        constraints = self.constraints
+        key = (
+            self.pdk, config, seed, self.num_words, self.error_population,
+            constraints.rer_target, constraints.disturb_budget,
+        )
+        with _physics_lock:
+            if key in _physics_memo:
+                _physics_memo.move_to_end(key)
+                return _physics_memo[key]
+        physics, ecc = self._physics(config, seed)
+        # Free the point's population first, so the pinned block reuses
+        # its heap instead of growing it.
+        del ecc
+        if physics is not None:
+            physics = replace(physics, kernel=physics.kernel.compact())
+        with _physics_lock:
+            _physics_memo[key] = physics
+            while len(_physics_memo) > PHYSICS_MEMO_ENTRIES:
+                _physics_memo.popitem(last=False)
+        return physics
 
     def sweep_subarrays(
         self,

@@ -38,6 +38,7 @@ def _snapshot(**overrides):
             "vector_s_per_point": 0.02,
             "scalar_s_per_point": 1.0,
             "vector_speedup": 50.0,
+            "shared_s_per_point": 0.012,
         },
     }
     for dotted, value in overrides.items():
@@ -76,6 +77,14 @@ class TestCompare:
         regressions, _ = _compare(_snapshot(), current)
         assert len(regressions) == 1
         assert "evaluator.vector_speedup" in regressions[0]
+
+    def test_shared_point_regression_flagged(self):
+        # A physics memo that stops hitting makes the sibling point pay
+        # for the whole evaluation again.
+        current = _snapshot(**{"evaluator.shared_s_per_point": 0.15})
+        regressions, _ = _compare(_snapshot(), current)
+        assert len(regressions) == 1
+        assert "evaluator.shared_s_per_point" in regressions[0]
 
     def test_improvement_never_flags(self):
         current = _snapshot(**{
