@@ -681,17 +681,17 @@ def sampler_bench(batch=8, rounds=8, candidates=256, seed=0,
                   proposal_side=32, proposal_rounds=12):
     """Evaluations-to-target of every sampler, plus proposal throughput.
 
-    All four samplers get the identical budget (``batch * rounds``
+    All three samplers get the identical budget (``batch * rounds``
     points of the same bowl), scored through ``CampaignRunner`` on the
     selftest evaluator — so the comparison includes the job hashing and
     dispatch each sampler's points really pay.  Grid and LHS are the
-    static baselines (scan order / one stratified draw); adaptive and
-    surrogate are the model-driven samplers.  Every quantity is seeded
+    static baselines (scan order / one stratified draw); the surrogate
+    is the model-driven sampler.  Every quantity is seeded
     and deterministic except the proposal throughput, which times the
     surrogate's model/rank loop on a free evaluator over a
     ``proposal_side``-squared space.
     """
-    from repro.dse import AdaptiveSampler, SurrogateSampler, evaluations_to_target
+    from repro.dse import SurrogateSampler, evaluations_to_target
 
     space = ParameterSpace()
     space.add("x", list(range(SAMPLER_SIDE)))
@@ -721,9 +721,6 @@ def sampler_bench(batch=8, rounds=8, candidates=256, seed=0,
     missed = budget + 1  # sentinel: target not reached within budget
     grid_evals = static_evals(list(space.grid())[:budget])
     lhs_evals = static_evals(space.sample(budget, seed=seed))
-    adaptive_trace = AdaptiveSampler(
-        space, batch=batch, rounds=rounds, seed=seed
-    ).run(score_points)
     surrogate_trace = SurrogateSampler(
         space, batch=batch, rounds=rounds, candidates=candidates, seed=seed
     ).run(score_points)
@@ -750,8 +747,6 @@ def sampler_bench(batch=8, rounds=8, candidates=256, seed=0,
         "target": SAMPLER_TARGET,
         "grid_evals_to_target": grid_evals or missed,
         "lhs_evals_to_target": lhs_evals or missed,
-        "adaptive_evals_to_target":
-            evaluations_to_target(adaptive_trace, SAMPLER_TARGET) or missed,
         "surrogate_evals_to_target":
             evaluations_to_target(surrogate_trace, SAMPLER_TARGET) or missed,
         "surrogate_best_score": surrogate_trace.best_score,
@@ -832,7 +827,7 @@ def main(argv=None) -> int:
     )
     mode.add_argument(
         "--samplers", action="store_true",
-        help="sampler comparison only (grid/LHS/adaptive/surrogate "
+        help="sampler comparison only (grid/LHS/surrogate "
              "evaluations-to-target on the selftest bowl, plus "
              "surrogate proposal throughput)",
     )
@@ -850,7 +845,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.samplers:
-        print("samplers: grid vs LHS vs adaptive vs surrogate on the "
+        print("samplers: grid vs LHS vs surrogate on the "
               "%dx%d selftest bowl" % (SAMPLER_SIDE, SAMPLER_SIDE))
         summary = _check_and_save_sampler(
             "dse_sampler_bench.json", sampler_bench()

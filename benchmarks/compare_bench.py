@@ -68,7 +68,6 @@ METRICS = [
     # drift is a sampler behaviour change, so the surrogate's is gated.
     ("sampler", "surrogate_evals_to_target", "down", True),
     ("sampler", "lhs_evals_to_target", "down", False),
-    ("sampler", "adaptive_evals_to_target", "down", False),
     ("sampler", "grid_evals_to_target", "down", False),
     ("sampler", "proposals_per_s", "up", False),
     # The disabled fault plane's cost on the evaluator path: the bench

@@ -1,7 +1,7 @@
-"""Resumable + adaptive campaigns: kill one mid-run, pick it back up.
+"""Resumable + surrogate campaigns: kill one mid-run, pick it back up.
 
-Demonstrates the checkpointing and adaptive-sampling layers on top of
-the ``repro.dse`` engine:
+Demonstrates the checkpointing and model-driven sampling layers on top
+of the ``repro.dse`` engine:
 
 1. start a 24-point memory campaign pinned to a campaign directory
    (cache + journal), and "kill" it after 8 points by raising from the
@@ -10,9 +10,9 @@ the ``repro.dse`` engine:
 2. ``resume=True`` the identical call: the finished points replay from
    the cache/journal (zero re-evaluation) and the campaign completes,
    with records identical to an uninterrupted run;
-3. run an *adaptive* campaign over a larger space: a
-   successive-halving zoom that spends its budget around the EDP-best
-   region instead of covering the whole grid.
+3. run a *surrogate* campaign over a larger space: a TPE-style density
+   model that spends its budget around the EDP-best region instead of
+   covering the whole grid.
 
 The same flow is available from the command line::
 
@@ -20,7 +20,7 @@ The same flow is available from the command line::
     python -m repro.dse status --dir campaign/
     python -m repro.dse resume spec.json --dir campaign/
 
-Run:  python examples/resumable_campaign.py     (about a minute)
+Run:  PYTHONPATH=src python examples/resumable_campaign.py     (a few seconds)
 """
 
 import shutil
@@ -87,35 +87,30 @@ def main():
     if not identical:
         raise SystemExit("resumed records diverged from the reference run")
 
-    # -- 3. adaptive: zoom instead of sweeping ---------------------------
+    # -- 3. surrogate: model instead of sweeping ------------------------
     big = ParameterSpace()
     big.add("subarray_rows", [128, 256, 512])
     big.add("subarray_cols", [128, 256, 512])
     big.add("word_bits", [128, 256])
     big.add("wer_target", [1e-9, 1e-12, 1e-15])
-    adaptive = explore_memory(
+    surrogate = explore_memory(
         big,
-        sampler="adaptive",
-        sampler_options=dict(batch=8, rounds=3, keep=0.4, seed=0),
+        sampler="surrogate",
+        sampler_options=dict(batch=8, rounds=3, seed=0),
         objectives=("edp_proxy",),
         cache_dir=campaign_dir + "/cache",
         **SETTINGS,
     )
-    trace = adaptive.adaptive
+    trace = surrogate.adaptive
     print(
-        "adaptive:  %d of %d grid points evaluated over %d rounds; "
+        "surrogate: %d of %d grid points evaluated over %d rounds; "
         "best EDP %.3e"
         % (trace.evaluations, big.size, len(trace.rounds), trace.best_score)
     )
     for entry in trace.rounds:
         print(
-            "           round %d: space %d -> batch %d, best %.3e"
-            % (
-                entry.index,
-                entry.space_size,
-                len(entry.points),
-                entry.best_score,
-            )
+            "           round %d: batch %d, best %.3e"
+            % (entry.index, len(entry.points), entry.best_score)
         )
 
     shutil.rmtree(campaign_dir, ignore_errors=True)

@@ -28,12 +28,12 @@ subsystem every layer plugs into:
   retries with content-derived reseeding and flaky-point quarantine;
 * :mod:`repro.dse.checkpoint` — :class:`CampaignState` journals behind
   the resumable :func:`run_memory_campaign` / :func:`run_system_campaign`
-  entry points (legacy atomic-JSON journals upgrade transparently);
-* :mod:`repro.dse.adaptive` — successive-halving/zoom
-  :class:`AdaptiveSampler` (``sampler="adaptive"`` campaigns);
-* :mod:`repro.dse.surrogate` — model-based :class:`SurrogateSampler`
-  (``sampler="surrogate"``): a TPE-style good/bad density-ratio model
-  over the full space, pure numpy, deterministic in its seed;
+  entry points;
+* :mod:`repro.dse.surrogate` — the one model-driven sampler,
+  :class:`SurrogateSampler` (``sampler="surrogate"``): a TPE-style
+  good/bad density-ratio model over the full space, pure numpy,
+  deterministic in its seed, plus the batch scoring
+  (:func:`score_records`) and round traces it reports;
 * :mod:`repro.dse.fidelity` — multi-fidelity ladder
   (``fidelity="ladder"`` memory campaigns): the analytic NVSim
   estimate screens every point, only the frontier band pays the full
@@ -57,12 +57,6 @@ wrappers over this engine, and ``python -m repro.dse`` drives
 describe/run/resume/status/analyze campaigns from the command line.
 """
 
-from repro.dse.adaptive import (
-    AdaptiveRound,
-    AdaptiveSampler,
-    AdaptiveTrace,
-    score_records,
-)
 from repro.dse.analytics import (
     CampaignReport,
     ParetoSample,
@@ -88,10 +82,15 @@ from repro.dse.fidelity import (
     promotion_indices,
     run_ladder,
 )
-from repro.dse.surrogate import SurrogateSampler, evaluations_to_target
+from repro.dse.surrogate import (
+    AdaptiveRound,
+    AdaptiveTrace,
+    SurrogateSampler,
+    evaluations_to_target,
+    score_records,
+)
 from repro.dse.checkpoint import (
     JOURNAL_NAME,
-    LEGACY_JOURNAL_NAME,
     CampaignState,
     campaign_key,
     journal_path,
@@ -199,13 +198,11 @@ __all__ = [
     "journal_path",
     "run_checkpointed",
     "JOURNAL_NAME",
-    "LEGACY_JOURNAL_NAME",
     "JOURNAL_VERSION",
     "JsonlJournal",
     "read_events",
     "RetryPolicy",
     "AdaptiveRound",
-    "AdaptiveSampler",
     "AdaptiveTrace",
     "score_records",
     "SurrogateSampler",

@@ -35,9 +35,9 @@ A campaign spec is a JSON file::
       "kind": "memory",
       "axes": {"subarray_rows": [128, 256], "wer_target": [1e-9, 1e-12]},
       "settings": {"num_words": 400, "error_population": 30000},
-      "sampler": "grid",            // or "lhs" / "adaptive" / "surrogate"
+      "sampler": "grid",                   // or "lhs" / "surrogate"
       "samples": 16,                       // lhs point budget
-      "sampler_options": {"batch": 8, "rounds": 4},   // sampler knobs
+      "sampler_options": {"batch": 8, "rounds": 6},   // surrogate knobs
       "objectives": ["edp_proxy"],
       "fidelity": "ladder",                // or "high" (default) / "low"
       "promote_ranks": 1                   // ladder promotion depth
@@ -62,9 +62,9 @@ quarantinable like any other failure, and counted by ``status``.
 :func:`run_system_campaign` verbatim, so everything those accept
 (``node_nm``, ``seed``, ``workers``, ...) is spec-addressable.  The
 campaign directory holds ``cache/`` and the append-only
-``journal.jsonl`` (legacy ``checkpoint.json`` journals are upgraded
-transparently); both are written as results arrive, so a killed
-``run`` continues with ``resume``.
+``journal.jsonl``; both are written as results arrive, so a killed
+``run`` continues with ``resume``.  A directory holding only a
+version-1 ``checkpoint.json`` is refused with a one-line error.
 """
 
 import argparse
@@ -77,7 +77,7 @@ from typing import Dict, List, Optional
 from repro.dse.cache import ResultCache
 from repro.dse.campaign import (
     MODEL_SAMPLERS,
-    SAMPLERS,
+    check_sampler,
     run_memory_campaign,
     run_system_campaign,
 )
@@ -88,6 +88,7 @@ from repro.dse.net import WorkerStalled
 from repro.dse.retry import RetryPolicy
 from repro.dse.runner import Progress, default_workers
 from repro.dse.space import ParameterSpace
+from repro.dse.surrogate import SurrogateSampler
 
 
 def _positive_int(text: str) -> int:
@@ -163,14 +164,14 @@ def load_spec(path: str) -> Dict:
     if kind == "memory" and not isinstance(spec.get("axes"), dict):
         raise SystemExit('spec %s: memory campaigns need an "axes" object' % path)
     sampler = spec.get("sampler", "grid")
-    if sampler not in SAMPLERS:
-        raise SystemExit(
-            "spec %s: unknown sampler %r; known: %s" % (path, sampler, SAMPLERS)
-        )
+    try:
+        check_sampler(sampler)
+    except ValueError as exc:
+        raise SystemExit("spec %s: %s" % (path, exc))
     if kind == "system" and sampler != "grid":
         raise SystemExit(
             'spec %s: resumable system campaigns are grid-only; use the '
-            "explore_system API for adaptive cell selection" % path
+            "explore_system API for surrogate cell selection" % path
         )
     fidelity = spec.get("fidelity", "high")
     if fidelity not in FIDELITY_MODES:
@@ -290,29 +291,17 @@ def cmd_describe(args) -> int:
         print("grid size: %d" % space.size)
         if sampler == "lhs":
             print("lhs jobs:  %s" % spec.get("samples", "(samples missing)"))
-        elif sampler == "adaptive":
-            options = spec.get("sampler_options", {})
-            batch = options.get("batch", 8)
-            rounds = options.get("rounds", 4)
-            print(
-                "adaptive:  <= %d jobs (%d rounds x %d batch), objectives %s"
-                % (
-                    batch * rounds,
-                    rounds,
-                    batch,
-                    spec.get("objectives", ["edp_proxy"]),
-                )
-            )
         elif sampler == "surrogate":
-            options = spec.get("sampler_options", {})
-            batch = options.get("batch", 8)
-            rounds = options.get("rounds", 6)
+            try:
+                model = SurrogateSampler(space, **(spec.get("sampler_options") or {}))
+            except (TypeError, ValueError) as exc:
+                raise SystemExit('spec %s: bad "sampler_options": %s' % (args.spec, exc))
             print(
                 "surrogate: <= %d jobs (%d rounds x %d batch), objectives %s"
                 % (
-                    batch * rounds,
-                    rounds,
-                    batch,
+                    model.batch * model.rounds,
+                    model.rounds,
+                    model.batch,
                     spec.get("objectives", ["edp_proxy"]),
                 )
             )
@@ -423,7 +412,7 @@ def _summarise(result, campaign_dir: str, elapsed: float) -> None:
     front = result.pareto()
     print("  pareto:   %d non-dominated" % len(front))
     if result.adaptive is not None:
-        print("  adaptive: %d rounds, %d evaluations, best score %s"
+        print("  sampler:  %d rounds, %d evaluations, best score %s"
               % (
                   len(result.adaptive.rounds),
                   result.adaptive.evaluations,
@@ -440,6 +429,11 @@ def _summarise(result, campaign_dir: str, elapsed: float) -> None:
 
 def cmd_run(args, resume: bool = False) -> int:
     spec = load_spec(args.spec)
+    try:
+        journal_path(args.dir)  # refuses a version-1 campaign directory
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     start = time.perf_counter()
     try:
         result = _run_campaign(spec, args, resume=resume or args.resume)
@@ -460,8 +454,8 @@ def cmd_resume(args) -> int:
 
 
 def cmd_status(args) -> int:
-    path = journal_path(args.dir)
     try:
+        path = journal_path(args.dir)
         state = CampaignState.load(path)
     except FileNotFoundError:
         print("no campaign journal at %s" % path, file=sys.stderr)
@@ -602,8 +596,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_retry(args) -> int:
     """Re-release quarantined points so ``resume`` re-runs them."""
-    path = journal_path(args.dir)
     try:
+        path = journal_path(args.dir)
         state = CampaignState.load(path)
     except FileNotFoundError:
         print("no campaign journal at %s" % path, file=sys.stderr)

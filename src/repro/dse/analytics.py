@@ -428,18 +428,14 @@ def build_report(
     Raises:
         FileNotFoundError: No campaign journal in ``campaign_dir``.
         ValueError: The journal is corrupt beyond the lawful torn final
-            line (interior damage the write side cannot produce).
+            line (interior damage the write side cannot produce), or
+            the directory holds only a version-1 ``checkpoint.json``.
     """
     campaign_dir = str(campaign_dir)
     path = journal_path(campaign_dir)
     state = CampaignState.load(path)
-    try:
-        events, torn = read_events(path)
-    except FileNotFoundError:
-        # Legacy journal upgraded in memory from checkpoint.json (the
-        # read-only-directory path): no JSONL tail exists on disk yet.
-        events, torn = [], 0
-    tail = events[1:] if events else []
+    events, torn = read_events(path)
+    tail = events[1:]
 
     status = state.status()
     consistent = (

@@ -17,10 +17,9 @@ pickle cheaply, hash stably, and replay identically from cache.
 Entry points :func:`explore_memory` and :func:`explore_system` build the
 job lists from a :class:`~repro.dse.space.ParameterSpace` / grid, run
 them through a (cached, parallel) :class:`CampaignRunner`, and wrap the
-outcomes with Pareto helpers.  Both accept ``sampler="adaptive"`` to
-spend the evaluation budget successively zooming onto the
-objective-promising region instead of covering the whole grid, or
-``sampler="surrogate"`` to drive it with a TPE-style density model.
+outcomes with Pareto helpers.  Both accept ``sampler="surrogate"`` to
+spend the evaluation budget where a TPE-style density model says the
+objective-promising designs live instead of covering the whole grid.
 Memory campaigns additionally accept ``fidelity="ladder"`` to screen
 the space with the cheap analytic NVSim estimate and re-evaluate only
 the frontier band at full Monte-Carlo fidelity (see
@@ -31,7 +30,10 @@ the frontier band at full Monte-Carlo fidelity (see
 result cache plus a :class:`~repro.dse.checkpoint.CampaignState`
 journal, so a campaign killed after N of M points continues with
 ``resume=True`` exactly where it stopped — zero re-evaluation of the N
-finished points.
+finished points.  Both memory entry points share one dispatch
+(surrogate loop, fidelity ladder, or static job list); they differ only
+in how a batch of jobs is executed — straight through the runner, or
+journaled.
 """
 
 import enum
@@ -40,7 +42,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.dse.adaptive import AdaptiveSampler, AdaptiveTrace, score_records
 from repro.dse.cache import ResultCache
 from repro.dse.checkpoint import (
     CampaignState,
@@ -66,13 +67,14 @@ from repro.dse.runner import (
     register_target,
 )
 from repro.dse.space import ParameterSpace
+from repro.dse.surrogate import AdaptiveTrace, SurrogateSampler, score_records
 
 #: Samplers the campaign entry points understand.
-SAMPLERS = ("grid", "lhs", "adaptive", "surrogate")
+SAMPLERS = ("grid", "lhs", "surrogate")
 
 #: The model-driven samplers (propose/evaluate loops over rounds, as
 #: opposed to the static grid/LHS point lists).
-MODEL_SAMPLERS = ("adaptive", "surrogate")
+MODEL_SAMPLERS = ("surrogate",)
 
 #: MemoryConfig field names an axis may override.
 _CONFIG_FIELDS = (
@@ -288,53 +290,12 @@ def _space_signature(space: ParameterSpace) -> List:
     ]
 
 
-def _make_sampler(name: str, space, sampler_options):
-    """Build the model-driven sampler behind ``sampler="adaptive"/"surrogate"``."""
-    options = dict(sampler_options or {})
-    if name == "surrogate":
-        from repro.dse.surrogate import SurrogateSampler
-
-        return SurrogateSampler(space, **options)
-    return AdaptiveSampler(space, **options)
-
-
-def _run_adaptive(
-    space, build_jobs, execute, record, sampler_options, objectives,
-    sampler: str = "adaptive",
-):
-    """Shared model-driven loop: evaluate batches, score, re-propose.
-
-    Args:
-        build_jobs: points -> jobs.
-        execute: jobs -> outcomes (runner or checkpointed runner).
-        record: (job, outcome) -> scoreable record dict or None.
-        sampler_options: AdaptiveSampler / SurrogateSampler overrides.
-        objectives: Scoring objectives (Pareto ranks when several).
-        sampler: ``"adaptive"`` (successive-halving zoom) or
-            ``"surrogate"`` (TPE-style density-ratio model).
-
-    Returns:
-        (jobs, outcomes, trace) with jobs/outcomes deduplicated across
-        rounds in first-seen order.
-    """
-    all_jobs: List[Job] = []
-    all_outcomes: List[JobResult] = []
-    seen = set()
-
-    def evaluate(points):
-        jobs = build_jobs(points)
-        outcomes = execute(jobs)
-        for job, outcome in zip(jobs, outcomes):
-            if job.key not in seen:
-                seen.add(job.key)
-                all_jobs.append(job)
-                all_outcomes.append(outcome)
-        rows = [record(job, outcome) for job, outcome in zip(jobs, outcomes)]
-        return score_records(rows, objectives)
-
-    driver = _make_sampler(sampler, space, sampler_options)
-    trace = driver.run(evaluate)
-    return all_jobs, all_outcomes, trace
+def check_sampler(sampler: str, known: Sequence[str] = SAMPLERS) -> None:
+    """Reject an unknown sampler name, and name the removed one's successor."""
+    if sampler == "adaptive":
+        raise ValueError('sampler "adaptive" was removed; use "surrogate"')
+    if sampler not in known:
+        raise ValueError("unknown sampler %r; known: %s" % (sampler, tuple(known)))
 
 
 @dataclass
@@ -346,8 +307,8 @@ class MemoryCampaignResult:
         outcomes: Per-job results (aligned with ``jobs``).
         elapsed: Campaign wall-clock [s].
         cache_stats: Cache session counters (None when uncached).
-        adaptive: Sampler trace when the campaign ran a model-driven
-            sampler (``"adaptive"`` zoom or ``"surrogate"`` TPE).
+        adaptive: Sampler trace when the campaign ran the model-driven
+            ``"surrogate"`` sampler.
         quarantined: Job keys whose retry budget is exhausted (flaky
             points) — excluded from :meth:`records` and therefore from
             Pareto ranking.
@@ -447,22 +408,11 @@ def _campaign_executor(executor, campaign_dir, workers, executor_options):
     return built, built is not executor
 
 
-def _static_points(
-    space: ParameterSpace,
-    sampler: str,
-    samples: Optional[int],
-    sample_seed: int,
-) -> List[Dict]:
-    """Grid or LHS point list for the non-adaptive samplers."""
+def _validate_memory(sampler: str, fidelity: str, samples: Optional[int]) -> None:
+    """Reject unknown samplers/fidelity modes, bare LHS, model-sampler ladders."""
+    check_sampler(sampler)
     if sampler == "lhs" and samples is None:
         raise ValueError('sampler="lhs" requires samples')
-    if samples is not None:
-        return space.sample(samples, seed=sample_seed)
-    return list(space.grid())
-
-
-def _validate_fidelity(fidelity: str, sampler: str) -> None:
-    """Reject unknown fidelity modes and model-sampler combinations."""
     if fidelity not in FIDELITY_MODES:
         raise ValueError(
             "unknown fidelity %r; known: %s" % (fidelity, FIDELITY_MODES)
@@ -472,6 +422,64 @@ def _validate_fidelity(fidelity: str, sampler: str) -> None:
             'fidelity=%r requires a static sampler ("grid"/"lhs"); '
             "model-driven samplers budget their own evaluations" % (fidelity,)
         )
+
+
+def _drive_memory(
+    space: ParameterSpace,
+    build_jobs,
+    execute,
+    sampler: str,
+    samples: Optional[int],
+    sample_seed: int,
+    sampler_options: Optional[Dict],
+    objectives: Sequence[ObjectiveSpec],
+    fidelity: str,
+    promote_ranks: int,
+):
+    """The memory campaigns' one dispatch, over the caller's ``execute``.
+
+    Runs the surrogate loop, the fidelity ladder, or the static (grid /
+    LHS, high or low fidelity) job list; every batch goes through
+    ``execute(jobs) -> outcomes``.  Arguments are as in
+    :func:`explore_memory`, already validated by :func:`_validate_memory`.
+
+    Returns:
+        ``(jobs, outcomes, sampler trace, fidelity trace)``; a trace is
+        None when the campaign ran no such stage.
+    """
+    if sampler in MODEL_SAMPLERS:
+        # Jobs/outcomes accumulate across rounds in first-seen order.
+        jobs: List[Job] = []
+        outcomes: List[JobResult] = []
+        seen = set()
+
+        def evaluate(points):
+            batch = build_jobs(points)
+            results = execute(batch)
+            for job, outcome in zip(batch, results):
+                if job.key not in seen:
+                    seen.add(job.key)
+                    jobs.append(job)
+                    outcomes.append(outcome)
+            rows = [_memory_record(j, o) for j, o in zip(batch, results)]
+            return score_records(rows, objectives)
+
+        model = SurrogateSampler(space, **dict(sampler_options or {}))
+        return jobs, outcomes, model.run(evaluate), None
+    if samples is not None:
+        points = space.sample(samples, seed=sample_seed)
+    else:
+        points = list(space.grid())
+    jobs = build_jobs(points)
+    if fidelity == "ladder":
+        jobs, outcomes, ftrace = run_ladder(
+            jobs, execute, _memory_record, objectives,
+            promote_ranks=promote_ranks,
+        )
+        return jobs, outcomes, None, ftrace
+    if fidelity == "low":
+        jobs = [lowfi_twin(job) for job in jobs]
+    return jobs, execute(jobs), None, None
 
 
 def explore_memory(
@@ -518,23 +526,21 @@ def explore_memory(
         workers: Pool size (None = ``REPRO_DSE_WORKERS`` or CPU count).
         runner: Pre-built runner (overrides cache_dir/workers).
         sampler: ``"grid"`` (default), ``"lhs"`` (requires ``samples``),
-            ``"adaptive"`` — successive-halving zoom onto the region
-            best under ``objectives`` (see :mod:`repro.dse.adaptive`) —
             or ``"surrogate"`` — TPE-style density-ratio model over the
-            full space (see :mod:`repro.dse.surrogate`).
-        sampler_options: ``AdaptiveSampler`` overrides (batch, rounds,
-            keep, margin, seed) or ``SurrogateSampler`` overrides
-            (batch, rounds, gamma, candidates, smoothing, init_rounds,
-            seed).
-        objectives: Adaptive scoring objectives over the feasible
-            records (Pareto dominance ranks when more than one).
+            full space, spending its budget where the designs best
+            under ``objectives`` live (see :mod:`repro.dse.surrogate`).
+        sampler_options: ``SurrogateSampler`` overrides (batch, rounds,
+            gamma, candidates, smoothing, init_rounds, seed).
+        objectives: Surrogate scoring objectives over the feasible
+            records (Pareto dominance ranks when more than one); also
+            rank the ladder's low-fidelity screen.
         retry: Optional :class:`~repro.dse.retry.RetryPolicy` — failed
             points re-run with reseeded RNG streams before their
             failure is final (journal-free here; use
             :func:`run_memory_campaign` for quarantine bookkeeping).
         progress: Per-point streaming callback (one
             :class:`~repro.dse.runner.Progress` snapshot per completed
-            point; adaptive campaigns restart the count each round).
+            point; surrogate campaigns restart the count each round).
         deadline: Per-evaluation wall-clock budget [s] — a point still
             running past it is reaped and recorded as a timeout
             failure (see :attr:`~repro.dse.jobs.Job.deadline`).  A
@@ -551,9 +557,7 @@ def explore_memory(
             ranks up to this value (under ``objectives``) advance to
             the Monte-Carlo stage.
     """
-    if sampler not in SAMPLERS:
-        raise ValueError("unknown sampler %r; known: %s" % (sampler, SAMPLERS))
-    _validate_fidelity(fidelity, sampler)
+    _validate_memory(sampler, fidelity, samples)
     base_config, constraints = _memory_settings(base_config, constraints)
     if runner is None:
         cache = ResultCache(cache_dir) if cache_dir is not None else None
@@ -568,32 +572,12 @@ def explore_memory(
         )
 
     start = time.perf_counter()
-    trace = None
-    ftrace = None
-    if sampler in MODEL_SAMPLERS:
-        jobs, outcomes, trace = _run_adaptive(
-            space,
-            build_jobs,
-            lambda jobs: runner.run(jobs, progress=progress, retry=retry),
-            _memory_record,
-            sampler_options,
-            objectives,
-            sampler=sampler,
-        )
-    else:
-        jobs = build_jobs(_static_points(space, sampler, samples, sample_seed))
-        if fidelity == "low":
-            jobs = [lowfi_twin(job) for job in jobs]
-        if fidelity == "ladder":
-            jobs, outcomes, ftrace = run_ladder(
-                jobs,
-                lambda batch: runner.run(batch, progress=progress, retry=retry),
-                _memory_record,
-                objectives,
-                promote_ranks=promote_ranks,
-            )
-        else:
-            outcomes = runner.run(jobs, progress=progress, retry=retry)
+    jobs, outcomes, trace, ftrace = _drive_memory(
+        space, build_jobs,
+        lambda batch: runner.run(batch, progress=progress, retry=retry),
+        sampler, samples, sample_seed, sampler_options, objectives,
+        fidelity, promote_ranks,
+    )
     elapsed = time.perf_counter() - start
     stats = runner.cache.stats() if runner.cache is not None else None
     return MemoryCampaignResult(
@@ -630,9 +614,8 @@ def run_memory_campaign(
     """Resumable :func:`explore_memory`: cache + journal in a directory.
 
     ``campaign_dir`` holds the result cache (``cache/``) and the
-    append-only JSONL journal (``journal.jsonl``; legacy
-    ``checkpoint.json`` files are upgraded transparently on resume),
-    both written as results arrive.  A campaign killed after N of M
+    append-only JSONL journal (``journal.jsonl``), both written as
+    results arrive.  A campaign killed after N of M
     points continues with ``resume=True``: the N finished points come
     back as cache/journal hits (zero re-evaluation) and the results are
     identical to an uninterrupted run.
@@ -672,9 +655,7 @@ def run_memory_campaign(
             plain one in the same directory.
         (Remaining arguments are as in :func:`explore_memory`.)
     """
-    if sampler not in SAMPLERS:
-        raise ValueError("unknown sampler %r; known: %s" % (sampler, SAMPLERS))
-    _validate_fidelity(fidelity, sampler)
+    _validate_memory(sampler, fidelity, samples)
     base_config, constraints = _memory_settings(base_config, constraints)
     signature = {
         "kind": "memory",
@@ -697,13 +678,13 @@ def run_memory_campaign(
         signature["fidelity"] = fidelity
         signature["promote_ranks"] = promote_ranks
     cache = ResultCache(os.path.join(campaign_dir, CACHE_DIR_NAME))
+    journal = journal_path(campaign_dir)
     engine, owns_executor = _campaign_executor(
         executor, campaign_dir, workers, executor_options
     )
     runner = CampaignRunner(
         workers=workers, cache=cache, executor=engine, deadline=deadline
     )
-    journal = journal_path(campaign_dir, prefer_existing=resume)
 
     def build_jobs(points):
         return _memory_jobs(
@@ -711,65 +692,33 @@ def run_memory_campaign(
             node_nm, num_words, error_population, seed,
         )
 
+    state = None
+    planned = 0
+
+    def execute(batch):
+        # The journal opens on the first batch, and its total grows as
+        # later batches (surrogate rounds, ladder confirms) are planned.
+        nonlocal state, planned
+        planned += len(batch)
+        if state is None:
+            state = CampaignState.open(
+                journal, campaign_key(signature), total=planned,
+                resume=resume, meta=signature,
+            )
+        state.total = max(state.total, planned)
+        return run_checkpointed(
+            batch, runner, state, retry_failed=retry_failed,
+            retry=retry, progress=progress,
+        )
+
     start = time.perf_counter()
-    trace = None
-    ftrace = None
     try:
-        if sampler in MODEL_SAMPLERS:
-            state = CampaignState.open(
-                journal, campaign_key(signature), total=0,
-                resume=resume, meta=signature,
-            )
-            planned = 0
-
-            def execute(jobs):
-                nonlocal planned
-                planned += len(jobs)
-                state.total = max(state.total, planned)
-                return run_checkpointed(
-                    jobs, runner, state, retry_failed=retry_failed,
-                    retry=retry, progress=progress,
-                )
-
-            jobs, outcomes, trace = _run_adaptive(
-                space, build_jobs, execute, _memory_record,
-                sampler_options, objectives, sampler=sampler,
-            )
-        elif fidelity == "ladder":
-            jobs = build_jobs(_static_points(space, sampler, samples, sample_seed))
-            # Total starts at the screening count and grows as the
-            # promoted subset becomes known, like the model samplers.
-            state = CampaignState.open(
-                journal, campaign_key(signature), total=len(jobs),
-                resume=resume, meta=signature,
-            )
-            planned = 0
-
-            def execute(batch):
-                nonlocal planned
-                planned += len(batch)
-                state.total = max(state.total, planned)
-                return run_checkpointed(
-                    batch, runner, state, retry_failed=retry_failed,
-                    retry=retry, progress=progress,
-                )
-
-            jobs, outcomes, ftrace = run_ladder(
-                jobs, execute, _memory_record, objectives,
-                promote_ranks=promote_ranks,
-            )
-        else:
-            jobs = build_jobs(_static_points(space, sampler, samples, sample_seed))
-            if fidelity == "low":
-                jobs = [lowfi_twin(job) for job in jobs]
-            state = CampaignState.open(
-                journal, campaign_key(signature), total=len(jobs),
-                resume=resume, meta=signature,
-            )
-            outcomes = run_checkpointed(
-                jobs, runner, state, retry_failed=retry_failed,
-                retry=retry, progress=progress,
-            )
+        jobs, outcomes, trace, ftrace = _drive_memory(
+            space, build_jobs, execute, sampler, samples, sample_seed,
+            sampler_options, objectives, fidelity, promote_ranks,
+        )
+        if state is None:  # a surrogate over an axis-less space plans nothing
+            execute([])
     finally:
         if owns_executor:
             engine.close()
@@ -854,10 +803,11 @@ class SystemCampaignResult:
 
     Attributes:
         results: (kernel, Scenario) -> ``ScenarioResult`` grid (the
-            evaluated subset, for adaptive campaigns).
+            evaluated subset, for surrogate campaigns).
         elapsed: Campaign wall-clock [s].
         cache_stats: Cache session counters (None when uncached).
-        adaptive: Zoom trace when the campaign ran ``sampler="adaptive"``.
+        adaptive: Sampler trace when the campaign ran
+            ``sampler="surrogate"``.
     """
 
     results: Dict
@@ -903,19 +853,14 @@ def explore_system(
             level runs once and its records are shared by every cell.
         cache_dir / workers / runner: Engine settings, as in
             :func:`explore_memory`.
-        sampler: ``"grid"`` (default, the full cross product),
-            ``"adaptive"`` — zoom onto the cells best under
-            ``objectives`` instead of evaluating every cell — or
-            ``"surrogate"`` — model the good cells with the TPE-style
-            density-ratio sampler.
+        sampler: ``"grid"`` (default, the full cross product) or
+            ``"surrogate"`` — model the cells best under ``objectives``
+            with the TPE-style density-ratio sampler instead of
+            evaluating every cell.
         sampler_options / objectives / progress: As in
             :func:`explore_memory` (default objective: EDP).
     """
-    if sampler not in ("grid",) + MODEL_SAMPLERS:
-        raise ValueError(
-            'unknown sampler %r; system campaigns support "grid", '
-            '"adaptive" and "surrogate"' % (sampler,)
-        )
+    check_sampler(sampler, ("grid",) + MODEL_SAMPLERS)
     from repro.magpie.flow import MagpieFlow
 
     flow = MagpieFlow(node_nm=node_nm, base=base, wer_target=wer_target)
@@ -926,9 +871,9 @@ def explore_system(
     start = time.perf_counter()
     trace = None
     if sampler in MODEL_SAMPLERS:
-        results, trace = _adaptive_system(
+        results, trace = _surrogate_system(
             flow, workloads, scenarios, runner,
-            sampler_options, objectives, progress, sampler=sampler,
+            sampler_options, objectives, progress,
         )
     else:
         results = flow.run(
@@ -942,9 +887,8 @@ def explore_system(
     )
 
 
-def _adaptive_system(
+def _surrogate_system(
     flow, workloads, scenarios, runner, sampler_options, objectives, progress,
-    sampler: str = "adaptive",
 ):
     """Model-driven cell selection over the workload x scenario grid."""
     from repro.magpie.scenarios import Scenario
@@ -967,9 +911,8 @@ def _adaptive_system(
         ]
         return score_records(rows, objectives)
 
-    driver = _make_sampler(sampler, space, sampler_options)
-    trace = driver.run(evaluate)
-    return results, trace
+    model = SurrogateSampler(space, **dict(sampler_options or {}))
+    return results, model.run(evaluate)
 
 
 def run_system_campaign(
@@ -1013,6 +956,7 @@ def run_system_campaign(
         "base": flow.base.to_dict(),
     }
     cache = ResultCache(os.path.join(campaign_dir, CACHE_DIR_NAME))
+    journal = journal_path(campaign_dir)
     engine, owns_executor = _campaign_executor(
         executor, campaign_dir, workers, executor_options
     )
@@ -1020,7 +964,6 @@ def run_system_campaign(
         workers=workers, cache=cache, executor=engine, deadline=deadline
     )
     jobs = _system_jobs(flow, cells)
-    journal = journal_path(campaign_dir, prefer_existing=resume)
     state = CampaignState.open(
         journal,
         campaign_key(signature),

@@ -22,16 +22,15 @@ finish the remaining M-N without re-evaluating anything:
   resume rather than silently mixing results.
 
 Appending one event per point keeps journal I/O O(1) per point (the
-legacy atomic-JSON format rewrote the whole file per point — O(n^2)
+version-1 atomic-JSON format rewrote the whole file per point — O(n^2)
 over a campaign) and a kill at *any* byte offset costs at most the torn
 final line: every fully-written event survives.  Once the log grows
 past a threshold it is compacted into a snapshot + one-line tail, so
 resume latency stays flat.
 
-Migration: :meth:`CampaignState.load` transparently upgrades a legacy
-version-1 atomic-JSON journal (``checkpoint.json``) to JSONL — the
-upgraded journal reports the identical ``status()`` and resumes with
-zero re-evaluation, exactly as the legacy file would have.
+Version-1 journals (``checkpoint.json``) are no longer read:
+:func:`journal_path` refuses a campaign directory that holds only one,
+and names the last commit that migrates it.
 
 The journal and the cache may disagree by at most the in-flight point
 when a campaign dies (the cache write lands just before the journal
@@ -39,32 +38,18 @@ record); resumption handles both orders, because a journaled-ok point
 whose cache entry vanished simply re-evaluates.
 """
 
-import json
 import os
 import time
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.dse.jobs import Job, JobResult, content_key
-from repro.dse.journal import (
-    JOURNAL_VERSION,
-    JsonlJournal,
-    atomic_write_text,
-    encode_event,
-    read_events,
-)
+from repro.dse.journal import JOURNAL_VERSION, JsonlJournal, read_events
 from repro.dse.retry import RetryPolicy
 from repro.dse.runner import CampaignRunner, Progress, is_timeout_error
 
-#: Journal schema version read/written by this build (see journal.py).
-#: Version 1 (legacy atomic-JSON) is read once and upgraded in flight.
-LEGACY_JOURNAL_VERSION = 1
-
 #: Default journal file name inside a campaign directory.
 JOURNAL_NAME = "journal.jsonl"
-
-#: Pre-JSONL journal name (read + upgraded, never written).
-LEGACY_JOURNAL_NAME = "checkpoint.json"
 
 
 def campaign_key(signature: Dict) -> str:
@@ -81,22 +66,24 @@ def campaign_key(signature: Dict) -> str:
     return content_key("campaign", signature)
 
 
-def journal_path(campaign_dir: str, prefer_existing: bool = True) -> str:
-    """The journal file to use for a campaign directory.
+def journal_path(campaign_dir: str) -> str:
+    """The journal file of a campaign directory.
 
-    With ``prefer_existing`` (reads, resumes): the JSONL journal if
-    present, else a legacy ``checkpoint.json`` (which
-    :meth:`CampaignState.load` upgrades on first contact), else the
-    JSONL name.  Without it (fresh runs): always the JSONL name — a
-    fresh campaign must not adopt a stale legacy path.
+    Raises:
+        ValueError: The directory holds a version-1 ``checkpoint.json``
+            and no JSONL journal — resuming it here would silently
+            start a fresh campaign beside the old one.
     """
-    new = os.path.join(campaign_dir, JOURNAL_NAME)
-    if not prefer_existing or os.path.exists(new):
-        return new
-    legacy = os.path.join(campaign_dir, LEGACY_JOURNAL_NAME)
-    if os.path.exists(legacy):
-        return legacy
-    return new
+    path = os.path.join(campaign_dir, JOURNAL_NAME)
+    if not os.path.exists(path) and os.path.exists(
+        os.path.join(campaign_dir, "checkpoint.json")
+    ):
+        raise ValueError(
+            "%s holds a version-1 checkpoint.json journal, which this build "
+            "no longer reads; resume it once with repro at commit 6e5669f "
+            "to migrate it to %s" % (campaign_dir, JOURNAL_NAME)
+        )
+    return path
 
 
 class CampaignState:
@@ -106,8 +93,8 @@ class CampaignState:
         path: Journal file path (conventionally
             ``<campaign_dir>/journal.jsonl``).
         key: Campaign signature hash (see :func:`campaign_key`).
-        total: Planned point count (advisory; adaptive campaigns grow
-            it round by round).
+        total: Planned point count (advisory; surrogate and ladder
+            campaigns grow it batch by batch).
         meta: Optional JSON-ready context stored for ``status`` display.
         fsync_every: Batch ``fsync`` once per this many journal
             appends (appends are always flushed to the OS).
@@ -159,7 +146,7 @@ class CampaignState:
 
     @total.setter
     def total(self, value: int) -> None:
-        """Growing the plan journals a ``total`` event (adaptive rounds)."""
+        """Growing the plan journals a ``total`` event (later batches)."""
         value = int(value)
         if value == self._total:
             return
@@ -171,50 +158,13 @@ class CampaignState:
 
     @classmethod
     def load(cls, path: str) -> "CampaignState":
-        """Read a journal back (either format, upgrading legacy files).
-
-        A version-1 atomic-JSON journal is converted to JSONL on the
-        spot: the upgraded journal lands next to the legacy file (as
-        ``journal.jsonl`` when the legacy file carries the
-        conventional ``checkpoint.json`` name, in place otherwise) and
-        the returned state appends there from now on.  ``status()`` and
-        resume behaviour are identical before and after the upgrade.
+        """Replay snapshot + events; tolerate a torn final line.
 
         Raises:
             FileNotFoundError: No journal at ``path``.
-            ValueError: Corrupt or incompatible journal.
+            ValueError: Corrupt journal, or one of another version.
         """
         path = str(path)
-        with open(path, "rb") as handle:
-            first_line = handle.readline()
-        try:
-            probe = json.loads(first_line.decode("utf-8", errors="replace"))
-        except ValueError:
-            probe = None
-        if isinstance(probe, dict) and "event" in probe:
-            return cls._load_jsonl(path)
-        # Not an event line: legacy single-document JSON (usually one
-        # line, but tolerate pretty-printed files), or garbage.
-        with open(path, "rb") as handle:
-            raw = handle.read()
-        try:
-            data = json.loads(raw.decode("utf-8", errors="replace"))
-        except ValueError:
-            raise ValueError("corrupt campaign journal: %s" % path)
-        if not isinstance(data, dict) or "campaign_key" not in data:
-            raise ValueError("not a campaign journal: %s" % path)
-        if data.get("version") != LEGACY_JOURNAL_VERSION:
-            raise ValueError(
-                "journal %s has version %r, this build reads %d (JSONL) "
-                "and upgrades %d (legacy)"
-                % (path, data.get("version"), JOURNAL_VERSION,
-                   LEGACY_JOURNAL_VERSION)
-            )
-        return cls._upgrade_legacy(path, data)
-
-    @classmethod
-    def _load_jsonl(cls, path: str) -> "CampaignState":
-        """Replay snapshot + events; tolerate a torn final line."""
         events, torn = read_events(path)
         if not events:
             raise ValueError("corrupt campaign journal: %s" % path)
@@ -251,48 +201,6 @@ class CampaignState:
         state._last_t = max(state._last_t, float(state.updated or 0.0))
         state._journal.lines = len(events)
         state.recovered_torn_bytes = torn
-        state._ready = True
-        return state
-
-    @classmethod
-    def _upgrade_legacy(cls, path: str, data: Dict) -> "CampaignState":
-        """Convert a legacy atomic-JSON journal to JSONL, atomically."""
-        directory = os.path.dirname(path) or "."
-        if os.path.basename(path) == LEGACY_JOURNAL_NAME:
-            target = os.path.join(directory, JOURNAL_NAME)
-        else:
-            target = path
-        state = cls(
-            target,
-            data["campaign_key"],
-            total=data.get("total", 0),
-            meta=data.get("meta"),
-        )
-        state.created = data.get("created", state.created)
-        state.updated = data.get("updated", state.updated)
-        state.completed = dict(data.get("completed", {}))
-        lines = [encode_event(state._begin_event())]
-        for key, entry in state.completed.items():
-            event = {
-                "key": key,
-                "elapsed": entry.get("elapsed", 0.0),
-                "t": state.updated,
-            }
-            if entry.get("ok"):
-                event["event"] = "done"
-            else:
-                event["event"] = "failed"
-                event["error"] = entry.get("error")
-            lines.append(encode_event(event))
-        try:
-            atomic_write_text(target, "".join(lines))
-        except OSError:
-            # Read-only campaign directory (archived runs): the loaded
-            # state is complete in memory, so inspection still works;
-            # the persistent upgrade simply happens on the next load
-            # from a writable location.  Appending would fail anyway.
-            pass
-        state._journal.lines = len(lines)
         state._ready = True
         return state
 

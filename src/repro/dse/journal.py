@@ -24,7 +24,7 @@ A journal is a plain-text file holding one JSON object per line — one
   with a reseeded RNG after ``backoff`` seconds.
 * ``quarantine`` / ``release`` — the point exhausted its retry budget
   (flaky), or an operator re-released it (``python -m repro.dse retry``).
-* ``total`` — adaptive campaigns grow the planned point count.
+* ``total`` — surrogate and ladder campaigns grow the planned point count.
 
 Three properties make this safe to write from a long campaign:
 

@@ -549,7 +549,7 @@ class NetworkExecutor(Executor):
             workers, so a coordinator that dies without ``close()``
             (SIGKILL, OOM) leaves no orphans polling forever.  Must
             exceed any legitimate idle gap inside one campaign (retry
-            backoffs, adaptive scoring between rounds).
+            backoffs, surrogate scoring between rounds).
         host / port: Server bind address (port 0 = ephemeral; see
             :attr:`address`).
     """

@@ -84,7 +84,7 @@ def dominance_ranks(
     dominance matrix: one vectorised O(n^2 * m) comparison pass, then
     each front peels with a masked any-reduction instead of re-scanning
     ``remaining`` per candidate (the former pure-python loop was
-    O(n^2) *per front*, O(n^3) on deep fronts — adaptive campaigns
+    O(n^2) *per front*, O(n^3) on deep fronts — surrogate campaigns
     rank every round, so deep single-objective batches paid it often).
     """
     parsed = [Objective.parse(o) for o in objectives]

@@ -12,18 +12,12 @@ archsim scenarios, workloads — and enumerates points either exhaustively
 Axes hold *discrete* value lists (every knob in this repository is
 discrete: power-of-two shapes, shipped PDK nodes, enum scenarios, target
 ladders), so LHS here stratifies the index range of each axis.
-
-For adaptive campaigns, :meth:`ParameterSpace.refine` implements the
-zoom step of a successive-halving sampler: given scored points, it
-returns a sub-space whose axes are windowed onto the value range the
-best-scoring points occupy (see :mod:`repro.dse.adaptive`).
 """
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -150,82 +144,3 @@ class ParameterSpace:
         return [
             dict(zip(names, row)) for row in zip(*columns)
         ]
-
-    def refine(
-        self,
-        scored: Sequence[Tuple[Mapping, Optional[float]]],
-        keep: float = 0.5,
-        margin: int = 1,
-    ) -> "ParameterSpace":
-        """Zoom onto the region the best-scoring points occupy.
-
-        The successive-halving step for discrete axes: sort points by
-        score (lower is better), keep the best ``keep`` fraction, and
-        window every axis onto the contiguous index range those
-        survivors span, widened by ``margin`` values on each side so
-        the optimum is not fenced out by one coarse round.  Axes no
-        surviving point mentions keep their full range.
-
-        Args:
-            scored: ``(point, score)`` pairs; points are axis-name ->
-                value dicts as produced by :meth:`grid` / :meth:`sample`
-                (raw or ``canonical_json``-round-tripped: enum axis
-                values match their serialised plain form).  Pairs with
-                a ``None`` or non-finite score (NaN/inf from a failed
-                or degenerate objective) are unrankable and ignored —
-                NaN compares false under every ordering, so letting it
-                into ``sorted`` silently scrambles the survivor set.
-            keep: Fraction of points that survive (at least one does).
-            margin: Index widening on each side of the survivor window.
-
-        Returns:
-            A new :class:`ParameterSpace` over the windowed values; the
-            receiver is not modified.
-
-        Raises:
-            ValueError: Empty ``scored``, no finitely-scored pair,
-                ``keep`` outside (0, 1], or a survivor holding a value
-                an axis does not contain.
-        """
-        if not scored:
-            raise ValueError("refine needs at least one scored point")
-        if not 0.0 < keep <= 1.0:
-            raise ValueError("keep must be in (0, 1], got %r" % keep)
-        if margin < 0:
-            raise ValueError("margin must be >= 0")
-        rankable = [
-            (point, score)
-            for point, score in scored
-            if score is not None and math.isfinite(score)
-        ]
-        if not rankable:
-            raise ValueError(
-                "refine needs at least one finitely scored point "
-                "(got only None/NaN/inf scores)"
-            )
-        count = max(1, math.ceil(len(rankable) * keep))
-        ranked = sorted(rankable, key=lambda pair: pair[1])
-        survivors = [point for point, _ in ranked[:count]]
-
-        axes = []
-        for axis in self.axes:
-            plain_values = [plain_value(v) for v in axis.values]
-            positions = []
-            for point in survivors:
-                if axis.name not in point:
-                    continue
-                value = point[axis.name]
-                try:
-                    positions.append(plain_values.index(plain_value(value)))
-                except ValueError:
-                    raise ValueError(
-                        "scored point value %r is not on axis %r (values: %s)"
-                        % (value, axis.name, list(axis.values))
-                    )
-            if not positions:
-                axes.append(axis)
-                continue
-            low = max(0, min(positions) - margin)
-            high = min(len(axis) - 1, max(positions) + margin)
-            axes.append(Axis(axis.name, axis.values[low:high + 1]))
-        return ParameterSpace(axes)

@@ -1,9 +1,9 @@
 """Model-based sampling: a TPE-style surrogate over a ParameterSpace.
 
-The successive-halving sampler (:mod:`repro.dse.adaptive`) zooms by
-*shrinking the space*; it forgets everything outside the current
-window.  :class:`SurrogateSampler` instead keeps every evaluation and
-fits a cheap model over the full space each round — the
+Grid and LHS campaigns spend the same effort on every region of the
+design space; a surrogate campaign spends it where the objective says
+the good designs live.  :class:`SurrogateSampler` keeps every
+evaluation and fits a cheap model over the full space each round — the
 tree-structured-Parzen-estimator recipe (Bergstra et al.):
 
 1. **split** — sort the scored history and call the best ``gamma``
@@ -20,6 +20,11 @@ tree-structured-Parzen-estimator recipe (Bergstra et al.):
 Axes are discrete (every knob in this repository is), so the densities
 are plain smoothed histograms — pure numpy, no GP algebra, no scipy.
 
+The caller scores each batch against the campaign objective(s):
+:func:`score_records` turns result records into scores, and
+multi-objective scoring uses Pareto dominance ranks, so the "good"
+region is the one feeding the frontier.
+
 Determinism and replay-stability: proposals depend only on
 ``(seed, round index, scored history)``, the history is rebuilt from
 the evaluator's answers, and evaluation goes through the normal
@@ -27,24 +32,109 @@ job/cache machinery — so re-running (or resuming after a kill) replays
 every round from cache and walks the identical proposal path, on every
 executor.  Ties in the acquisition break on the canonical JSON key of
 the point, never on dict order.
-
-The sampler emits the same :class:`~repro.dse.adaptive.AdaptiveTrace`
-the halving sampler does, so campaign plumbing (results, CLI
-summaries, journal totals) is shared.
 """
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.dse.adaptive import (
-    AdaptiveRound,
-    AdaptiveTrace,
-    BatchEvaluator,
-    point_key,
-)
+from repro.dse.jobs import canonical_json
+from repro.dse.pareto import Objective, ObjectiveSpec, dominance_ranks
 from repro.dse.space import Axis, ParameterSpace, plain_value
+
+#: Evaluate one batch of points, returning one score per point (lower
+#: is better; None marks the point unscorable: infeasible or failed).
+BatchEvaluator = Callable[[List[Dict]], Sequence[Optional[float]]]
+
+
+def score_records(
+    records: Sequence[Optional[Mapping]],
+    objectives: Sequence[ObjectiveSpec],
+) -> List[Optional[float]]:
+    """Scalar scores (lower = better) for a batch of result records.
+
+    ``None`` records (infeasible / failed points) score ``None``, and
+    so does any record whose objective value is non-finite — a NaN or
+    inf that reached ``min``/``sorted`` would poison the ordering (NaN
+    compares false everywhere), silently crowning a broken point or
+    scrambling the good/bad split.  A single objective scores by its
+    (sign-normalised) value; multiple objectives score by Pareto
+    dominance rank over the finite records, so rank-0 points — the
+    batch frontier — are the ones the model calls good.
+
+    Raises:
+        ValueError: No objectives given.
+        KeyError: A record lacks an objective key.
+    """
+    if not objectives:
+        raise ValueError("at least one objective is required")
+    parsed = [Objective.parse(o) for o in objectives]
+    scores: List[Optional[float]] = [None] * len(records)
+    live = []
+    for i, record in enumerate(records):
+        if record is None:
+            continue
+        values = [float(record[objective.key]) for objective in parsed]
+        if all(math.isfinite(value) for value in values):
+            live.append((i, record))
+    if not live:
+        return scores
+    if len(parsed) == 1:
+        objective = parsed[0]
+        for i, record in live:
+            value = float(record[objective.key])
+            scores[i] = -value if objective.maximize else value
+        return scores
+    ranks = dominance_ranks([record for _, record in live], objectives)
+    for (i, _), rank in zip(live, ranks):
+        scores[i] = float(rank)
+    return scores
+
+
+@dataclass
+class AdaptiveRound:
+    """One propose/evaluate round of a model-driven campaign.
+
+    Attributes:
+        index: Round number, 0-based.
+        space_size: Grid cardinality of the space this round sampled.
+        points: Points evaluated this round (duplicates of earlier
+            rounds excluded).
+        scores: Scores aligned with ``points`` (None = unscorable).
+        best_point / best_score: Round winner, if any point scored.
+    """
+
+    index: int
+    space_size: int
+    points: List[Dict]
+    scores: List[Optional[float]]
+    best_point: Optional[Dict] = None
+    best_score: Optional[float] = None
+
+
+@dataclass
+class AdaptiveTrace:
+    """Full history of a model-driven run.
+
+    Attributes:
+        rounds: Per-round records, in order.
+        best_point / best_score: Overall winner across rounds.
+        evaluations: Total points submitted for evaluation.
+    """
+
+    rounds: List[AdaptiveRound] = field(default_factory=list)
+    best_point: Optional[Dict] = None
+    best_score: Optional[float] = None
+    evaluations: int = 0
+
+
+def point_key(point: Mapping) -> str:
+    """Canonical dedup key of a point (enum values by serialised form)."""
+    return canonical_json(
+        {name: plain_value(value) for name, value in point.items()}
+    )
 
 
 class SurrogateSampler:

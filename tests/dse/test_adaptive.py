@@ -1,57 +1,8 @@
-"""Tests for the successive-halving/zoom adaptive sampler."""
-
-import math
+"""Tests for score_records: the batch scoring of model-driven campaigns."""
 
 import pytest
 
-from repro.dse import (
-    AdaptiveSampler,
-    ParameterSpace,
-    score_records,
-)
-
-
-def _toy_score(point):
-    """Known-optimum bowl: minimum 0 at (x=11, y=3)."""
-    return (point["x"] - 11) ** 2 + (point["y"] - 3) ** 2
-
-
-def _toy_space():
-    return ParameterSpace([("x", list(range(16))), ("y", list(range(16)))])
-
-
-class TestRefine:
-    def test_zooms_onto_survivor_window(self):
-        space = ParameterSpace([("x", [0, 1, 2, 3, 4, 5, 6, 7])])
-        scored = [({"x": 5}, 0.0), ({"x": 6}, 1.0), ({"x": 0}, 9.0), ({"x": 7}, 9.0)]
-        refined = space.refine(scored, keep=0.5, margin=1)
-        assert [a.values for a in refined.axes] == [(4, 5, 6, 7)]
-
-    def test_margin_zero_is_tight(self):
-        space = ParameterSpace([("x", [0, 1, 2, 3])])
-        refined = space.refine([({"x": 2}, 0.0), ({"x": 3}, 5.0)], keep=0.5, margin=0)
-        assert [a.values for a in refined.axes] == [(2,)]
-
-    def test_unmentioned_axis_keeps_full_range(self):
-        space = ParameterSpace([("x", [0, 1, 2]), ("y", [0, 1, 2])])
-        refined = space.refine([({"x": 1}, 0.0)], keep=1.0, margin=0)
-        values = {a.name: a.values for a in refined.axes}
-        assert values["x"] == (1,)
-        assert values["y"] == (0, 1, 2)
-
-    def test_receiver_unchanged(self):
-        space = ParameterSpace([("x", [0, 1, 2, 3])])
-        space.refine([({"x": 0}, 0.0)], keep=1.0)
-        assert space.size == 4
-
-    def test_validation(self):
-        space = ParameterSpace([("x", [0, 1])])
-        with pytest.raises(ValueError):
-            space.refine([], keep=0.5)
-        with pytest.raises(ValueError):
-            space.refine([({"x": 0}, 0.0)], keep=0.0)
-        with pytest.raises(ValueError):
-            space.refine([({"x": 99}, 0.0)], keep=1.0)
+from repro.dse import score_records
 
 
 class TestScoreRecords:
@@ -102,120 +53,3 @@ class TestScoreRecords:
         assert scores[0] is None
         assert scores[1] == 0.0
         assert scores[2] == 1.0
-
-
-class TestNonFiniteScores:
-    """Regression: NaN scores must not poison winner selection.
-
-    Pre-fix, ``min(scored, key=...)`` kept a first-seen NaN forever
-    (every ``candidate < nan`` comparison is false), so a broken point
-    could become ``best_point`` and steer every zoom after it.
-    """
-
-    def test_nan_score_cannot_become_best_point(self):
-        space = ParameterSpace([("x", list(range(8)))])
-
-        def evaluate(points):
-            # The grid-first point x=0 scores NaN; real optimum is x=1.
-            return [
-                float("nan") if p["x"] == 0 else float(p["x"])
-                for p in points
-            ]
-
-        trace = AdaptiveSampler(space, batch=8, rounds=1).run(evaluate)
-        assert trace.best_point == {"x": 1}
-        assert trace.best_score == 1.0
-        assert math.isfinite(trace.best_score)
-
-    def test_all_nan_round_stops_early_like_unscorable(self):
-        space = _toy_space()
-        trace = AdaptiveSampler(space, batch=6, rounds=5).run(
-            lambda pts: [float("nan")] * len(pts)
-        )
-        assert len(trace.rounds) == 1
-        assert trace.best_point is None
-
-    def test_nan_scores_do_not_reorder_refine_survivors(self):
-        space = ParameterSpace([("x", list(range(10)))])
-        scored = [
-            ({"x": 9}, float("nan")),
-            ({"x": 2}, 1.0),
-            ({"x": 3}, 2.0),
-        ]
-        refined = space.refine(scored, keep=0.34, margin=0)
-        # Pre-fix the NaN pair survived sorted() in place and the zoom
-        # windowed onto x=9; the finite best must win instead.
-        assert [a.values for a in refined.axes] == [(2,)]
-
-    def test_refine_rejects_nothing_finite(self):
-        space = ParameterSpace([("x", [0, 1])])
-        with pytest.raises(ValueError, match="finitely scored"):
-            space.refine([({"x": 0}, float("nan")), ({"x": 1}, None)])
-
-
-class TestAdaptiveSampler:
-    def test_converges_to_known_optimum(self):
-        """The headline property: the zoom finds the exact optimum of a
-        toy bowl in a fraction of the grid's evaluations."""
-        space = _toy_space()
-        for seed in range(3):
-            sampler = AdaptiveSampler(space, batch=12, rounds=6, keep=0.4, seed=seed)
-            trace = sampler.run(lambda pts: [_toy_score(p) for p in pts])
-            assert trace.best_point == {"x": 11, "y": 3}
-            assert trace.best_score == 0
-            assert trace.evaluations < space.size / 3
-
-    def test_deterministic_in_seed(self):
-        space = _toy_space()
-        runs = [
-            AdaptiveSampler(space, batch=10, rounds=4, seed=7).run(
-                lambda pts: [_toy_score(p) for p in pts]
-            )
-            for _ in range(2)
-        ]
-        assert runs[0].best_point == runs[1].best_point
-        assert [r.points for r in runs[0].rounds] == [
-            r.points for r in runs[1].rounds
-        ]
-
-    def test_never_evaluates_a_point_twice(self):
-        space = ParameterSpace([("x", list(range(6)))])
-        seen = []
-
-        def evaluate(points):
-            seen.extend(tuple(sorted(p.items())) for p in points)
-            return [float(p["x"]) for p in points]
-
-        AdaptiveSampler(space, batch=4, rounds=5, keep=0.5).run(evaluate)
-        assert len(seen) == len(set(seen))
-
-    def test_stops_when_space_collapses(self):
-        space = ParameterSpace([("x", [0, 1])])
-        trace = AdaptiveSampler(space, batch=4, rounds=10, keep=0.5).run(
-            lambda pts: [float(p["x"]) for p in pts]
-        )
-        # Both values fit one batch; nothing left to draw afterwards.
-        assert trace.evaluations == 2
-        assert trace.best_point == {"x": 0}
-
-    def test_unscorable_round_stops_early(self):
-        space = _toy_space()
-        trace = AdaptiveSampler(space, batch=6, rounds=5).run(
-            lambda pts: [None] * len(pts)
-        )
-        assert len(trace.rounds) == 1
-        assert trace.best_point is None
-
-    def test_score_count_mismatch_raises(self):
-        space = _toy_space()
-        with pytest.raises(ValueError, match="scores"):
-            AdaptiveSampler(space, batch=4, rounds=1).run(lambda pts: [1.0])
-
-    def test_validation(self):
-        space = _toy_space()
-        with pytest.raises(ValueError):
-            AdaptiveSampler(space, batch=0)
-        with pytest.raises(ValueError):
-            AdaptiveSampler(space, rounds=0)
-        with pytest.raises(ValueError):
-            AdaptiveSampler(space, keep=1.5)

@@ -56,9 +56,17 @@ class TestSpecValidation:
             load_spec(_write_spec(tmp_path, bad))
 
     def test_system_is_grid_only(self, tmp_path):
-        bad = {"kind": "system", "sampler": "adaptive"}
+        bad = {"kind": "system", "sampler": "surrogate"}
         with pytest.raises(SystemExit, match="grid-only"):
             load_spec(_write_spec(tmp_path, bad))
+
+    def test_removed_adaptive_sampler_fails_loudly(self, tmp_path):
+        bad = dict(MEMORY_SPEC, sampler="adaptive")
+        with pytest.raises(SystemExit) as excinfo:
+            load_spec(_write_spec(tmp_path, bad))
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert 'sampler "adaptive" was removed; use "surrogate"' in message
 
     def test_batch_key_fails_loudly(self, tmp_path, capsys):
         bad = dict(MEMORY_SPEC, batch=4)
@@ -100,17 +108,21 @@ class TestDescribe:
         assert "kind:      system" in out
         assert "grid size: 1" in out
 
-    def test_adaptive_describe_shows_budget(self, tmp_path, capsys):
-        spec = _write_spec(
-            tmp_path,
-            dict(
-                MEMORY_SPEC,
-                sampler="adaptive",
-                sampler_options={"batch": 4, "rounds": 3},
-            ),
-        )
-        assert main(["describe", spec]) == 0
-        assert "<= 12 jobs" in capsys.readouterr().out
+    @pytest.mark.parametrize("options", [None, {"batch": 4, "rounds": 3}])
+    def test_surrogate_describe_shows_sampler_budget(
+        self, tmp_path, capsys, options
+    ):
+        from repro.dse import SurrogateSampler
+        from repro.dse.__main__ import _memory_space
+
+        spec = dict(MEMORY_SPEC, sampler="surrogate")
+        if options is not None:
+            spec["sampler_options"] = options
+        assert main(["describe", _write_spec(tmp_path, spec)]) == 0
+        sampler = SurrogateSampler(_memory_space(spec), **(options or {}))
+        assert "<= %d jobs (%d rounds x %d batch)" % (
+            sampler.batch * sampler.rounds, sampler.rounds, sampler.batch
+        ) in capsys.readouterr().out
 
 
 class TestSpecRetryValidation:

@@ -11,11 +11,15 @@ import pytest
 
 from repro.dse import (
     CampaignRunner,
+    CampaignState,
     Job,
     ParameterSpace,
     RetryPolicy,
     explore_memory,
+    explore_system,
+    journal_path,
     memory_point_spec,
+    run_memory_campaign,
 )
 from repro.dse.campaign import sweep_points
 
@@ -43,7 +47,7 @@ class TestExploreMemoryFast:
     def test_adaptive_sampler_single_round(self, tmp_path):
         space = ParameterSpace().add("subarray_rows", [128, 256])
         result = explore_memory(
-            space, sampler="adaptive",
+            space, sampler="surrogate",
             sampler_options=dict(batch=2, rounds=1, seed=0),
             cache_dir=str(tmp_path), **TINY,
         )
@@ -54,6 +58,29 @@ class TestExploreMemoryFast:
     def test_unknown_sampler_rejected(self):
         with pytest.raises(ValueError, match="unknown sampler"):
             explore_memory(_space(), sampler="bayesian", **TINY)
+
+    def test_removed_adaptive_sampler_names_its_successor(self, tmp_path):
+        removed = 'sampler "adaptive" was removed; use "surrogate"'
+        with pytest.raises(ValueError, match=removed):
+            explore_memory(_space(), sampler="adaptive", **TINY)
+        with pytest.raises(ValueError, match=removed):
+            run_memory_campaign(
+                _space(), str(tmp_path / "camp"), sampler="adaptive", **TINY
+            )
+        with pytest.raises(ValueError, match=removed):
+            explore_system(sampler="adaptive")
+        assert not (tmp_path / "camp").exists()
+
+    def test_surrogate_over_an_axisless_space_still_journals(self, tmp_path):
+        # The surrogate proposes nothing, so no batch opens the journal;
+        # the campaign must still leave one behind for status/resume.
+        campaign_dir = str(tmp_path / "camp")
+        result = run_memory_campaign(
+            ParameterSpace(), campaign_dir, sampler="surrogate", **TINY
+        )
+        assert result.jobs == [] and result.adaptive.evaluations == 0
+        state = CampaignState.load(journal_path(campaign_dir))
+        assert state.status()["total"] == 0
 
     def test_lhs_requires_samples(self):
         with pytest.raises(ValueError, match="requires samples"):

@@ -177,7 +177,7 @@ class TestCampaignValidation:
         with pytest.raises(ValueError, match="unknown fidelity"):
             explore_memory(_space(), fidelity="medium", **TINY)
 
-    @pytest.mark.parametrize("sampler", ["adaptive", "surrogate"])
+    @pytest.mark.parametrize("sampler", ["surrogate"])
     def test_model_samplers_reject_ladder(self, sampler, tmp_path):
         with pytest.raises(ValueError, match="static sampler"):
             explore_memory(_space(), sampler=sampler, fidelity="ladder", **TINY)

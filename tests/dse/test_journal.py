@@ -1,5 +1,5 @@
 """Fault-injection tests for the JSONL journal: torn lines, kills,
-compaction, retries, quarantine, and legacy migration.
+compaction, retries, quarantine, and the refusal of version-1 journals.
 
 The cheap mechanics live here (echo evaluators, workers=1); the
 end-to-end campaigns over real evaluators stay in
@@ -411,94 +411,66 @@ class TestRetryAndQuarantine:
         )
 
 
-class TestLegacyMigration:
-    FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
-                           "legacy_checkpoint.json")
-    GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures",
-                          "legacy_checkpoint_status.json")
+class TestVersionOneJournal:
+    """Version-1 ``checkpoint.json`` journals are refused, never adopted."""
 
     def _stage(self, tmp_path):
-        target = tmp_path / "checkpoint.json"
-        shutil.copyfile(self.FIXTURE, str(target))
-        return str(target)
+        """A campaign directory holding only a version-1 journal."""
+        (tmp_path / "checkpoint.json").write_text(json.dumps({
+            "version": 1, "campaign_key": KEY, "total": 4, "completed": {},
+        }))
+        return str(tmp_path)
 
-    def test_golden_status_preserved_by_upgrade(self, tmp_path):
-        legacy = self._stage(tmp_path)
-        state = CampaignState.load(legacy)
-        with open(self.GOLDEN) as handle:
-            golden = json.load(handle)
-        assert state.status() == golden
-        # The upgrade landed a JSONL journal next to the legacy file...
-        upgraded = os.path.join(str(tmp_path), JOURNAL_NAME)
-        assert os.path.exists(upgraded)
-        assert journal_path(str(tmp_path)) == upgraded
-        # ...that reports the identical status after a round trip.
-        assert CampaignState.load(upgraded).status() == golden
+    def test_journal_path_names_the_migrating_commit(self, tmp_path):
+        with pytest.raises(ValueError) as excinfo:
+            journal_path(self._stage(tmp_path))
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert "checkpoint.json" in message
+        assert "6e5669f" in message
 
-    def test_legacy_resume_identical_to_uninterrupted(self, tmp_path):
-        """Kill-and-resume equivalence for the legacy format: a v1
-        journal resumes with zero re-evaluation and identical results."""
-        jobs = [Job("jrnl-echo", {"x": i}) for i in range(4)]
-        runner = _runner(tmp_path)
-        reference = CampaignRunner(
-            workers=1, cache=ResultCache(str(tmp_path / "ref-cache"))
-        ).run(jobs)
+    def test_resume_refuses_instead_of_starting_fresh(self, tmp_path):
+        from repro.dse import ParameterSpace, run_memory_campaign
 
-        # A campaign killed after 2 points, journaled in the v1 format.
-        killer = CrashingRunner(runner, crash_after=2)
-        path = str(tmp_path / JOURNAL_NAME)
-        state = CampaignState.open(path, KEY, total=4)
-        with pytest.raises(CampaignKilled):
-            run_checkpointed(jobs, killer, state)
-        state.close()
-        legacy_payload = {
-            "version": 1,
-            "campaign_key": KEY,
-            "total": 4,
-            "meta": {"kind": "journal-test"},
-            "created": 1700000000.0,
-            "updated": 1700000100.0,
-            "completed": dict(state.completed),
-        }
-        os.unlink(path)
-        legacy = str(tmp_path / "checkpoint.json")
-        with open(legacy, "w") as handle:
-            json.dump(legacy_payload, handle)
+        campaign_dir = self._stage(tmp_path)
+        with pytest.raises(ValueError, match="6e5669f"):
+            run_memory_campaign(
+                ParameterSpace().add("subarray_rows", [256]),
+                campaign_dir, resume=True,
+            )
+        assert not os.path.exists(os.path.join(campaign_dir, JOURNAL_NAME))
 
-        del CALLS[:]
-        resumed = CampaignState.open(
-            journal_path(str(tmp_path)), KEY, total=4, resume=True
-        )
-        assert resumed.path.endswith(JOURNAL_NAME)  # upgraded in flight
-        results = run_checkpointed(resumed_jobs(jobs), runner, resumed)
-        resumed.close()
-        finished = {x for x, _ in CALLS}
-        assert finished == {2, 3}  # only the unfinished half evaluated
-        assert [r.result for r in results] == [r.result for r in reference]
-        assert CampaignState.load(resumed.path).done == 4
+    def test_cli_refuses_with_one_line(self, tmp_path, capsys):
+        from repro.dse.__main__ import main
 
-    def test_wrong_version_rejected(self, tmp_path):
-        path = tmp_path / "checkpoint.json"
-        path.write_text(json.dumps({"version": 99, "campaign_key": "x"}))
-        with pytest.raises(ValueError, match="version"):
+        campaign_dir = self._stage(tmp_path)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"kind": "memory", "axes": {"subarray_rows": [256]}}
+        ))
+        for argv in (
+            ["status", "--dir", campaign_dir],
+            ["analyze", campaign_dir],
+            ["resume", str(spec), "--dir", campaign_dir, "--quiet"],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "6e5669f" in err, argv
+        assert not os.path.exists(os.path.join(campaign_dir, JOURNAL_NAME))
+
+    def test_other_journal_version_rejected(self, tmp_path):
+        path = tmp_path / JOURNAL_NAME
+        path.write_text(json.dumps(
+            {"event": "begin", "version": 99, "campaign_key": KEY}
+        ) + "\n")
+        with pytest.raises(ValueError, match="version 99"):
             CampaignState.load(str(path))
 
-    def test_readonly_directory_still_loads(self, tmp_path, monkeypatch):
-        """Inspecting an archived (read-only) legacy campaign must not
-        crash on the upgrade's write attempt.  (chmod is no barrier to
-        a root test run, so the denial is injected at the write.)"""
-        legacy = self._stage(tmp_path)
-
-        def denied(path, text):
-            raise PermissionError("read-only file system: %s" % path)
-
-        import repro.dse.checkpoint as checkpoint_module
-
-        monkeypatch.setattr(checkpoint_module, "atomic_write_text", denied)
-        state = CampaignState.load(legacy)
-        assert state.done == 3
-        assert state.status()["failed"] == 1
-        assert not os.path.exists(os.path.join(str(tmp_path), JOURNAL_NAME))
+    def test_version_one_document_is_not_read(self, tmp_path):
+        path = tmp_path / JOURNAL_NAME
+        path.write_text(json.dumps({"version": 1, "campaign_key": KEY}) + "\n")
+        with pytest.raises(ValueError, match="corrupt"):
+            CampaignState.load(str(path))
 
 
 class TestOpenOptions:

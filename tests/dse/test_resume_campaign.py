@@ -85,19 +85,19 @@ class TestMemoryCampaignResume:
         space = ParameterSpace().add(
             "subarray_rows", [128, 256, 512]
         ).add("wer_target", [1e-9, 1e-12, 1e-15])
-        campaign_dir = str(tmp_path / "adaptive")
+        campaign_dir = str(tmp_path / "surrogate")
         options = dict(batch=4, rounds=2, seed=0)
         first = run_memory_campaign(
-            space, campaign_dir, sampler="adaptive",
+            space, campaign_dir, sampler="surrogate",
             sampler_options=options, **SETTINGS,
         )
         assert first.adaptive is not None
         assert first.adaptive.evaluations == len(first.jobs)
         again = run_memory_campaign(
-            space, campaign_dir, resume=True, sampler="adaptive",
+            space, campaign_dir, resume=True, sampler="surrogate",
             sampler_options=options, **SETTINGS,
         )
-        # Deterministic zoom: the replay walks the same points, all hits.
+        # Deterministic proposals: the replay walks the same points, all hits.
         assert [j.key for j in again.jobs] == [j.key for j in first.jobs]
         assert all(o.from_cache for o in again.outcomes)
         assert again.records() == first.records()
@@ -138,13 +138,13 @@ class TestAdaptiveExploreMemory:
         from repro.dse import explore_memory
 
         result = explore_memory(
-            space, sampler="adaptive",
+            space, sampler="surrogate",
             sampler_options=dict(batch=4, rounds=2, seed=0),
             cache_dir=str(tmp_path), **SETTINGS,
         )
         assert result.adaptive is not None
         assert 0 < len(result.jobs) < space.size
         assert len(result.records()) > 0
-        # The zoom's winner is the best EDP point it evaluated.
+        # The sampler's winner is the best EDP point it evaluated.
         best = min(row["edp_proxy"] for row in result.records())
         assert result.adaptive.best_score == pytest.approx(best)

@@ -65,46 +65,3 @@ class TestLatinHypercube:
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValueError):
             ParameterSpace([("a", [1])]).sample(0)
-
-
-class TestRefineValueNormalization:
-    """Regression: enum axes must accept journal/cache round-tripped points.
-
-    ``AdaptiveSampler._draw`` dedups points through their serialised
-    plain form, and records read back from a journal or cache carry
-    plain values too — pre-fix, ``refine`` looked raw values up with
-    ``axis.values.index(value)`` and raised ``ValueError`` for any enum
-    axis scored from a round-tripped point.
-    """
-
-    def _enum_space(self):
-        import enum
-
-        class Mode(enum.Enum):
-            STT = "stt"
-            SOT = "sot"
-            VG = "vg"
-
-        return Mode, ParameterSpace([("mode", list(Mode))])
-
-    def test_plain_enum_values_resolve_on_enum_axis(self):
-        import json
-
-        from repro.dse import canonical_json
-
-        Mode, space = self._enum_space()
-        # A scored point as it comes back from canonical_json round-trip
-        # (journal meta, cache records): enum collapsed to its value.
-        point = json.loads(canonical_json({"mode": Mode.SOT.value}))
-        refined = space.refine([(point, 0.0)], keep=1.0, margin=0)
-        assert [a.values for a in refined.axes] == [(Mode.SOT,)]
-
-    def test_raw_enum_values_still_resolve(self):
-        Mode, space = self._enum_space()
-        refined = space.refine([({"mode": Mode.VG}, 0.0)], keep=1.0, margin=0)
-        assert [a.values for a in refined.axes] == [(Mode.VG,)]
-
-    def test_unknown_value_still_rejected(self):
-        Mode, space = self._enum_space()
-        with pytest.raises(ValueError, match="not on axis"):
-            space.refine([({"mode": "reram"}, 0.0)], keep=1.0)

@@ -19,8 +19,8 @@ from repro.dse import (
     explore_system,
     run_memory_campaign,
 )
-from repro.dse.adaptive import AdaptiveRound, AdaptiveTrace, point_key
 from repro.dse.checkpoint import JOURNAL_NAME
+from repro.dse.surrogate import AdaptiveRound, AdaptiveTrace, point_key
 
 TINY = dict(num_words=100, error_population=5_000)
 
@@ -117,6 +117,57 @@ class TestDeterminism:
         assert trace.best_score == _bowl_score({"x": 1, "y": 1})
 
 
+class TestUnscorablePoints:
+    def test_nan_score_cannot_become_best_point(self):
+        """NaN compares false everywhere: a first-seen NaN kept by
+        ``min`` would crown a broken point and poison the model."""
+        space = ParameterSpace().add("x", list(range(8)))
+
+        def evaluate(points):
+            return [
+                float("nan") if p["x"] == 0 else float(p["x"])
+                for p in points
+            ]
+
+        trace = SurrogateSampler(space, batch=8, rounds=1).run(evaluate)
+        assert trace.rounds[0].best_point == {"x": 1}
+        assert trace.best_point == {"x": 1}
+        assert trace.best_score == 1.0
+
+    def test_unscorable_rounds_leave_no_winner(self):
+        trace = SurrogateSampler(_bowl_space(), batch=6, rounds=3).run(
+            lambda pts: [float("nan")] * (len(pts) - 1) + [None]
+        )
+        assert len(trace.rounds) == 3  # unscorable rounds never stop it
+        assert all(r.best_point is None for r in trace.rounds)
+        assert trace.best_point is None and trace.best_score is None
+
+    def test_score_count_mismatch_raises(self):
+        with pytest.raises(ValueError, match="scores"):
+            SurrogateSampler(_bowl_space(), batch=4, rounds=1).run(
+                lambda pts: [1.0]
+            )
+
+
+class TestPointKey:
+    def test_enum_and_plain_values_share_a_key(self):
+        """Points read back from a journal or cache carry an enum
+        axis's plain value; dedup must treat them as the same point."""
+        import enum
+        import json
+
+        from repro.dse import canonical_json
+
+        class Mode(enum.Enum):
+            STT = "stt"
+            SOT = "sot"
+
+        raw = {"mode": Mode.SOT, "rows": 256}
+        round_tripped = json.loads(canonical_json({"mode": "sot", "rows": 256}))
+        assert point_key(raw) == point_key(round_tripped)
+        assert point_key(raw) != point_key({"mode": Mode.STT, "rows": 256})
+
+
 class TestBudgetEfficiency:
     """The tentpole claim: the model beats blind LHS to a near-optimum.
 
@@ -193,6 +244,20 @@ class TestSurrogateCampaigns:
         # Deduplicated jobs, one outcome per job.
         keys = [job.key for job in result.jobs]
         assert len(keys) == len(set(keys)) == len(result.outcomes)
+
+    def test_explore_system_surrogate(self):
+        from repro.magpie.scenarios import Scenario
+
+        result = explore_system(
+            workloads=["bodytrack", "canneal"],
+            scenarios=[Scenario.FULL_SRAM, Scenario.FULL_L2_STT],
+            sampler="surrogate",
+            sampler_options=dict(batch=2, rounds=2, seed=0),
+            workers=1,
+        )
+        assert result.adaptive.evaluations == len(result.results) == 4
+        best = min(row["edp"] for row in result.records())
+        assert result.adaptive.best_score == pytest.approx(best)
 
     def test_explore_system_rejects_unknown_sampler(self):
         with pytest.raises(ValueError, match="surrogate"):
