@@ -474,8 +474,50 @@ def worker_ready_s(runs=5):
     return statistics.median(walls)
 
 
-def evaluator_bench(points=4, scalar_points=2,
-                    num_words=200, error_population=10_000, default_repeats=3):
+#: The sibling grid :func:`deadline_ratio` times: three subarray
+#: heights, each at two WER targets, so every second point's physics is
+#: served by the memo.
+SIBLING_GRID = (
+    ("subarray_rows", [128, 256, 512]),
+    ("word_bits", [128]),
+    ("wer_target", [1e-9, 1e-12]),
+)
+
+
+def deadline_ratio(pairs=5):
+    """Serial wall-clock of the sibling grid with ``deadline=60`` over
+    the wall-clock without one, at the evaluator's default effort.
+
+    Median over ``pairs`` alternating runs after a warm-up run.  Every
+    run starts on an empty physics memo, and every deadline run forks a
+    fresh evaluation child; its records must equal the run without a
+    deadline.
+    """
+    from repro.vaet.explorer import clear_physics_memo
+
+    space = ParameterSpace()
+    for name, values in SIBLING_GRID:
+        space.add(name, values)
+
+    def timed(deadline):
+        clear_physics_memo()
+        tick = time.perf_counter()
+        result = explore_memory(space, workers=1, deadline=deadline)
+        return time.perf_counter() - tick, result.records()
+
+    timed(None)  # warm-up: imports and first-touch heap
+    ratios = []
+    for _ in range(pairs):
+        plain, expected = timed(None)
+        bounded, records = timed(60.0)
+        assert records == expected, "a deadline changed the records"
+        ratios.append(bounded / plain)
+    return statistics.median(ratios)
+
+
+def evaluator_bench(points=4, scalar_points=2, num_words=200,
+                    error_population=10_000, default_repeats=3,
+                    deadline_pairs=5):
     """Per-point wall-clock of the real memory evaluator, both paths.
 
     Times :func:`repro.dse.campaign.evaluate_memory_point` on the
@@ -494,7 +536,8 @@ def evaluator_bench(points=4, scalar_points=2,
     ``wer_target`` follows, and is timed as the shared point: the memo
     serves its physics, so it pays only for its ECC sweep.  The pass
     count runs first, so every timed repeat follows a warm-up point.
-    The worker's cold start is timed in fresh interpreters.
+    The worker's cold start is timed in fresh interpreters, and the
+    cost of a deadline by :func:`deadline_ratio`.
     """
     from repro.dse.campaign import evaluate_memory_point
     from repro.nvsim import MemoryConfig
@@ -565,6 +608,7 @@ def evaluator_bench(points=4, scalar_points=2,
         "shared_s_per_point": statistics.median(shared_times),
         "minor_faults_per_point": statistics.median(default_faults),
         "worker_ready_s": worker_ready_s(),
+        "deadline_ratio": deadline_ratio(deadline_pairs),
         **passes,
     }
 
@@ -577,13 +621,21 @@ def _check_and_save_evaluator(name, summary):
         "vector fast path only %.1fx the scalar reference"
         % summary["vector_speedup"]
     )
+    # Deadline points run in one reused evaluation child, which keeps
+    # its physics memo; a fork per point measured 2.3-2.8x.
+    assert summary["deadline_ratio"] <= 1.5, (
+        "a deadline costs %.2fx on the sibling grid" % summary["deadline_ratio"]
+    )
     save_artifact(name, json.dumps(summary, indent=2))
     return summary
 
 
 def test_evaluator_fast_path():
-    """Fast tier-1 path: vector evaluator >= 10x the scalar reference."""
-    summary = evaluator_bench(points=3, scalar_points=2, default_repeats=1)
+    """Fast tier-1 path: vector evaluator >= 10x the scalar reference,
+    and a deadline costs <= 1.5x on the sibling grid."""
+    summary = evaluator_bench(
+        points=3, scalar_points=2, default_repeats=1, deadline_pairs=3
+    )
     _check_and_save_evaluator("dse_evaluator_bench.json", summary)
 
 

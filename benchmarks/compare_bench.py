@@ -61,6 +61,10 @@ METRICS = [
     # Cold start of a spawned worker: fresh interpreters importing what
     # it needs to evaluate a memory point (numpy, scipy.special, vaet).
     ("evaluator", "worker_ready_s", "down", True),
+    # The sibling grid with a deadline over without one: deadline
+    # points share one evaluation child and its physics memo.  The
+    # bench asserts <= 1.5 absolutely; the gate catches slow creep.
+    ("evaluator", "deadline_ratio", "down", True),
     # Minor page faults of a default-effort point after a warm-up: a
     # handful while glibc keeps the heap resident, ~18k when it trims.
     ("evaluator", "minor_faults_per_point", "down", True),

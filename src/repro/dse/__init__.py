@@ -126,7 +126,6 @@ from repro.dse.runner import (
     Progress,
     default_workers,
     get_target,
-    get_target_deadline,
     is_timeout_error,
     register_target,
     timeout_error,
@@ -183,7 +182,6 @@ __all__ = [
     "TIMEOUT_ERROR",
     "timeout_error",
     "is_timeout_error",
-    "get_target_deadline",
     "register_target",
     "get_target",
     "ChaosCrash",

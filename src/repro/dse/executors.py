@@ -22,14 +22,14 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.dse.jobs import Job
 from repro.dse.runner import (
+    EvaluationChild,
+    Outcome,
     _execute,
     _execute_indexed,
+    _open_pool_child,
     default_workers,
     register_target,
 )
-
-#: One evaluation outcome: (ok, result, error, elapsed).
-Outcome = Tuple[bool, Optional[Dict], Optional[str], float]
 
 #: Executor names understood by :func:`make_executor` and the CLI.
 EXECUTOR_NAMES = ("serial", "pool", "network")
@@ -64,17 +64,25 @@ class Executor:
 
 
 class SerialExecutor(Executor):
-    """Evaluate in-process, lazily, one job per pull (no pool, no pickling)."""
+    """Evaluate in-process, lazily, one job per pull (no pool, no pickling).
+
+    Deadline points share one evaluation child per :meth:`imap` call.
+    """
 
     def imap(self, jobs: Sequence[Job]) -> Iterator[Tuple[Job, Outcome]]:
-        for job in jobs:
-            yield job, _execute(
-                (job.target, dict(job.spec), job.seed, job.deadline)
-            )
+        with EvaluationChild() as child:
+            for job in jobs:
+                yield job, _execute(
+                    (job.target, dict(job.spec), job.seed, job.deadline),
+                    child,
+                )
 
 
 class ProcessPoolExecutor(Executor):
     """Fan out over a ``multiprocessing`` pool (``imap_unordered``).
+
+    The pool lives for one :meth:`imap` call; each worker runs its
+    deadline points in one evaluation child, which exits with it.
 
     Args:
         workers: Pool size; ``None`` uses ``REPRO_DSE_WORKERS`` when
@@ -102,7 +110,7 @@ class ProcessPoolExecutor(Executor):
         chunksize = self.chunksize or max(1, len(payloads) // (self.workers * 4))
         # Abandoning the generator mid-flight (consumer exception) tears
         # the pool down via its context manager, so no workers leak.
-        with multiprocessing.Pool(self.workers) as pool:
+        with multiprocessing.Pool(self.workers, _open_pool_child) as pool:
             for position, outcome in pool.imap_unordered(
                 _execute_indexed, payloads, chunksize=chunksize
             ):

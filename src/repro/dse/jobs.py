@@ -43,12 +43,12 @@ class Job:
             excluded from the content key — a retried point keeps its
             cache address and journal identity — but folded into the
             derived RNG seed so each retry samples a fresh stream.
-        deadline: Per-evaluation wall-clock budget [s]; ``0`` means
-            unbounded.  An evaluation that exceeds it is killed and
-            recorded as an ``EvaluationTimeout`` failure (retryable and
-            quarantinable like any other failure).  Excluded from the
-            content key and the seed: a deadline bounds *how long* a
-            point may run, never what it computes.
+        deadline: Per-evaluation wall-clock budget [s] (``0`` =
+            unbounded), stamped by the runner.  An evaluation that
+            exceeds it is killed and recorded as an ``EvaluationTimeout``
+            failure (retryable and quarantinable like any other).
+            Excluded from the content key and the seed: a deadline
+            bounds *how long* a point may run, never what it computes.
     """
 
     target: str

@@ -2,11 +2,12 @@
 
 A worker leases one task at a time from the campaign server, evaluates
 it through :func:`repro.dse.runner.execute_task` while a background
-thread heartbeats the lease, and reports the outcome together with the
-task's ``key``/``target``/``spec`` (protocol v4).  It winds down on the
-server's ``stop`` reply, ``idle_timeout``, ``once`` or ``max_tasks``.
-Every interaction is a request/reply to the server, so the worker host
-needs no shared mount.
+thread heartbeats the lease (deadline tasks run in the worker's one
+:class:`~repro.dse.runner.EvaluationChild`), and reports the outcome
+together with the task's ``key``/``target``/``spec`` (protocol v4).
+It winds down on the server's ``stop`` reply, ``idle_timeout``,
+``once`` or ``max_tasks``.  Every interaction is a request/reply to
+the server, so the worker host needs no shared mount.
 
 Disconnect handling: the connection is retried with decorrelated-jitter
 exponential backoff (a SIGKILLed server restarted on the same port is
@@ -33,7 +34,7 @@ from repro.dse.net.protocol import (
     default_worker_id,
     parse_connect,
 )
-from repro.dse.runner import execute_task
+from repro.dse.runner import EvaluationChild, execute_task
 
 logger = logging.getLogger(__name__)
 
@@ -87,37 +88,18 @@ class _NetHeartbeat:
     that fails is swallowed: the main loop notices the dead connection
     when it reports the result, and at worst the lease expires — which
     only risks a benign duplicate evaluation, never a lost one.
-
-    A positive ``deadline`` stops the beats once the evaluation has
-    overrun its budget, so the server-side lease lawfully expires and
-    survivors reclaim the task — the backstop for platforms where the
-    in-process reaper cannot kill the stuck evaluation itself.
     """
 
-    def __init__(
-        self,
-        conn: Connection,
-        worker: str,
-        task: str,
-        ttl: float,
-        deadline: float = 0.0,
-    ):
+    def __init__(self, conn: Connection, worker: str, task: str, ttl: float):
         self._conn = conn
         self._message = {"op": "heartbeat", "worker": worker, "task": task}
         self._ttl = float(ttl)
-        self._deadline = float(deadline or 0.0)
-        self._started = time.monotonic()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._thread.start()
 
     def _run(self) -> None:
         while not self._stop.wait(self._ttl / 3.0):
-            if (
-                self._deadline
-                and time.monotonic() - self._started > self._deadline
-            ):
-                return  # overran the deadline: let the lease expire
             try:
                 self._conn.request(self._message)
             except (OSError, ProtocolError):
@@ -165,6 +147,10 @@ def run_network_worker(
 
     Returns:
         Number of tasks this worker evaluated.
+
+    Raises:
+        ValueError: At the first task with a deadline where ``os.fork``
+            is missing (see :data:`~repro.dse.runner.NO_FORK_ERROR`).
     """
     host, port = parse_connect(connect)
     worker = worker_id if worker_id is not None else default_worker_id()
@@ -175,6 +161,7 @@ def run_network_worker(
     disconnected_since: Optional[float] = None
     rng = random.Random()  # per-worker stream: jitter must differ per worker
     wait = backoff
+    child = EvaluationChild()
     try:
         while True:
             if not conn.connected:
@@ -249,18 +236,15 @@ def run_network_worker(
             task = reply["task"]
             idle_since = time.monotonic()
             heartbeat = _NetHeartbeat(
-                conn,
-                worker,
-                task["task"],
-                float(task.get("ttl", 30.0)),
-                deadline=float(task.get("deadline") or 0.0),
+                conn, worker, task["task"], float(task.get("ttl", 30.0))
             )
             try:
-                outcome = execute_task(task)
+                outcome = execute_task(task, child)
             finally:
                 heartbeat.stop()
             evaluated += 1
             unreported = (task, outcome)
     finally:
+        child.close()
         conn.close()
     return evaluated

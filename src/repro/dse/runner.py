@@ -57,6 +57,9 @@ from repro.dse.retry import RetryPolicy
 #: Called once per scheduled retry: (job, failed_attempt, error, backoff).
 RetryCallback = Callable[[Job, int, Optional[str], float], None]
 
+#: One evaluation outcome: (ok, result, error, elapsed).
+Outcome = Tuple[bool, Optional[Dict], Optional[str], float]
+
 #: Environment variable bounding the default pool size (CI runners and
 #: laptops want deterministic small pools without touching call sites).
 WORKERS_ENV = "REPRO_DSE_WORKERS"
@@ -68,13 +71,11 @@ SYSTEM_TARGET = "magpie-system"
 #: name -> fn(spec, seed) -> result dict.
 _TARGETS: Dict[str, Callable[[Mapping, int], Dict]] = {}
 
-#: name -> default per-evaluation deadline [s] (0 = unbounded); the
-#: lowest-precedence source of a job's effective deadline (job field,
-#: then runner setting, then this registry).
-_TARGET_DEADLINES: Dict[str, float] = {}
-
 #: Error-string prefix identifying a reaped (timed-out) evaluation.
 TIMEOUT_ERROR = "EvaluationTimeout"
+
+#: The refusal of a positive deadline where ``os.fork`` is missing.
+NO_FORK_ERROR = "a deadline needs os.fork, which this platform lacks"
 
 
 def timeout_error(deadline: float) -> str:
@@ -89,11 +90,7 @@ def is_timeout_error(error: Optional[str]) -> bool:
     return bool(error) and error.startswith(TIMEOUT_ERROR)
 
 
-def register_target(
-    name: str,
-    fn: Callable[[Mapping, int], Dict],
-    deadline: Optional[float] = None,
-) -> None:
+def register_target(name: str, fn: Callable[[Mapping, int], Dict]) -> None:
     """Register an evaluator under a target name (idempotent overwrite).
 
     Registrations live in the registering process only.  Under the
@@ -101,22 +98,8 @@ def register_target(
     (macOS/Windows defaults) use a module-qualified target name of the
     form ``"pkg.module:function"`` instead — workers import it
     themselves, no registration needed.
-
-    Args:
-        deadline: Optional default per-evaluation deadline [s] for this
-            target, used when neither the job nor the runner sets one
-            (see :func:`get_target_deadline`).
     """
     _TARGETS[name] = fn
-    if deadline is not None:
-        if deadline < 0:
-            raise ValueError("deadline must be >= 0")
-        _TARGET_DEADLINES[name] = float(deadline)
-
-
-def get_target_deadline(name: str) -> float:
-    """Default deadline registered for a target (0.0 = unbounded)."""
-    return _TARGET_DEADLINES.get(name, 0.0)
 
 
 def get_target(name: str) -> Callable[[Mapping, int], Dict]:
@@ -148,137 +131,177 @@ def get_target(name: str) -> Callable[[Mapping, int], Dict]:
     return _TARGETS[name]
 
 
-def _execute_plain(
-    payload: Tuple[str, Dict, int]
-) -> Tuple[bool, Optional[Dict], Optional[str], float]:
-    """Run one evaluation in-process, never raise."""
-    target, spec, seed = payload
+def _failure(exc: BaseException, start: float) -> Outcome:
+    """The failure outcome of an evaluation that raised ``exc``."""
+    # The original exception cannot cross the process boundary
+    # reliably; keep its type, message and frames as text.
+    error = "%s: %s\n%s" % (type(exc).__name__, exc, traceback.format_exc())
+    return (False, None, error, time.perf_counter() - start)
+
+
+def _evaluate(target: str, spec: Dict, seed: int, hook: bool = True) -> Outcome:
+    """Run one evaluation in this process, never raise.
+
+    ``hook=False`` skips the chaos ``evaluate`` hook: an evaluation
+    child's owner has already fired it.
+    """
     start = time.perf_counter()
     try:
-        chaos.fire("evaluate", target=target, seed=seed)
+        if hook:
+            chaos.fire("evaluate", target=target, seed=seed)
         result = get_target(target)(spec, seed)
         return (True, result, None, time.perf_counter() - start)
     except Exception as exc:  # isolation: one bad point != dead campaign
-        # The original exception cannot cross the process boundary
-        # reliably; keep its type, message and frames as text.
-        error = "%s: %s\n%s" % (
-            type(exc).__name__, exc, traceback.format_exc()
-        )
-        return (False, None, error, time.perf_counter() - start)
+        return _failure(exc, start)
 
 
-def _execute_under_deadline(
-    payload: Tuple[str, Dict, int], deadline: float
-) -> Tuple[bool, Optional[Dict], Optional[str], float]:
-    """Run one evaluation under a hard wall-clock deadline.
+def _serve_child(requests: int, replies: int) -> None:
+    """The child's loop: one outcome line per request line, until EOF.
 
-    The point runs in a forked child (a raw ``os.fork`` — pool workers
-    are daemonic and may not start ``multiprocessing`` children) that
-    reports its outcome over a pipe; a child still running at the
-    deadline is SIGKILLed and the point recorded as a
-    :data:`TIMEOUT_ERROR` failure.  Platforms without ``fork`` degrade
-    gracefully: the point runs unbounded in-process (the pull/network
-    heartbeat cutoff still expires the lease in that case).
+    Keeps stdio and its pipe ends only, so it holds no socket of its owner.
     """
-    if not hasattr(os, "fork"):  # pragma: no cover - non-POSIX fallback
-        return _execute_plain(payload)
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # child: evaluate, report, _exit (no parent cleanup)
-        os.close(read_fd)
-        code = 0
-        try:
-            outcome = _execute_plain(payload)
-            data = json.dumps(outcome).encode("utf-8")
-            while data:
-                data = data[os.write(write_fd, data):]
-        except BaseException:
-            code = 1
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    start = time.perf_counter()
-    buf = b""
-    timed_out = False
     try:
-        while True:
-            remaining = deadline - (time.perf_counter() - start)
-            if remaining <= 0:
-                timed_out = True
-                break
-            ready, _, _ = select.select([read_fd], [], [], remaining)
-            if not ready:
-                timed_out = True
-                break
-            chunk = os.read(read_fd, 65536)
-            if not chunk:
-                break
-            buf += chunk
+        low, high = sorted((requests, replies))
+        os.closerange(3, low)
+        os.closerange(low + 1, high)
+        os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+        with os.fdopen(requests, "rb") as lines, os.fdopen(replies, "wb") as out:
+            for line in lines:
+                outcome = _evaluate(*json.loads(line), hook=False)
+                out.write(json.dumps(outcome).encode("utf-8") + b"\n")
+                out.flush()
     finally:
-        os.close(read_fd)
-        if timed_out:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except OSError:  # already gone
-                pass
+        os._exit(0)  # the owner reads no status: no outcome is a crash
+
+
+class EvaluationChild:
+    """The deadline enforcer: one forked child, reused point after point.
+
+    :meth:`run` forks the child on first use and sends it one point at
+    a time over a pipe.  A child still busy at the deadline is
+    SIGKILLed and reaped (:func:`timeout_error`); one that exits
+    without an outcome fails the point as ``EvaluationCrashed``.  The
+    next point forks a fresh child.  Each executor slot opens one per
+    batch, as a context manager, so the child sees the environment,
+    targets and fault plane its batch started with, and keeps its
+    physics memo across the batch.  :meth:`close` kills the idle child;
+    if its owner dies instead, the child exits at EOF on its pipe.
+    """
+
+    def __init__(self):
+        self.pid = 0
+
+    def __enter__(self) -> "EvaluationChild":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def run(self, target: str, spec: Dict, seed: int, deadline: float) -> Outcome:
+        """Evaluate one point in the child within ``deadline`` seconds."""
+        start = time.perf_counter()
         try:
-            os.waitpid(pid, 0)
-        except OSError:  # reaped elsewhere
+            # Fired here, in the process that owns the fault plane, so a
+            # fault's count and skip are spent as without a deadline.
+            chaos.fire("evaluate", target=target, seed=seed)
+        except Exception as exc:
+            return _failure(exc, start)
+        if not self.pid:
+            if not hasattr(os, "fork"):
+                raise ValueError(NO_FORK_ERROR)
+            # A raw fork: daemonic pool workers may not start
+            # multiprocessing children.
+            request_read, send = os.pipe()
+            self._recv, reply_write = os.pipe()
+            self.pid = os.fork()
+            if self.pid == 0:
+                _serve_child(request_read, reply_write)
+            os.close(request_read)
+            os.close(reply_write)
+            self._requests = os.fdopen(send, "wb")
+        line = b""
+        error = "EvaluationCrashed: deadline child exited without an outcome"
+        try:
+            self._requests.write(json.dumps([target, spec, seed]).encode("utf-8") + b"\n")
+            self._requests.flush()
+            while not line.endswith(b"\n"):
+                remaining = start + deadline - time.perf_counter()
+                if remaining <= 0 or not select.select([self._recv], [], [], remaining)[0]:
+                    error = timeout_error(deadline)
+                    break
+                chunk = os.read(self._recv, 65536)
+                if not chunk:
+                    break
+                line += chunk
+        except OSError:  # the idle child is gone: the pipe broke
             pass
-    elapsed = time.perf_counter() - start
-    if timed_out:
-        return (False, None, timeout_error(deadline), elapsed)
-    try:
-        ok, result, error, child_elapsed = json.loads(buf.decode("utf-8"))
-        return (bool(ok), result, error, float(child_elapsed))
-    except Exception:
-        return (
-            False, None,
-            "EvaluationCrashed: deadline child exited without an outcome",
-            elapsed,
-        )
+        if not line.endswith(b"\n"):
+            self.close()
+            return (False, None, error, time.perf_counter() - start)
+        ok, result, error, elapsed = json.loads(line)
+        return (bool(ok), result, error, float(elapsed))
+
+    def close(self) -> None:
+        """Kill and reap the child, if one is running (idempotent)."""
+        if not self.pid:
+            return
+        try:
+            self._requests.close()
+        except OSError:  # a broken pipe's unflushed request
+            pass
+        os.close(self._recv)
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        except OSError:  # already reaped
+            pass
+        self.pid = 0
 
 
-def _execute(
-    payload: Tuple
-) -> Tuple[bool, Optional[Dict], Optional[str], float]:
-    """Worker entry: run one evaluation, never raise.
+def _execute(payload: Tuple, child: Optional[EvaluationChild] = None) -> Outcome:
+    """Run one evaluation; a failure becomes the outcome, never a raise.
 
-    ``payload`` is ``(target, spec, seed)`` with an optional fourth
-    ``deadline`` element; a positive deadline runs the point under the
-    reaper (:func:`_execute_under_deadline`).
+    ``payload`` is ``(target, spec, seed, deadline)``.  A point without
+    a deadline (0 or None) runs in this process.  A positive deadline
+    runs it in ``child``, the caller's batch child, or else in a one-off
+    child reaped before returning; without ``os.fork`` that raises
+    ``ValueError(NO_FORK_ERROR)``.
     """
-    deadline = float(payload[3]) if len(payload) > 3 and payload[3] else 0.0
-    core = (payload[0], payload[1], payload[2])
-    if deadline > 0:
-        return _execute_under_deadline(core, deadline)
-    return _execute_plain(core)
+    target, spec, seed, deadline = payload
+    if not deadline:
+        return _evaluate(target, spec, seed)
+    if child is None:
+        with EvaluationChild() as once:
+            return once.run(target, spec, seed, float(deadline))
+    return child.run(target, spec, seed, float(deadline))
 
 
-def _execute_indexed(
-    payload: Tuple
-) -> Tuple[int, Tuple[bool, Optional[Dict], Optional[str], float]]:
-    """Worker entry for unordered maps: echo the submission index back."""
-    return payload[0], _execute(payload[1:])
+#: A pool worker's batch child, opened by :func:`_open_pool_child`.
+_POOL_CHILD: Optional[EvaluationChild] = None
 
 
-def execute_task(
-    task: Dict,
-) -> Tuple[bool, Optional[Dict], Optional[str], float]:
-    """Evaluate one published task record (never raises).
+def _open_pool_child() -> None:
+    """Pool initializer: give this worker one child for its batch."""
+    global _POOL_CHILD
+    _POOL_CHILD = EvaluationChild()
 
-    The evaluation entry of the network worker client: it receives a
-    leased task payload (``target``/``spec``/``seed`` and an optional
-    ``deadline``, as built by :meth:`CampaignServer.lease
-    <repro.dse.net.CampaignServer.lease>`) and produces the same
-    :data:`Outcome` tuple the in-process executors would.  A task's
-    deadline is enforced here too — a network worker self-terminates
-    a stuck evaluation instead of hanging forever.
+
+def _execute_indexed(payload: Tuple) -> Tuple[int, Outcome]:
+    """Pool worker entry: echo the submission index back."""
+    return payload[0], _execute(payload[1:], _POOL_CHILD)
+
+
+def execute_task(task: Dict, child: Optional[EvaluationChild] = None) -> Outcome:
+    """Evaluate one leased network task, as :func:`_execute` does.
+
+    ``task`` is the lease payload built by :meth:`CampaignServer.lease
+    <repro.dse.net.CampaignServer.lease>`: ``target``/``spec``/``seed``
+    and an optional ``deadline``, which runs it in the worker's ``child``.
     """
-    return _execute((
-        task["target"], task["spec"], int(task["seed"]),
-        float(task.get("deadline") or 0.0),
-    ))
+    return _execute(
+        (task["target"], task["spec"], int(task["seed"]), task.get("deadline")),
+        child,
+    )
 
 
 def default_workers() -> int:
@@ -356,7 +379,7 @@ class Progress:
         spent before dispatch — scanning the cache and streaming hits
         to the progress consumer — sat in ``elapsed`` and inflated the
         estimate (a mostly-warm resume could report an ETA many times
-        the true remaining time), and throughput drift mid-run (pull
+        the true remaining time), and throughput drift mid-run (network
         workers joining or dying) was averaged away by the run-start
         mean instead of being tracked.
         """
@@ -387,16 +410,16 @@ class CampaignRunner:
             ``workers=1`` or single-job batches, process pool
             otherwise).  The runner's cache/retry/progress semantics
             are identical under every executor.
-        deadline: Per-evaluation wall-clock budget [s] applied to every
-            job that does not set its own ``Job.deadline``; ``None``/
-            ``0`` fall through to the per-target registry default
-            (:func:`get_target_deadline`).  Enforced on every executor:
-            serial/pool points run under a kill-on-expiry reaper,
-            pull/network workers self-terminate the evaluation and stop
-            heartbeating so the lease lawfully expires.  A reaped point
-            fails with an :data:`TIMEOUT_ERROR` error and is retried/
-            quarantined by the :class:`~repro.dse.retry.RetryPolicy`
-            like any other failure.
+        deadline: Per-evaluation wall-clock budget [s] (``None``/``0``
+            = unbounded), stamped onto every submitted job.  Enforced
+            on every executor by an :class:`EvaluationChild` per slot
+            (the serial loop, each pool worker, each network worker),
+            which kills a point still running at its deadline.  A
+            reaped point fails with an :data:`TIMEOUT_ERROR` error and
+            is retried/quarantined by the
+            :class:`~repro.dse.retry.RetryPolicy` like any other
+            failure.  Needs ``os.fork``; a positive deadline is refused
+            where it is missing.
     """
 
     def __init__(
@@ -411,6 +434,8 @@ class CampaignRunner:
             raise ValueError("workers must be >= 1")
         if deadline is not None and deadline < 0:
             raise ValueError("deadline must be >= 0")
+        if deadline and not hasattr(os, "fork"):
+            raise ValueError(NO_FORK_ERROR)
         self.workers = workers if workers is not None else default_workers()
         self.cache = cache
         self.chunksize = chunksize
@@ -426,18 +451,6 @@ class CampaignRunner:
             executor=executor,
             deadline=self.deadline,
         )
-
-    def effective_deadline(self, job: Job) -> float:
-        """The deadline this runner enforces for ``job`` (0 = none).
-
-        Precedence: the job's own ``deadline`` field, then the runner's
-        ``deadline`` setting, then the target's registry default.
-        """
-        if job.deadline:
-            return job.deadline
-        if self.deadline:
-            return self.deadline
-        return get_target_deadline(job.target)
 
     def run(
         self,
@@ -550,13 +563,11 @@ class CampaignRunner:
         attempts: Dict[str, int] = {}
         write_back = self.cache is not None and not self._executor_persists()
         to_run = [jobs[indices[0]] for indices in pending.values()]
-        # Stamp each job's effective deadline onto the jobs actually
-        # submitted (outside the content key, so cache addresses do not
-        # move), so every executor sees one resolved value.
+        # Stamp the runner's deadline onto the jobs actually submitted
+        # (outside the content key, so cache addresses do not move).
         to_run = [
-            job
-            if job.deadline == self.effective_deadline(job)
-            else replace(job, deadline=self.effective_deadline(job))
+            job if job.deadline == self.deadline
+            else replace(job, deadline=self.deadline)
             for job in to_run
         ]
         if to_run:
@@ -615,9 +626,7 @@ class CampaignRunner:
             and os.path.abspath(root) == os.path.abspath(self.cache.root)
         )
 
-    def _imap(
-        self, unique: List[Job]
-    ) -> Iterator[Tuple[Job, Tuple[bool, Optional[Dict], Optional[str], float]]]:
+    def _imap(self, unique: List[Job]) -> Iterator[Tuple[Job, Outcome]]:
         """Yield ``(job, outcome)`` pairs in completion order.
 
         Delegates to the configured executor; without one, the historic

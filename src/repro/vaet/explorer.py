@@ -209,8 +209,9 @@ class DesignSpaceExplorer:
         a sibling point that differs only in the ECC axes pays only for
         its ECC sweep.  The result stays a pure function of the
         arguments.  Under ``REPRO_VAET_SCALAR`` the memo is bypassed
-        and every point recomputes everything.  Entries filled inside a
-        forked ``--deadline`` child are lost with it.
+        and every point recomputes everything.  Under ``--deadline``
+        the points run in one reused evaluation child per executor
+        slot, whose memo serves them the same way.
 
         Args:
             config: The organisation to evaluate.

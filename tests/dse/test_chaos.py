@@ -7,9 +7,11 @@ Three layers:
   injected into :class:`~repro.dse.journal.JsonlJournal` /
   :class:`~repro.dse.cache.ResultCache` (a full disk surfaces a clear
   ``OSError`` and the campaign stays resumable);
-* deadline semantics: the fork reaper, heartbeat cutoff, scheduling-knob
-  purity (deadlines never move cache addresses) and the decorrelated
-  reconnect jitter;
+* deadline semantics: the reused evaluation child (one per executor
+  batch, reaped with it, fresh after a hang or exit), runner stamping,
+  the refusal without ``os.fork``, the ``evaluate`` hook spent once per
+  point either way, scheduling-knob purity (deadlines never move cache
+  addresses) and the decorrelated reconnect jitter;
 * ``pytest -m chaos``: twelve :func:`~repro.dse.chaos.seeded_schedule`
   scenarios (hangs, crashes, torn writes, ENOSPC, connection drops over
   serial and full network stacks) driven resume-until-complete, with
@@ -42,9 +44,13 @@ from repro.dse import (
     Job,
     JsonlJournal,
     NetworkExecutor,
+    ParameterSpace,
+    ProcessPoolExecutor,
     ResultCache,
     RetryPolicy,
+    SerialExecutor,
     campaign_key,
+    explore_memory,
     is_timeout_error,
     read_events,
     run_checkpointed,
@@ -55,7 +61,8 @@ from repro.dse import chaos
 from repro.dse.net import CampaignServer, ServerThread
 from repro.dse.net.server import WorkerStalled, task_id
 from repro.dse.net.worker import _NetHeartbeat, reconnect_backoff
-from repro.dse.runner import _execute, register_target, get_target_deadline
+from repro.dse.executors import evaluate_chaos
+from repro.dse.runner import NO_FORK_ERROR, _TARGETS, _execute, execute_task, register_target
 
 
 # -- FaultPlane mechanics ------------------------------------------------
@@ -233,44 +240,36 @@ class TestDeadline:
         assert plain.key == bounded.key
         assert plain.seed == bounded.seed
 
-    def test_effective_deadline_precedence(self):
-        target = "dse-chaos-test-deadline"
-        register_target(target, lambda spec, seed: {}, deadline=7.0)
-        try:
-            assert get_target_deadline(target) == 7.0
-            runner = CampaignRunner(workers=1, deadline=3.0)
-            assert runner.effective_deadline(Job(target, {})) == 3.0
-            assert runner.effective_deadline(Job(target, {}, deadline=1.0)) == 1.0
-            bare = CampaignRunner(workers=1)
-            assert bare.effective_deadline(Job(target, {})) == 7.0
-        finally:
-            from repro.dse.runner import _TARGETS, _TARGET_DEADLINES
+    def test_runner_stamps_its_deadline_on_submitted_jobs(self):
+        class Recording(SerialExecutor):
+            def __init__(self):
+                self.deadlines = []
 
-            _TARGETS.pop(target, None)
-            _TARGET_DEADLINES.pop(target, None)
+            def imap(self, jobs):
+                self.deadlines += [job.deadline for job in jobs]
+                return super().imap(jobs)
+
+        jobs = [Job(CHAOS_TARGET, {"x": 1}), Job(CHAOS_TARGET, {"x": 2}, deadline=1.0)]
+        bounded = Recording()
+        CampaignRunner(workers=1, executor=bounded, deadline=3.0).run(jobs)
+        assert bounded.deadlines == [3.0, 3.0]
+        bare = Recording()
+        CampaignRunner(workers=1, executor=bare).run(jobs)
+        assert bare.deadlines == [0.0, 0.0]
 
     def test_negative_deadline_rejected(self):
         with pytest.raises(ValueError):
             CampaignRunner(workers=1, deadline=-1.0)
 
-    def test_heartbeat_stops_past_deadline(self):
-        class Beats:
-            def __init__(self):
-                self.stamps = []
-
-            def request(self, message):
-                self.stamps.append(time.monotonic())
-                return {"ok": True}
-
-        conn = Beats()
-        heartbeat = _NetHeartbeat(conn, "w1", "task-1", ttl=0.09, deadline=0.2)
-        time.sleep(0.7)
-        # The thread returned on its own once the evaluation overran:
-        # the lease stops renewing and lawfully expires.
-        assert not heartbeat._thread.is_alive()
-        assert conn.stamps
-        assert all(s < heartbeat._started + 0.45 for s in conn.stamps)
-        heartbeat.stop()
+    def test_deadline_refused_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ValueError, match=NO_FORK_ERROR):
+            CampaignRunner(workers=1, deadline=1.0)
+        CampaignRunner(workers=1)  # no deadline, nothing to refuse
+        task = {"target": CHAOS_TARGET, "spec": {"x": 1}, "seed": 0}
+        assert execute_task(dict(task))[0]
+        with pytest.raises(ValueError, match=NO_FORK_ERROR):
+            execute_task(dict(task, deadline=1.0))
 
     def test_heartbeat_stop_warns_on_failed_join(self, caplog):
         class Beats:
@@ -345,6 +344,169 @@ class TestDeadline:
         assert "survived terminate and kill" in caplog.text
         assert "4242" in caplog.text
         assert supervisor.procs == []
+
+
+#: Chaos twin that also reports the pid of the process that evaluated.
+PID_TARGET = "dse-chaos-pid"
+
+
+@pytest.fixture
+def pid_target():
+    register_target(
+        PID_TARGET, lambda spec, seed: dict(evaluate_chaos(spec, seed), pid=os.getpid())
+    )
+    yield PID_TARGET
+    _TARGETS.pop(PID_TARGET, None)
+
+
+def _gone(pid, timeout=10.0):
+    """True once ``pid`` has exited (a zombie awaiting its reaper counts)."""
+    until = time.monotonic() + timeout
+    while True:
+        try:
+            with open("/proc/%d/stat" % pid) as handle:
+                if handle.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            return True
+        except OSError:  # no /proc: fall back to a signal probe
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return True
+        if time.monotonic() >= until:
+            return False
+        time.sleep(0.02)
+
+
+def _pids(outcomes):
+    return [o.result["pid"] for o in outcomes if o.ok]
+
+
+class TestEvaluationChild:
+    """One reused child per executor batch enforces every deadline."""
+
+    def test_one_child_per_serial_batch_reaped_at_its_end(self, pid_target):
+        jobs = [Job(pid_target, {"x": i}) for i in range(4)]
+        pids = _pids(CampaignRunner(workers=1, deadline=30.0).run(jobs))
+        assert len(pids) == 4 and len(set(pids)) == 1
+        assert pids[0] != os.getpid()
+        assert _gone(pids[0], timeout=0.0)  # reaped before run() returned
+        # Without a deadline the points run in this very process.
+        assert set(_pids(CampaignRunner(workers=1).run(jobs))) == {os.getpid()}
+
+    def test_no_child_left_after_a_pool_batch(self, pid_target):
+        jobs = [Job(pid_target, {"x": i}) for i in range(6)]
+        runner = CampaignRunner(
+            workers=2, executor=ProcessPoolExecutor(workers=2), deadline=30.0
+        )
+        pids = set(_pids(runner.run(jobs)))
+        assert 1 <= len(pids) <= 2 and os.getpid() not in pids
+        assert all(_gone(pid) for pid in pids)
+
+    def test_no_child_left_after_a_network_worker_exits(self, pid_target, tmp_path):
+        jobs = [Job(pid_target, {"x": i}, deadline=30.0) for i in range(3)]
+        server = CampaignServer(str(tmp_path), lease_ttl=5.0)
+        server.submit(jobs)
+        thread = ServerThread(server)
+        thread.start()
+        try:
+            assert run_network_worker(
+                ("127.0.0.1", server.port), worker_id="w", once=True
+            ) == 3
+        finally:
+            thread.stop()
+        outcomes = [server.take(task_id(job)) for job in jobs]
+        pids = {result["pid"] for ok, result, _, _ in outcomes if ok}
+        assert len(pids) == 1 and os.getpid() not in pids
+        assert _gone(pids.pop(), timeout=0.0)
+
+    def test_batch_sees_environment_and_targets_set_after_earlier_batch(
+        self, tmp_path, monkeypatch
+    ):
+        """A child is forked per batch, never carried over from the last.
+
+        One executor runs both batches, as a runner's executor does
+        across retry rounds and campaigns; a child kept from the first
+        batch would miss the variable and the target set after it.
+        """
+        executor = SerialExecutor()
+        runner = CampaignRunner(workers=1, executor=executor, deadline=30.0)
+        assert runner.run([Job(CHAOS_TARGET, {"x": 0})])[0].ok
+        scratch = tmp_path / "invocations"
+        monkeypatch.setenv("REPRO_DSE_SELFTEST_DIR", str(scratch))
+        late = "dse-chaos-late-target"
+        register_target(late, lambda spec, seed: {"late": True})
+        try:
+            counted, fresh = runner.run(
+                [Job(CHAOS_TARGET, {"x": 1, "count": True}), Job(late, {})]
+            )
+        finally:
+            _TARGETS.pop(late, None)
+        assert counted.ok, counted.error
+        assert os.listdir(str(scratch)) == ["count-1"]
+        assert fresh.ok and fresh.result == {"late": True}
+
+    @pytest.mark.parametrize("fault", ["exit", "hang"])
+    def test_next_point_runs_in_a_fresh_child(self, pid_target, fault):
+        jobs = [
+            Job(pid_target, {"x": 0}),
+            Job(pid_target, {"x": 1, "chaos": fault}),
+            Job(pid_target, {"x": 2}),
+        ]
+        before, faulted, after = CampaignRunner(workers=1, deadline=0.5).run(jobs)
+        assert before.ok and after.ok and not faulted.ok
+        if fault == "exit":
+            assert faulted.error.startswith("EvaluationCrashed")
+        else:
+            assert is_timeout_error(faulted.error)
+        assert before.result["pid"] != after.result["pid"]
+        assert _gone(before.result["pid"], timeout=0.0)
+
+    def test_sibling_grid_records_identical_with_deadline(self):
+        space = (
+            ParameterSpace()
+            .add("subarray_rows", [128, 256])
+            .add("wer_target", [1e-9, 1e-12])
+        )
+        effort = dict(num_words=200, error_population=10_000, workers=1)
+        plain = explore_memory(space, **effort)
+        bounded = explore_memory(space, deadline=60.0, **effort)
+        assert [o.ok for o in bounded.outcomes] == [True] * 4
+        assert bounded.records() == plain.records()
+
+
+class TestEvaluateHookUnderDeadline:
+    """The ``evaluate`` hook spends a fault once per point, deadline or not."""
+
+    PLANE = [Fault("evaluate", "crash", count=1, skip=1)]
+
+    @pytest.mark.parametrize("deadline", [None, 30.0])
+    def test_serial(self, deadline):
+        jobs = [Job(CHAOS_TARGET, {"x": i}) for i in range(4)]
+        with FaultPlane(faults=list(self.PLANE)) as plane:
+            outcomes = CampaignRunner(workers=1, deadline=deadline).run(jobs)
+        assert [o.ok for o in outcomes] == [True, False, True, True]
+        assert outcomes[1].error.startswith("ChaosCrash")
+        assert [fired["site"] for fired in plane.fired] == ["evaluate"]
+
+    @pytest.mark.parametrize("deadline", [0.0, 30.0])
+    def test_network_worker(self, deadline, tmp_path):
+        jobs = [Job(CHAOS_TARGET, {"x": i}, deadline=deadline) for i in range(4)]
+        server = CampaignServer(str(tmp_path), lease_ttl=5.0)
+        server.submit(jobs)
+        thread = ServerThread(server)
+        thread.start()
+        try:
+            with FaultPlane(faults=list(self.PLANE)) as plane:
+                assert run_network_worker(
+                    ("127.0.0.1", server.port), worker_id="w", once=True
+                ) == 4
+        finally:
+            thread.stop()
+        failed = [not server.take(task_id(job))[0] for job in jobs]
+        assert sum(failed) == 1
+        assert [fired["site"] for fired in plane.fired] == ["evaluate"]
 
 
 # -- the InvariantChecker ------------------------------------------------

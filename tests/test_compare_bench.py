@@ -39,6 +39,7 @@ def _snapshot(**overrides):
             "scalar_s_per_point": 1.0,
             "vector_speedup": 50.0,
             "shared_s_per_point": 0.012,
+            "deadline_ratio": 1.1,
         },
     }
     for dotted, value in overrides.items():
@@ -85,6 +86,13 @@ class TestCompare:
         regressions, _ = _compare(_snapshot(), current)
         assert len(regressions) == 1
         assert "evaluator.shared_s_per_point" in regressions[0]
+
+    def test_deadline_ratio_regression_flagged(self):
+        # A fork per deadline point forfeits the memo: ~2.5x.
+        current = _snapshot(**{"evaluator.deadline_ratio": 2.5})
+        regressions, _ = _compare(_snapshot(), current)
+        assert len(regressions) == 1
+        assert "evaluator.deadline_ratio" in regressions[0]
 
     def test_improvement_never_flags(self):
         current = _snapshot(**{
