@@ -515,9 +515,45 @@ def deadline_ratio(pairs=5):
     return statistics.median(ratios)
 
 
+#: The grid :func:`grid_s_per_point` times: one seed over both nodes and
+#: three subarray heights at one ``wer_target``, so no point's physics
+#: is served by the memo and every point reads the seed's shared normals.
+SEED_GRID = (
+    ("node_nm", [45, 65]),
+    ("subarray_rows", [128, 256, 512]),
+    ("word_bits", [128]),
+)
+
+
+def grid_s_per_point(runs=3):
+    """Serial wall-clock per point of :data:`SEED_GRID` at the
+    evaluator's default effort.
+
+    Median over ``runs`` after a warm-up run.  Every run starts on an
+    empty physics memo and an empty normal stream, so its first point
+    draws the seed's normals and the other five share them.
+    """
+    from repro.vaet.explorer import clear_physics_memo
+
+    space = ParameterSpace()
+    for name, values in SEED_GRID:
+        space.add(name, values)
+
+    def timed():
+        clear_physics_memo()
+        tick = time.perf_counter()
+        result = explore_memory(space, workers=1)
+        elapsed = time.perf_counter() - tick
+        assert all(outcome.ok for outcome in result.outcomes)
+        return elapsed / len(result.outcomes)
+
+    timed()  # warm-up: imports and first-touch heap
+    return statistics.median(timed() for _ in range(runs))
+
+
 def evaluator_bench(points=4, scalar_points=2, num_words=200,
                     error_population=10_000, default_repeats=3,
-                    deadline_pairs=5):
+                    deadline_pairs=5, grid_runs=3):
     """Per-point wall-clock of the real memory evaluator, both paths.
 
     Times :func:`repro.dse.campaign.evaluate_memory_point` on the
@@ -536,8 +572,10 @@ def evaluator_bench(points=4, scalar_points=2, num_words=200,
     ``wer_target`` follows, and is timed as the shared point: the memo
     serves its physics, so it pays only for its ECC sweep.  The pass
     count runs first, so every timed repeat follows a warm-up point.
-    The worker's cold start is timed in fresh interpreters, and the
-    cost of a deadline by :func:`deadline_ratio`.
+    The worker's cold start is timed in fresh interpreters, the cost
+    of a deadline by :func:`deadline_ratio`, and a default-effort grid
+    of one seed, whose points share its normals, by
+    :func:`grid_s_per_point`.
     """
     from repro.dse.campaign import evaluate_memory_point
     from repro.nvsim import MemoryConfig
@@ -609,6 +647,7 @@ def evaluator_bench(points=4, scalar_points=2, num_words=200,
         "minor_faults_per_point": statistics.median(default_faults),
         "worker_ready_s": worker_ready_s(),
         "deadline_ratio": deadline_ratio(deadline_pairs),
+        "grid_s_per_point": grid_s_per_point(grid_runs),
         **passes,
     }
 
@@ -634,7 +673,8 @@ def test_evaluator_fast_path():
     """Fast tier-1 path: vector evaluator >= 10x the scalar reference,
     and a deadline costs <= 1.5x on the sibling grid."""
     summary = evaluator_bench(
-        points=3, scalar_points=2, default_repeats=1, deadline_pairs=3
+        points=3, scalar_points=2, default_repeats=1, deadline_pairs=3,
+        grid_runs=1,
     )
     _check_and_save_evaluator("dse_evaluator_bench.json", summary)
 

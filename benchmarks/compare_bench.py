@@ -65,6 +65,9 @@ METRICS = [
     # points share one evaluation child and its physics memo.  The
     # bench asserts <= 1.5 absolutely; the gate catches slow creep.
     ("evaluator", "deadline_ratio", "down", True),
+    # Per point of a default-effort grid of one seed over both nodes,
+    # every point a memo miss: the points share the seed's normals.
+    ("evaluator", "grid_s_per_point", "down", True),
     # Minor page faults of a default-effort point after a warm-up: a
     # handful while glibc keeps the heap resident, ~18k when it trims.
     ("evaluator", "minor_faults_per_point", "down", True),

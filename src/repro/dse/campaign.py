@@ -722,7 +722,8 @@ def run_memory_campaign(
     finally:
         if owns_executor:
             engine.close()
-    state.close()
+        if state is not None:
+            state.close()
     elapsed = time.perf_counter() - start
     return MemoryCampaignResult(
         jobs=jobs, outcomes=outcomes, elapsed=elapsed,
@@ -980,7 +981,7 @@ def run_system_campaign(
     finally:
         if owns_executor:
             engine.close()
-    state.close()
+        state.close()
     results = _system_results(flow, cells, outcomes)
     elapsed = time.perf_counter() - start
     return SystemCampaignResult(

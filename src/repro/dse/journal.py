@@ -245,9 +245,11 @@ class JsonlJournal:
     def close(self) -> None:
         """Sync and release the file handle (reopened lazily on append)."""
         if self._handle is not None:
-            self.sync()
-            self._handle.close()
-            self._handle = None
+            try:
+                self.sync()
+            finally:
+                self._handle.close()
+                self._handle = None
 
     # -- rewriting ------------------------------------------------------
 

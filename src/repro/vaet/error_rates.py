@@ -26,7 +26,11 @@ from scipy.special import ndtr, ndtri
 
 from repro.nvsim.subarray import SENSE_MARGIN
 from repro.vaet.montecarlo import MonteCarloEngine
-from repro.vaet.variation_model import CellSamples, scalar_reference_enabled
+from repro.vaet.variation_model import (
+    CellSamples,
+    scalar_reference_enabled,
+    standard_normals,
+)
 
 
 #: Newton stops once a step moves log(x) by at most this much.  The
@@ -226,19 +230,29 @@ class WriteKernel:
 class ErrorRateAnalysis:
     """WER/RER timing-margin solver bound to one Monte Carlo engine.
 
-    Samples the error population once.  The write solves run on
-    :attr:`kernel`, the population's :class:`WriteKernel`; the read
-    solve and the population-mean WER (:meth:`mean_cell_wer`, the ECC
-    stuck-cell floor and the scalar reference) use the full arrays.
+    Samples the error population once.  On the vectorised path its
+    cells are the first ``4 * population`` normals of the seed's stream
+    (:func:`~repro.vaet.variation_model.standard_normals`), shared with
+    every analysis and Monte Carlo write of that seed in the process.
+    The write solves run on :attr:`kernel`, the population's
+    :class:`WriteKernel`; the read solve and the population-mean WER
+    (:meth:`mean_cell_wer`, the ECC stuck-cell floor and the scalar
+    reference) use the full arrays.
     """
 
     def __init__(self, engine: MonteCarloEngine, population: int = 200_000,
                  seed: int = 2018):
         self.engine = engine
-        rng = np.random.default_rng(seed)
-        self.cells: CellSamples = engine.variation.sample_cells(rng, population)
-        self._rates = engine.variation.switching_rates(self.cells)
-        self._signals = engine.variation.read_signal_currents(self.cells)
+        variation = engine.variation
+        if scalar_reference_enabled():
+            self.cells: CellSamples = variation.sample_cells(
+                np.random.default_rng(seed), population
+            )
+        else:
+            normals, _ = standard_normals(seed, 4 * population)
+            self.cells = variation.cells_from_normals(normals.reshape(4, -1))
+        self._rates = variation.switching_rates(self.cells)
+        self._signals = variation.read_signal_currents(self.cells)
         # Pulse-independent factors, hoisted so the margin solvers (tens
         # of word_wer/word_rer evaluations per brentq call) only pay for
         # one exp/ndtr pass over the population per iteration.

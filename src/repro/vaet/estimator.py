@@ -25,7 +25,11 @@ from repro.vaet.ecc import ECCAnalysis
 from repro.vaet.error_rates import ErrorRateAnalysis
 from repro.vaet.montecarlo import MonteCarloEngine
 from repro.vaet.read_disturb import ReadDisturbAnalysis
-from repro.vaet.variation_model import VariationModel
+from repro.vaet.variation_model import (
+    VariationModel,
+    scalar_reference_enabled,
+    standard_normals,
+)
 
 #: The tool's Monte Carlo seed unless one is given (fixed for
 #: reproducible tables).
@@ -112,8 +116,19 @@ class VAETSTT:
             seed: Explicit RNG seed for this estimate; defaults to the
                 tool seed so existing tables are bit-identical.
         """
-        rng = np.random.default_rng(self.seed if seed is None else seed)
-        writes = self.engine.sample_writes(rng, num_words)
+        seed = self.seed if seed is None else seed
+        if scalar_reference_enabled():
+            rng = np.random.default_rng(seed)
+            writes = self.engine.sample_writes(rng, num_words)
+        else:
+            # The writes' normals open the seed's stream: take them
+            # from the process-level copy every point of the seed shares.
+            normals, rng = standard_normals(
+                seed, 4 * num_words * self.config.word_bits
+            )
+            writes = self.engine.writes_from_normals(
+                normals.reshape(4, -1), rng, num_words
+            )
         reads = self.engine.sample_reads(rng, num_words)
         return VariationAwareEstimate(
             nominal=self.nvsim.estimate(),

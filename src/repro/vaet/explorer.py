@@ -26,7 +26,10 @@ from repro.vaet.ecc import ECCAnalysis
 from repro.vaet.error_rates import ReadMarginResult, WriteKernel
 from repro.vaet.estimator import DEFAULT_SEED, VAETSTT
 from repro.vaet.montecarlo import MonteCarloEngine
-from repro.vaet.variation_model import scalar_reference_enabled
+from repro.vaet.variation_model import (
+    clear_standard_normals,
+    scalar_reference_enabled,
+)
 
 
 @dataclass(frozen=True)
@@ -161,9 +164,12 @@ _physics_lock = threading.Lock()
 
 
 def clear_physics_memo() -> None:
-    """Forget every memoised WER-independent record."""
+    """Forget every memoised WER-independent record, and the cached
+    standard normals they were drawn from, so the next point pays for
+    all of its physics."""
     with _physics_lock:
         _physics_memo.clear()
+    clear_standard_normals()
 
 
 class DesignSpaceExplorer:
@@ -208,7 +214,12 @@ class DesignSpaceExplorer:
         num_words, error_population, rer_target, disturb_budget)``, so
         a sibling point that differs only in the ECC axes pays only for
         its ECC sweep.  The result stays a pure function of the
-        arguments.  Under ``REPRO_VAET_SCALAR`` the memo is bypassed
+        arguments.  A miss draws neither its MC writes' normals nor
+        its population's: both are views of the seed's process-level
+        stream (:func:`~repro.vaet.variation_model.standard_normals`),
+        which every point of that seed shares, with the values it would
+        have drawn itself.  :func:`clear_physics_memo` empties the memo
+        and the stream.  Under ``REPRO_VAET_SCALAR`` both are bypassed
         and every point recomputes everything.  Under ``--deadline``
         the points run in one reused evaluation child per executor
         slot, whose memo serves them the same way.

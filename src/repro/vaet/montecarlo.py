@@ -13,7 +13,11 @@ import numpy as np
 
 from repro.nvsim.bank import BankTiming
 from repro.nvsim.subarray import SubarrayTiming
-from repro.vaet.variation_model import VariationModel, scalar_reference_enabled
+from repro.vaet.variation_model import (
+    VariationModel,
+    normal_blocks,
+    scalar_reference_enabled,
+)
 
 
 @dataclass
@@ -84,7 +88,34 @@ class MonteCarloEngine:
     def sample_writes(
         self, rng: np.random.Generator, num_words: int, margin_sigmas: float = 2.0
     ) -> WriteSamples:
-        """Sample ``num_words`` word writes.
+        """Sample ``num_words`` word writes from ``rng``.
+
+        Draws the cells' variation normals, then as
+        :meth:`writes_from_normals`.
+        """
+        size = num_words * self.word_bits
+        if not scalar_reference_enabled():
+            return self.writes_from_normals(
+                normal_blocks(rng, size), rng, num_words, margin_sigmas
+            )
+        variation = self.variation
+        cells = variation.sample_cells(rng, size)
+        currents = variation.delivered_write_current(cells)
+        times = variation._times_at(
+            cells.delta, variation._rates_at(cells, currents), rng
+        )
+        return self._sample_writes_scalar(times, currents, num_words, margin_sigmas)
+
+    def writes_from_normals(
+        self, blocks, rng: np.random.Generator, num_words: int,
+        margin_sigmas: float = 2.0,
+    ) -> WriteSamples:
+        """``num_words`` word writes of the cells drawn as ``blocks``.
+
+        ``blocks`` are the cells' four blocks of ``num_words`` x
+        ``word_bits`` variation normals (see
+        :meth:`~repro.vaet.variation_model.VariationModel.cells_from_normals`);
+        ``rng`` draws each write's initial angle.
 
         Latency: overhead + 2 x (max switching time over the word's
         bits) — the self-timed completion of the two write phases.
@@ -93,15 +124,14 @@ class MonteCarloEngine:
         cannot cut power per bit the instant it happens to switch.
         """
         variation = self.variation
-        cells = variation.sample_cells(rng, num_words * self.word_bits)
+        cells = variation.cells_from_normals(blocks)
         currents = variation.delivered_write_current(cells)
-        times = variation._times_at(
-            cells, variation._rates_at(cells, currents), rng
-        )
-        if scalar_reference_enabled():
-            return self._sample_writes_scalar(
-                times, currents, num_words, margin_sigmas
-            )
+        rates = variation._rates_at(cells, currents)
+        delta = cells.delta
+        # Only Delta is read from here on: free the other columns
+        # before the switching-time pass allocates its own.
+        del cells
+        times = variation._times_at(delta, rates, rng)
         # Times are finite or +inf (non-switching): words containing a
         # non-switching cell get the window cap.
         word_max = np.max(times.reshape(num_words, self.word_bits), axis=1)
@@ -172,10 +202,13 @@ class MonteCarloEngine:
             )
         # The read path needs R_P and drive strength only: skip the
         # magnetic columns of sample_cells, drawing the same stream.
-        _, resistance_p, _, strength = self.variation._draw_cells(rng, size)
+        resistance_p, strength = self.variation._draw_cells(
+            normal_blocks(rng, size)
+        )[1::2]
         read_currents, signals = self.variation.read_path_currents(
             resistance_p, strength
         )
+        del resistance_p, strength
         develop = self._develop_times(signals)
         matrix = develop.reshape(num_words, self.word_bits)
         word_develop = np.max(matrix, axis=1)

@@ -1,24 +1,38 @@
 """Vectorised per-cell variation sampling for VAET-STT.
 
 Sec. III: "the impact of process variation on the magnetic devices
-exacerbates the stochastic switching behavior of the MTJ".  Three
-variation sources are sampled jointly, all vectorised with numpy so a
-10^6-cell Monte Carlo runs in milliseconds:
+exacerbates the stochastic switching behavior of the MTJ".  Four
+process draws set each cell, all vectorised with numpy so a 10^6-cell
+Monte Carlo runs in milliseconds:
 
 * **magnetic CD** — pillar diameter spread shifts area, H_k,eff, Delta
   and hence I_c0 per cell;
 * **MgO thickness** — lognormal RA factor shifts both resistance states
   (correlated), changing the delivered write current and read signal;
+* **TMR** — zero-bias magnetoresistance spread of the barrier;
 * **CMOS mismatch** — driver/access strength factor from Pelgrom V_th
   spread, changing the delivered current;
 
 plus the *stochastic* (not process) initial-angle draw per write event,
 which is what gives even one fixed cell a switching-time distribution.
+
+A population of n cells is a pure function of 4n standard normals, one
+block of n per source in the order above
+(:meth:`VariationModel.cells_from_normals`).  Every campaign point of
+one seed scores its array under the same variation draws, so the
+vectorised path reads them from one process-level stream
+(:func:`standard_normals`): the first normals of ``default_rng(seed)``,
+drawn once per process and shared by the Monte Carlo writes of every
+word width and node and by the error population.  The values are the
+ones ``default_rng(seed).normal(0, sigma, n)`` drew per source and
+point, so every output is unchanged.
 """
 
 import math
 import os
+import threading
 from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +59,85 @@ SCALAR_REFERENCE_ENV = "REPRO_VAET_SCALAR"
 def scalar_reference_enabled() -> bool:
     """True when the scalar (loop-based) reference kernels are forced."""
     return os.environ.get(SCALAR_REFERENCE_ENV, "") not in ("", "0")
+
+
+class _NormalStream:
+    """The standard normals of one seed's ``default_rng``, drawn once.
+
+    Holds the longest prefix asked for and the bit-generator state at
+    every count handed out, so a generator positioned after any of them
+    is rebuilt without drawing.  A new seed evicts the old one.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.clear()
+
+    def clear(self) -> None:
+        self.seed: Optional[int] = None
+        self.prefix = np.empty(0)
+        self.states: Dict[int, dict] = {}
+
+    def take(self, seed: int, count: int) -> Tuple[np.ndarray, dict]:
+        """The first ``count`` normals and the state right after them."""
+        with self.lock:
+            if self.seed is None or self.seed != seed:
+                self.clear()
+                self.seed = seed
+                self.states[0] = np.random.default_rng(seed).bit_generator.state
+            have = len(self.prefix)
+            if count > have:
+                generator = _positioned(seed, self.states[have])
+                prefix = np.empty(count)
+                prefix[:have] = self.prefix
+                generator.standard_normal(out=prefix[have:])
+                prefix.flags.writeable = False
+                self.prefix = prefix
+                self.states[count] = generator.bit_generator.state
+            elif count not in self.states:
+                # Inside the prefix at a count never handed out: draw
+                # once to learn the state there.
+                generator = np.random.default_rng(seed)
+                generator.standard_normal(count)
+                self.states[count] = generator.bit_generator.state
+            return self.prefix[:count], self.states[count]
+
+
+def _positioned(seed: int, state: dict) -> np.random.Generator:
+    generator = np.random.default_rng(seed)
+    generator.bit_generator.state = state
+    return generator
+
+
+_STREAM = _NormalStream()
+
+
+def standard_normals(
+    seed: int, count: int
+) -> Tuple[np.ndarray, np.random.Generator]:
+    """The first ``count`` standard normals of ``default_rng(seed)``.
+
+    Returns a read-only view of them and a fresh generator positioned
+    right after them, exactly as if it had drawn them itself.  The
+    process keeps one seed's longest prefix (4 floats per cell of the
+    largest population asked for), so every caller of that seed shares
+    one draw; thread-safe.  :func:`clear_standard_normals` (and
+    :func:`repro.vaet.explorer.clear_physics_memo`) drops it.
+    """
+    normals, state = _STREAM.take(seed, count)
+    return normals, _positioned(seed, state)
+
+
+def clear_standard_normals() -> None:
+    """Forget the cached stream."""
+    with _STREAM.lock:
+        _STREAM.clear()
+
+
+def normal_blocks(rng: np.random.Generator, size: int):
+    """The next ``4 * size`` standard normals of ``rng`` as four blocks
+    of ``size``, each drawn only when it is taken."""
+    return (rng.standard_normal(size) for _ in range(4))
 
 
 def oblate_demag_factor_vec(aspect: np.ndarray) -> np.ndarray:
@@ -136,66 +229,95 @@ class VariationModel:
         return interface - (nz - nx) * material.ms
 
     def _delta(self, diameter: np.ndarray, hk: np.ndarray) -> np.ndarray:
+        # Each intermediate is released once spent: at the Monte Carlo's
+        # 384k cells a live one is 3 MB.
         material = self._material
         k_eff = 0.5 * MU_0 * material.ms * np.maximum(hk, 1.0)
         wall = math.pi * np.sqrt(material.exchange_stiffness / k_eff)
+        del k_eff
         d_eff = np.minimum(diameter, wall)
+        del wall
         volume = math.pi * (d_eff / 2.0) ** 2 * self._thickness
+        del d_eff
         barrier = 0.5 * MU_0 * material.ms * np.maximum(hk, 0.0) * volume
+        del volume
         return barrier / (BOLTZMANN * self.temperature)
 
     def sample_cells(self, rng: np.random.Generator, size: int) -> CellSamples:
-        """Draw ``size`` independent cell instances."""
+        """Draw ``size`` independent cell instances from ``rng``."""
         if scalar_reference_enabled():
             return self._sample_cells_scalar(rng, size)
+        return self.cells_from_normals(normal_blocks(rng, size))
+
+    def cells_from_normals(self, blocks) -> CellSamples:
+        """The cells whose variation draws are ``blocks``.
+
+        ``blocks`` yields four arrays of n standard normals, one per
+        source in the order of :meth:`_draw_cells`: the rows of a
+        ``(4, n)`` array, or :func:`normal_blocks`.  Columns are worked
+        in place once their inputs are spent; each in-place step is the
+        same floating-point operation on the same operands as the plain
+        expression, so no value depends on it.
+        """
         material = self._material
-        diameter, r_p, tmr, strength = self._draw_cells(rng, size)
+        diameter, r_p, tmr, strength = self._draw_cells(blocks)
+        # r_ap_write = r_p * (1 + tmr / (1 + (V_w / V_h)^2)), in tmr.
+        tmr /= 1.0 + (self._write_bias / self._vh) ** 2
+        tmr += 1.0
+        tmr *= r_p
         hk = self._hk_eff(diameter)
         delta = self._delta(diameter, hk)
-        ic0 = (
-            4.0
-            * ELEMENTARY_CHARGE
-            * material.damping
-            * delta
-            * BOLTZMANN
-            * self.temperature
-            / (HBAR * material.polarization)
-        )
-        tmr_write = tmr / (1.0 + (self._write_bias / self._vh) ** 2)
-        r_ap_write = r_p * (1.0 + tmr_write)
-        rate_prefactor = (
-            material.damping
-            * GILBERT_GYROMAGNETIC
-            * np.maximum(hk, 0.0)
-            / (1.0 + material.damping ** 2)
-        )
+        ic0 = delta * (4.0 * ELEMENTARY_CHARGE * material.damping)
+        ic0 *= BOLTZMANN
+        ic0 *= self.temperature
+        ic0 /= HBAR * material.polarization
+        # alpha gamma0 max(H_k, 0) / (1 + alpha^2), in hk.
+        np.maximum(hk, 0.0, out=hk)
+        hk *= material.damping * GILBERT_GYROMAGNETIC
+        hk /= 1.0 + material.damping ** 2
         return CellSamples(
             diameter=diameter,
             delta=delta,
             critical_current=ic0,
             resistance_p=r_p,
-            resistance_ap_write=r_ap_write,
+            resistance_ap_write=tmr,
             drive_strength=strength,
-            rate_prefactor=rate_prefactor,
+            rate_prefactor=hk,
         )
 
-    def _draw_cells(self, rng: np.random.Generator, size: int):
-        """The per-cell random draws, in stream order: diameter, R_P,
-        zero-bias TMR and drive strength."""
+    def _draw_cells(self, blocks):
+        """Diameter, R_P, zero-bias TMR and drive strength per cell.
+
+        ``blocks`` yields the cells' four blocks of standard normals in
+        that order (see :meth:`cells_from_normals`), each taken only
+        once the one before is spent.  Scaling a block by its sigma
+        gives, element for element, what ``rng.normal(0, sigma, n)``
+        draws from the same stream position.
+        """
         mtj_var = self.pdk.variation.mtj
-        diameter = self._d0 * np.maximum(
-            0.3, 1.0 + rng.normal(0.0, mtj_var.diameter_sigma_rel, size)
-        )
-        area = math.pi * (diameter / 2.0) ** 2
+        blocks = iter(blocks)
+
+        def varied(sigma, floor):
+            # max(floor, 1 + N(0, sigma)), as a fresh array.
+            factor = np.multiply(next(blocks), sigma)
+            factor += 1.0
+            return np.maximum(factor, floor, out=factor)
+
+        diameter = varied(mtj_var.diameter_sigma_rel, 0.3)
+        diameter *= self._d0
+        area = np.divide(diameter, 2.0)
+        area **= 2
+        area *= math.pi
         ra_sigma = mtj_var.ra_thickness_sensitivity * mtj_var.mgo_thickness_sigma_rel
-        ra = self._ra * np.exp(rng.normal(0.0, ra_sigma, size))
-        tmr = self._tmr_nominal * np.maximum(
-            0.2, 1.0 + rng.normal(0.0, mtj_var.tmr_sigma_rel, size)
-        )
-        strength = np.maximum(
-            0.3, 1.0 + rng.normal(0.0, self._strength_sigma, size)
-        )
-        return diameter, ra / area, tmr, strength
+        ra = np.multiply(next(blocks), ra_sigma)
+        np.exp(ra, out=ra)
+        ra *= self._ra
+        ra /= area
+        del area
+        tmr = varied(mtj_var.tmr_sigma_rel, 0.2)
+        tmr *= self._tmr_nominal
+        strength = varied(self._strength_sigma, 0.3)
+        return diameter, ra, tmr, strength
 
     def _sample_cells_scalar(self, rng: np.random.Generator, size: int) -> CellSamples:
         """Cell-at-a-time reference sampler (``REPRO_VAET_SCALAR``).
@@ -261,8 +383,9 @@ class VariationModel:
 
     def delivered_write_current(self, cells: CellSamples) -> np.ndarray:
         """Write current delivered to each cell [A]."""
-        path = cells.resistance_ap_write + self._fixed_path_r / cells.drive_strength
-        return self.pdk.tech.vdd / path
+        path = self._fixed_path_r / cells.drive_strength
+        path += cells.resistance_ap_write
+        return np.divide(self.pdk.tech.vdd, path, out=path)
 
     def switching_rates(self, cells: CellSamples) -> np.ndarray:
         """Precessional amplification rate per cell [1/s].
@@ -274,8 +397,12 @@ class VariationModel:
 
     @staticmethod
     def _rates_at(cells: CellSamples, current: np.ndarray) -> np.ndarray:
-        overdrive = current / cells.critical_current
-        return cells.rate_prefactor * np.maximum(overdrive - 1.0, 0.0)
+        # prefactor * max(I / I_c0 - 1, 0), in one array.
+        rates = np.divide(current, cells.critical_current)
+        rates -= 1.0
+        np.maximum(rates, 0.0, out=rates)
+        rates *= cells.rate_prefactor
+        return rates
 
     def sample_switching_times(
         self, cells: CellSamples, rng: np.random.Generator
@@ -286,23 +413,30 @@ class VariationModel:
         (the thermal initial-angle distribution).  Non-switching cells
         (rate 0) return +inf.
         """
-        return self._times_at(cells, self.switching_rates(cells), rng)
+        return self._times_at(cells.delta, self.switching_rates(cells), rng)
 
     @staticmethod
     def _times_at(
-        cells: CellSamples, rates: np.ndarray, rng: np.random.Generator
+        delta: np.ndarray, rates: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
+        """Switching times from each cell's Delta and rate; every
+        temporary after the draw is worked in place."""
+        scale = np.maximum(delta, 1.0)
         if scalar_reference_enabled():
-            theta0_sq = np.array([
-                rng.exponential(1.0 / np.maximum(cells.delta[i], 1.0))
-                for i in range(len(cells))
+            times = np.array([
+                rng.exponential(1.0 / scale[i]) for i in range(len(delta))
             ])
         else:
-            theta0_sq = rng.exponential(1.0 / np.maximum(cells.delta, 1.0))
-        theta0 = np.sqrt(np.maximum(theta0_sq, 1e-12))
-        log_term = np.log(np.maximum(math.pi / 2.0 / theta0, 1.0 + 1e-9))
-        with np.errstate(divide="ignore"):
-            times = np.where(rates > 0.0, log_term / np.maximum(rates, 1e-30), np.inf)
+            times = rng.exponential(np.divide(1.0, scale, out=scale))
+        del scale
+        # theta0, then ln(pi / 2 / theta0), then that over the rate.
+        np.maximum(times, 1e-12, out=times)
+        np.sqrt(times, out=times)
+        np.divide(math.pi / 2.0, times, out=times)
+        np.maximum(times, 1.0 + 1e-9, out=times)
+        np.log(times, out=times)
+        times /= np.maximum(rates, 1e-30)
+        times[~(rates > 0.0)] = np.inf
         return times
 
     # -- read events ------------------------------------------------------
@@ -323,9 +457,14 @@ class VariationModel:
         from repro.nvsim.subarray import READ_BIAS
 
         tmr_read = self._tmr_nominal / (1.0 + (READ_BIAS / self._vh) ** 2)
-        r_ap = resistance_p * (1.0 + tmr_read)
-        read_strength = np.sqrt(drive_strength)
-        fixed = self._fixed_path_r / read_strength
-        i_p = READ_BIAS / (resistance_p + fixed)
-        i_ap = READ_BIAS / (r_ap + fixed)
-        return i_p, 0.5 * (i_p - i_ap)
+        fixed = np.sqrt(drive_strength)
+        np.divide(self._fixed_path_r, fixed, out=fixed)
+        i_p = np.add(resistance_p, fixed)
+        np.divide(READ_BIAS, i_p, out=i_p)
+        i_ap = np.multiply(resistance_p, 1.0 + tmr_read)
+        i_ap += fixed
+        del fixed
+        np.divide(READ_BIAS, i_ap, out=i_ap)
+        signal = np.subtract(i_p, i_ap, out=i_ap)
+        signal *= 0.5
+        return i_p, signal

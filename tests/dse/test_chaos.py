@@ -53,7 +53,6 @@ from repro.dse import (
     explore_memory,
     is_timeout_error,
     read_events,
-    run_checkpointed,
     run_network_worker,
     seeded_schedule,
 )
@@ -63,6 +62,7 @@ from repro.dse.net.server import WorkerStalled, task_id
 from repro.dse.net.worker import _NetHeartbeat, reconnect_backoff
 from repro.dse.executors import evaluate_chaos
 from repro.dse.runner import NO_FORK_ERROR, _TARGETS, _execute, execute_task, register_target
+from test_utils import run_closed
 
 
 # -- FaultPlane mechanics ------------------------------------------------
@@ -151,6 +151,7 @@ class TestDiskFaults:
         events, torn = read_events(journal.path)
         assert ([e["event"] for e in events], torn) == (["begin"], 0)
         journal.append({"event": "after", "n": 2})
+        journal.close()
         events, torn = read_events(journal.path)
         assert ([e["event"] for e in events], torn) == (["begin", "after"], 0)
 
@@ -165,7 +166,10 @@ class TestDiskFaults:
         events, torn = read_events(journal.path)
         assert [e["event"] for e in events] == ["begin"]
         assert torn > 0  # the in-flight line, and only it, was torn
-        JsonlJournal(journal.path).append({"event": "healed"})
+        journal.close()
+        healed = JsonlJournal(journal.path)
+        healed.append({"event": "healed"})
+        healed.close()
         events, torn = read_events(journal.path)
         assert [e["event"] for e in events] == ["begin", "healed"]
         assert torn == 0  # the re-opened journal repaired the tail
@@ -194,7 +198,7 @@ class TestDiskFaults:
                 os.path.join(camp, "journal.jsonl"), key,
                 total=len(jobs), resume=resume,
             )
-            return run_checkpointed(jobs, runner, state)
+            return run_closed(jobs, runner, state)
 
         with FaultPlane(
             seed=0, faults=[Fault("journal.append", "enospc", skip=2)]
@@ -524,7 +528,7 @@ def _small_campaign(camp, jobs, resume=False, deadline=None, retry=None):
         total=len(jobs),
         resume=resume,
     )
-    return run_checkpointed(jobs, runner, state, retry=retry)
+    return run_closed(jobs, runner, state, retry=retry)
 
 
 class TestInvariantChecker:
@@ -613,7 +617,7 @@ class TestInvariantChecker:
             campaign_key({"kind": "chaos-invariants"}),
             total=len(jobs) + 2,  # two points never ran
         )
-        run_checkpointed(jobs, runner, state)
+        run_closed(jobs, runner, state)
         checker = InvariantChecker(camp)
         assert any("incomplete" in v for v in checker.check(expect_complete=True))
         assert checker.check(expect_complete=False) == []
@@ -687,7 +691,7 @@ def _drive_serial(schedule, camp, jobs, key, resume):
         os.path.join(camp, "journal.jsonl"), key,
         total=len(jobs), resume=resume,
     )
-    return run_checkpointed(jobs, runner, state, retry=CHAOS_RETRY)
+    return run_closed(jobs, runner, state, retry=CHAOS_RETRY)
 
 
 class _WorkerFleet:
@@ -752,7 +756,7 @@ def _drive_network(schedule, camp, jobs, key, resume):
             os.path.join(camp, "journal.jsonl"), key,
             total=len(jobs), resume=resume,
         )
-        return run_checkpointed(jobs, runner, state, retry=CHAOS_RETRY)
+        return run_closed(jobs, runner, state, retry=CHAOS_RETRY)
     finally:
         executor.close()
         fleet.close()

@@ -1,8 +1,10 @@
 """Tests for campaign journals and checkpointed (resumable) execution."""
 
+import gc
 import json
 import os
 import time
+import warnings
 
 import pytest
 
@@ -389,3 +391,48 @@ class TestRunCheckpointed:
         results = run_checkpointed(jobs, runner, resumed)
         assert len(calls) == 4  # both re-evaluated — correctness over thrift
         assert all(r.ok for r in results)
+
+
+class Interrupted(BaseException):
+    """Escapes the runner's per-point isolation, as a Ctrl-C would."""
+
+
+class TestEntryPointsCloseTheJournal:
+    """A campaign entry point that raises releases its journal handle."""
+
+    @staticmethod
+    def _interrupt(spec, seed):
+        raise Interrupted()
+
+    def _assert_closes(self, monkeypatch, target, run):
+        from repro.dse import runner as runner_module
+
+        monkeypatch.setitem(runner_module._TARGETS, target, self._interrupt)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(Interrupted) as raised:
+                run()
+            del raised  # its traceback holds the campaign's frames
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
+
+    def test_memory_campaign(self, tmp_path, monkeypatch):
+        from repro.dse import ParameterSpace, run_memory_campaign
+        from repro.dse.runner import MEMORY_TARGET
+
+        space = ParameterSpace().add("subarray_rows", [128, 256])
+        self._assert_closes(monkeypatch, MEMORY_TARGET, lambda: run_memory_campaign(
+            space, str(tmp_path / "camp"), workers=1, num_words=20,
+            error_population=500,
+        ))
+
+    def test_system_campaign(self, tmp_path, monkeypatch):
+        from repro.dse import run_system_campaign
+        from repro.dse.runner import SYSTEM_TARGET
+        from repro.magpie.scenarios import Scenario
+
+        self._assert_closes(monkeypatch, SYSTEM_TARGET, lambda: run_system_campaign(
+            str(tmp_path / "camp"), workloads=["bodytrack"],
+            scenarios=[Scenario.FULL_SRAM], workers=1,
+        ))

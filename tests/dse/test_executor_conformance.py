@@ -33,10 +33,9 @@ from repro.dse import (
     campaign_key,
     is_timeout_error,
     pareto_front,
-    run_checkpointed,
     run_network_worker,
 )
-from test_utils import CampaignKilled, CrashingRunner
+from test_utils import CampaignKilled, CrashingRunner, run_closed
 
 KEY = campaign_key({"kind": "executor-conformance"})
 
@@ -143,7 +142,7 @@ def _reference(tmp_path, jobs, deadline=None, **kwargs):
     state = CampaignState.open(
         str(ref_dir / "journal.jsonl"), KEY, total=len(jobs)
     )
-    outcomes = run_checkpointed(jobs, runner, state, **kwargs)
+    outcomes = run_closed(jobs, runner, state, **kwargs)
     return outcomes, state
 
 
@@ -153,7 +152,7 @@ class TestConformance:
         jobs = _jobs(6)
         reference, ref_state = _reference(tmp_path, jobs)
 
-        outcomes = run_checkpointed(jobs, harness.runner(), harness.state(len(jobs)))
+        outcomes = run_closed(jobs, harness.runner(), harness.state(len(jobs)))
         assert _summary(outcomes) == _summary(reference)
         assert _records(outcomes) == _records(reference)
         assert pareto_front(_records(outcomes), ("value", "cost")) == pareto_front(
@@ -168,8 +167,8 @@ class TestConformance:
         """A warm re-run serves every point from the cache, identically."""
         jobs = _jobs(5)
         runner = harness.runner()
-        cold = run_checkpointed(jobs, runner, harness.state(len(jobs)))
-        warm = run_checkpointed(
+        cold = run_closed(jobs, runner, harness.state(len(jobs)))
+        warm = run_closed(
             jobs, harness.runner(), harness.state(len(jobs), resume=True)
         )
         assert all(o.from_cache for o in warm)
@@ -188,7 +187,7 @@ class TestConformance:
 
         state = harness.state(len(jobs))
         with pytest.raises(CampaignKilled):
-            run_checkpointed(
+            run_closed(
                 jobs, CrashingRunner(harness.runner(), crash_after=3), state
             )
         journaled = CampaignState.load(
@@ -197,7 +196,7 @@ class TestConformance:
         assert 1 <= journaled.done <= 3
         finished = set(journaled.completed)
 
-        outcomes = run_checkpointed(
+        outcomes = run_closed(
             jobs, harness.runner(), harness.state(len(jobs), resume=True)
         )
         assert _summary(outcomes) == _summary(reference)
@@ -232,11 +231,11 @@ class TestConformance:
         scratch = tmp_path / "heal"
         monkeypatch.setenv("REPRO_DSE_SELFTEST_DIR", str(scratch))
         jobs = _jobs(2) + [Job(SELFTEST_TARGET, {"x": 77, "fail_first": 1})]
-        first = run_checkpointed(
+        first = run_closed(
             jobs, harness.runner(), harness.state(len(jobs))
         )
         assert [o.ok for o in first] == [True, True, False]
-        resumed = run_checkpointed(
+        resumed = run_closed(
             jobs,
             harness.runner(),
             harness.state(len(jobs), resume=True),
@@ -258,7 +257,7 @@ class TestConformance:
         reference, ref_state = _reference(tmp_path, jobs, retry=retry)
         shutil.rmtree(str(scratch))
 
-        outcomes = run_checkpointed(
+        outcomes = run_closed(
             jobs, harness.runner(), harness.state(len(jobs)), retry=retry
         )
         assert _summary(outcomes) == _summary(reference)
@@ -300,7 +299,7 @@ class TestConformance:
         )
         shutil.rmtree(str(scratch))
 
-        outcomes = run_checkpointed(
+        outcomes = run_closed(
             jobs,
             harness.runner(deadline=deadline),
             harness.state(len(jobs)),

@@ -40,6 +40,7 @@ def _snapshot(**overrides):
             "vector_speedup": 50.0,
             "shared_s_per_point": 0.012,
             "deadline_ratio": 1.1,
+            "grid_s_per_point": 0.1,
         },
     }
     for dotted, value in overrides.items():
@@ -93,6 +94,13 @@ class TestCompare:
         regressions, _ = _compare(_snapshot(), current)
         assert len(regressions) == 1
         assert "evaluator.deadline_ratio" in regressions[0]
+
+    def test_grid_point_regression_flagged(self):
+        # Points that stop sharing the seed's normals redraw them.
+        current = _snapshot(**{"evaluator.grid_s_per_point": 0.14})
+        regressions, _ = _compare(_snapshot(), current)
+        assert len(regressions) == 1
+        assert "evaluator.grid_s_per_point" in regressions[0]
 
     def test_improvement_never_flags(self):
         current = _snapshot(**{

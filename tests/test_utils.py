@@ -1,7 +1,7 @@
 """Tests for repro.utils, plus shared fault-injection test helpers.
 
 The helpers at the bottom (:class:`CrashingRunner`, :func:`torn_write`,
-:exc:`CampaignKilled`, and the multi-writer hammers
+:exc:`CampaignKilled`, :func:`run_closed`, and the multi-writer hammers
 :func:`hammer_cache` / :func:`spawn_hammers`) simulate the ways a
 campaign dies or races in the wild — the process is killed between
 points, a write is torn mid-append, and many processes write one cache
@@ -203,6 +203,17 @@ class CrashingRunner:
 
     def run(self, jobs, progress=None, **kwargs):
         return list(self.run_iter(jobs, progress=progress, **kwargs))
+
+
+def run_closed(jobs, runner, state, **kwargs):
+    """``run_checkpointed`` that closes ``state``'s journal handle on
+    every exit, as the campaign entry points do."""
+    from repro.dse import run_checkpointed
+
+    try:
+        return run_checkpointed(jobs, runner, state, **kwargs)
+    finally:
+        state.close()
 
 
 def torn_write(path, offset):
