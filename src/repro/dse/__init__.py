@@ -19,9 +19,8 @@ subsystem every layer plugs into:
   :class:`~repro.dse.net.CampaignServer` that owns the lease state in
   memory and leases points (heartbeat + expiry reclaim) to
   ``worker --connect host:port`` clients on any host
-  (:class:`~repro.dse.net.NetworkExecutor`), plus a
-  :class:`~repro.dse.net.Supervisor` that respawns and autoscales a
-  local worker fleet against queue depth;
+  (:class:`~repro.dse.net.NetworkExecutor`); ``worker --processes N``
+  keeps a fixed local fleet of them, respawning signal-killed ones;
 * :mod:`repro.dse.journal` — append-only JSONL event log with torn-line
   recovery and snapshot compaction (O(1) journal I/O per point);
 * :mod:`repro.dse.retry` — :class:`RetryPolicy`: budgeted per-point
@@ -133,7 +132,6 @@ from repro.dse.runner import (
 from repro.dse.net import (
     CampaignServer,
     NetworkExecutor,
-    Supervisor,
     WorkerStalled,
     parse_connect,
     run_network_worker,
@@ -168,7 +166,6 @@ __all__ = [
     "make_executor",
     "CampaignServer",
     "NetworkExecutor",
-    "Supervisor",
     "WorkerStalled",
     "parse_connect",
     "run_network_worker",

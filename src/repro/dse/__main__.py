@@ -16,12 +16,10 @@ Subcommands:
 * ``worker --connect HOST:PORT`` — evaluate points for a *served*
   campaign over TCP (start any number, on any host; retries with
   backoff on disconnect, exits on the server's stop or
-  ``--idle-timeout``);
+  ``--idle-timeout``); ``--processes N`` runs N such workers as
+  children instead, respawning one only when a signal killed it;
 * ``serve SPEC --dir DIR --port N`` — run a campaign whose points are
-  leased to network workers by an embedded campaign server;
-* ``supervise --connect HOST:PORT --min A --max B`` — keep a local
-  fleet of network workers alive, respawning dead ones and autoscaling
-  between A and B against the server's queue depth.
+  leased to network workers by an embedded campaign server.
 
 ``run``/``resume`` select the execution backend with ``--executor
 serial|pool|network``; ``--executor network --port N --spawn-workers
@@ -465,7 +463,7 @@ def cmd_status(args) -> int:
         return 2
     status = state.status()
     if args.json:
-        # Machine-readable contract (supervisors, CI): exactly one JSON
+        # Machine-readable contract (scripts, CI): exactly one JSON
         # object on stdout, nothing else.
         payload = dict(status)
         payload["cache_entries"] = len(
@@ -630,6 +628,8 @@ def cmd_retry(args) -> int:
 
 def cmd_worker(args) -> int:
     """Evaluate points for a served campaign."""
+    if args.processes is not None:
+        return cmd_worker_fleet(args)
     from repro.dse.net import run_network_worker
 
     try:
@@ -653,6 +653,37 @@ def cmd_worker(args) -> int:
     return 0
 
 
+def cmd_worker_fleet(args) -> int:
+    """Keep ``--processes`` worker children, each with this command's flags."""
+    from repro.dse.net.protocol import parse_connect
+    from repro.dse.net.worker import keep_fleet, spawn_worker, worker_command
+
+    if args.id is not None:
+        print("--id names one worker; --processes children are named "
+              "<host>-<pid>", file=sys.stderr)
+        return 2
+    cmd = worker_command(parse_connect(args.connect), args.poll)
+    for flag, value in (
+        ("--idle-timeout", args.idle_timeout),
+        ("--max-tasks", args.max_tasks),
+        ("--reconnect-backoff", args.reconnect_backoff),
+        ("--reconnect-timeout", args.reconnect_timeout),
+    ):
+        if value is not None:
+            cmd += [flag, str(value)]
+    if args.once:
+        cmd.append("--once")
+    try:
+        started, respawned, worst = keep_fleet(
+            lambda: spawn_worker(cmd), args.processes
+        )
+    except KeyboardInterrupt:
+        print("worker fleet interrupted", file=sys.stderr)
+        return 130
+    print("worker fleet done: %d started, %d respawned" % (started, respawned))
+    return worst
+
+
 def cmd_serve(args) -> int:
     """Run a campaign served to network workers over TCP."""
     if args.executor not in (None, "network"):
@@ -670,41 +701,6 @@ def cmd_serve(args) -> int:
         file=sys.stderr,
     )
     return cmd_run(args, resume=args.resume)
-
-
-def cmd_supervise(args) -> int:
-    """Supervise a local fleet of network workers."""
-    from repro.dse.net import Supervisor
-
-    try:
-        supervisor = Supervisor(
-            args.connect,
-            min_workers=args.min,
-            max_workers=args.max,
-            interval=args.interval,
-            worker_poll=args.worker_poll,
-            grace=args.grace,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        code = supervisor.run(
-            log=None if args.quiet
-            else lambda line: print(line, file=sys.stderr)
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        supervisor.shutdown()
-        print("supervisor interrupted", file=sys.stderr)
-        return 130
-    print(
-        "supervisor done: %d worker(s) started, %d respawned"
-        % (supervisor.spawned, supervisor.respawned)
-    )
-    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -894,42 +890,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="give up after this long continuously disconnected "
              "(default: retry forever)",
     )
+    worker.add_argument(
+        "--processes", type=_positive_int, default=None, metavar="N",
+        help="run N workers as child processes, respawning one only when "
+             "a signal killed it; exit with the worst child exit code",
+    )
     worker.set_defaults(func=cmd_worker)
 
-    supervise = sub.add_parser(
-        "supervise",
-        help="keep a fleet of network workers alive and autoscaled",
-    )
-    supervise.add_argument(
-        "--connect", type=_connect_endpoint, required=True,
-        metavar="HOST:PORT", help="the campaign server to size against",
-    )
-    supervise.add_argument(
-        "--min", type=_nonnegative_int, default=1, metavar="N",
-        help="fleet floor while the server is up (default: 1)",
-    )
-    supervise.add_argument(
-        "--max", type=_positive_int, default=4, metavar="N",
-        help="fleet ceiling (default: 4)",
-    )
-    supervise.add_argument(
-        "--interval", type=_positive_float, default=1.0, metavar="SECONDS",
-        help="seconds between supervision ticks (default: 1)",
-    )
-    supervise.add_argument(
-        "--worker-poll", type=_positive_float, default=0.5,
-        metavar="SECONDS",
-        help="--poll handed to spawned workers (default: 0.5)",
-    )
-    supervise.add_argument(
-        "--grace", type=_positive_int, default=5, metavar="TICKS",
-        help="unreachable-server ticks tolerated before winding down "
-             "(default: 5)",
-    )
-    supervise.add_argument(
-        "--quiet", action="store_true", help="suppress fleet-change logs"
-    )
-    supervise.set_defaults(func=cmd_supervise)
     return parser
 
 

@@ -1,11 +1,11 @@
-"""Campaign-as-a-service: lease server, network workers, supervisor.
+"""Campaign-as-a-service: lease server and network workers.
 
 The one distributed executor.  A campaign server (`server.py`) owns
 the campaign's lease state in memory and serves leases over
 line-delimited JSON on TCP; network worker clients (`worker.py`)
 lease, evaluate and stream results back from hosts with no shared
-mount; a supervisor (`supervisor.py`) keeps a local fleet of worker
-processes alive and sized to the queue depth.
+mount.  ``worker --processes N`` keeps a fixed local fleet of them,
+respawning a child only when a signal killed it.
 
 Durability rests on the campaign cache and journal, not on the server:
 ``ok`` results are cached before they are counted, so a SIGKILLed
@@ -25,7 +25,6 @@ from repro.dse.net.server import (
     ServerThread,
     WorkerStalled,
 )
-from repro.dse.net.supervisor import Supervisor, probe_status
 from repro.dse.net.worker import run_network_worker
 
 __all__ = [
@@ -35,9 +34,7 @@ __all__ = [
     "ProtocolError",
     "PROTOCOL_VERSION",
     "ServerThread",
-    "Supervisor",
     "WorkerStalled",
     "parse_connect",
-    "probe_status",
     "run_network_worker",
 ]

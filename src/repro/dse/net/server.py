@@ -59,7 +59,7 @@ from repro.dse.net.protocol import (
     encode_message,
     valid_worker_id,
 )
-from repro.dse.net.worker import spawn_worker, worker_command
+from repro.dse.net.worker import reap_workers, spawn_worker, worker_command
 
 #: Lease logs live here, relative to the campaign directory.
 LEASES_DIR = os.path.join("work", "leases")
@@ -676,16 +676,6 @@ class NetworkExecutor(Executor):
         while self.server.connection_count and time.monotonic() < deadline:
             time.sleep(0.02)
         try:
-            for proc in self.procs:
-                try:
-                    proc.wait(timeout=10.0)
-                except subprocess.TimeoutExpired:
-                    proc.terminate()
-                    try:
-                        proc.wait(timeout=5.0)
-                    except subprocess.TimeoutExpired:
-                        proc.kill()
-                        proc.wait()
-            del self.procs[:]
+            reap_workers(self.procs)
         finally:
             self.server_thread.stop()

@@ -16,6 +16,11 @@ instant fans its retries out instead of thundering back in lockstep),
 and an evaluated-but-unreported outcome survives the reconnect and is
 delivered first — an evaluation is minutes of Monte Carlo; a dropped
 socket must not discard it.
+
+Local fleets: :func:`keep_fleet` runs ``worker --processes N`` as N
+children and respawns only those a signal killed;
+:func:`reap_workers` is the one bounded shutdown of every spawned
+fleet, this one and :class:`~repro.dse.net.NetworkExecutor`'s.
 """
 
 import logging
@@ -25,7 +30,7 @@ import subprocess
 import sys
 import threading
 import time
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.dse.net.protocol import (
     PROTOCOL_VERSION,
@@ -45,7 +50,7 @@ def reconnect_backoff(
     """Next reconnect delay under decorrelated jitter.
 
     ``min(max_backoff, uniform(base, wait * 3))``: grows roughly
-    exponentially in expectation but never in lockstep — a supervised
+    exponentially in expectation but never in lockstep — a worker
     fleet that lost its server at the same instant would otherwise
     retry in synchronised waves (a thundering herd on the restarted
     server).  Always returns a value in ``[base, max_backoff]``.
@@ -78,6 +83,72 @@ def spawn_worker(cmd: List[str]) -> "subprocess.Popen":
     existing = env.get("PYTHONPATH", "")
     env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
     return subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+
+
+def reap_workers(procs: List["subprocess.Popen"], grace: float = 10.0) -> None:
+    """Reap spawned workers and empty ``procs``: the one shutdown path.
+
+    Waits up to ``grace`` seconds for them to exit on their own, then
+    terminates, then kills the rest (5 s each).  A worker that survives
+    the kill (stuck in uninterruptible I/O, or ptrace-frozen) is logged
+    with its pid and leaked: an operator must know the host still
+    carries it.
+    """
+    for signal_step, wait in ((None, grace), ("terminate", 5.0), ("kill", 5.0)):
+        if signal_step is not None:
+            for proc in procs:
+                getattr(proc, signal_step)()
+        deadline = time.monotonic() + wait
+        alive = []
+        for proc in procs:
+            try:
+                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                alive.append(proc)
+        procs[:] = alive
+    for proc in procs:
+        logger.warning(
+            "worker pid %d survived terminate and kill; leaking it", proc.pid
+        )
+    del procs[:]
+
+
+def keep_fleet(
+    spawn: Callable[[], "subprocess.Popen"], processes: int
+) -> Tuple[int, int, int]:
+    """Run ``processes`` local workers until none is left.
+
+    The rule reads only each child's exit status.  A child killed by a
+    signal (SIGKILL, OOM, segfault: ``returncode < 0``) is respawned, at
+    most one relaunch round per second.  A child that exits on its own
+    (0 on the server's ``stop`` or its idle timeout, 2 for an
+    unreachable server, 1 for a traceback) is not replaced.  Children
+    still running when this raises (Ctrl-C) are reaped.
+
+    Returns:
+        ``(started, respawned, worst exit code)``.
+    """
+    procs = [spawn() for _ in range(processes)]
+    started, respawned, worst, owed = processes, 0, 0, 0
+    last_round = time.monotonic()
+    try:
+        while procs or owed:
+            time.sleep(0.1)
+            for proc in [proc for proc in procs if proc.poll() is not None]:
+                procs.remove(proc)
+                if proc.returncode < 0:
+                    owed += 1
+                else:
+                    worst = max(worst, proc.returncode)
+            if owed and time.monotonic() - last_round >= 1.0:
+                last_round = time.monotonic()
+                procs.extend(spawn() for _ in range(owed))
+                started += owed
+                respawned += owed
+                owed = 0
+    finally:
+        reap_workers(procs)
+    return started, respawned, worst
 
 
 class _NetHeartbeat:

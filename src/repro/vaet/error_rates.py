@@ -28,8 +28,8 @@ from repro.nvsim.subarray import SENSE_MARGIN
 from repro.vaet.montecarlo import MonteCarloEngine
 from repro.vaet.variation_model import (
     CellSamples,
+    normals_prefix,
     scalar_reference_enabled,
-    standard_normals,
 )
 
 
@@ -232,7 +232,7 @@ class ErrorRateAnalysis:
 
     Samples the error population once.  On the vectorised path its
     cells are the first ``4 * population`` normals of the seed's stream
-    (:func:`~repro.vaet.variation_model.standard_normals`), shared with
+    (:func:`~repro.vaet.variation_model.normals_prefix`), shared with
     every analysis and Monte Carlo write of that seed in the process.
     The write solves run on :attr:`kernel`, the population's
     :class:`WriteKernel`; the read solve and the population-mean WER
@@ -249,7 +249,7 @@ class ErrorRateAnalysis:
                 np.random.default_rng(seed), population
             )
         else:
-            normals, _ = standard_normals(seed, 4 * population)
+            normals = normals_prefix(seed, 4 * population)
             self.cells = variation.cells_from_normals(normals.reshape(4, -1))
         self._rates = variation.switching_rates(self.cells)
         self._signals = variation.read_signal_currents(self.cells)

@@ -65,8 +65,9 @@ class _NormalStream:
     """The standard normals of one seed's ``default_rng``, drawn once.
 
     Holds the longest prefix asked for and the bit-generator state at
-    every count handed out, so a generator positioned after any of them
-    is rebuilt without drawing.  A new seed evicts the old one.
+    every count a generator was asked for, so a generator positioned
+    after any of them is rebuilt without drawing.  A new seed evicts
+    the old one.
     """
 
     def __init__(self):
@@ -78,8 +79,11 @@ class _NormalStream:
         self.prefix = np.empty(0)
         self.states: Dict[int, dict] = {}
 
-    def take(self, seed: int, count: int) -> Tuple[np.ndarray, dict]:
-        """The first ``count`` normals and the state right after them."""
+    def take(
+        self, seed: int, count: int, positioned: bool
+    ) -> Tuple[np.ndarray, Optional[dict]]:
+        """The first ``count`` normals, and the state right after them
+        when ``positioned`` (else None)."""
         with self.lock:
             if self.seed is None or self.seed != seed:
                 self.clear()
@@ -94,13 +98,13 @@ class _NormalStream:
                 prefix.flags.writeable = False
                 self.prefix = prefix
                 self.states[count] = generator.bit_generator.state
-            elif count not in self.states:
-                # Inside the prefix at a count never handed out: draw
+            elif positioned and count not in self.states:
+                # Inside the prefix at a count never positioned at: draw
                 # once to learn the state there.
                 generator = np.random.default_rng(seed)
                 generator.standard_normal(count)
                 self.states[count] = generator.bit_generator.state
-            return self.prefix[:count], self.states[count]
+            return self.prefix[:count], self.states[count] if positioned else None
 
 
 def _positioned(seed: int, state: dict) -> np.random.Generator:
@@ -124,8 +128,15 @@ def standard_normals(
     one draw; thread-safe.  :func:`clear_standard_normals` (and
     :func:`repro.vaet.explorer.clear_physics_memo`) drops it.
     """
-    normals, state = _STREAM.take(seed, count)
+    normals, state = _STREAM.take(seed, count, positioned=True)
     return normals, _positioned(seed, state)
+
+
+def normals_prefix(seed: int, count: int) -> np.ndarray:
+    """:func:`standard_normals` without the generator, for callers that
+    draw nothing after the prefix: a count inside the held prefix is a
+    view, never a second draw to learn the generator's state there."""
+    return _STREAM.take(seed, count, positioned=False)[0]
 
 
 def clear_standard_normals() -> None:

@@ -25,6 +25,7 @@ import json
 import logging
 import os
 import random
+import subprocess
 import threading
 import time
 
@@ -59,7 +60,7 @@ from repro.dse import (
 from repro.dse import chaos
 from repro.dse.net import CampaignServer, ServerThread
 from repro.dse.net.server import WorkerStalled, task_id
-from repro.dse.net.worker import _NetHeartbeat, reconnect_backoff
+from repro.dse.net.worker import _NetHeartbeat, reap_workers, reconnect_backoff
 from repro.dse.executors import evaluate_chaos
 from repro.dse.runner import NO_FORK_ERROR, _TARGETS, _execute, execute_task, register_target
 from test_utils import run_closed
@@ -321,33 +322,48 @@ class TestDeadline:
         other = random.Random(43)
         assert reconnect_backoff(base, base, cap, other) != waits[0]
 
-    def test_supervisor_shutdown_warns_on_unkillable_worker(self, caplog):
-        import subprocess
-
-        from repro.dse import Supervisor
-
-        class Unkillable:
-            pid = 4242
-
-            def poll(self):
-                return None
-
-            def terminate(self):
-                pass
-
-            def kill(self):
-                pass
-
-            def wait(self, timeout=None):
-                raise subprocess.TimeoutExpired(cmd="worker", timeout=timeout)
-
-        supervisor = Supervisor(("127.0.0.1", 1), probe=lambda: {})
-        supervisor.procs = [Unkillable()]
-        with caplog.at_level(logging.WARNING, "repro.dse.net.supervisor"):
-            supervisor.shutdown(timeout=0.0)
+    def test_reaper_warns_on_unkillable_worker(self, caplog):
+        procs = [_Unkillable()]
+        with caplog.at_level(logging.WARNING, "repro.dse.net.worker"):
+            reap_workers(procs, grace=0.0)
         assert "survived terminate and kill" in caplog.text
         assert "4242" in caplog.text
-        assert supervisor.procs == []
+        assert procs == []
+
+    def test_network_executor_close_is_bounded_by_an_unkillable_worker(
+        self, tmp_path, caplog
+    ):
+        """Regression: ``close`` ended in an unbounded ``proc.wait()``
+        after the kill, so one unkillable worker hung the coordinator."""
+        executor = NetworkExecutor(str(tmp_path))
+        executor.procs.append(_Unkillable())
+        closer = threading.Thread(target=executor.close, daemon=True)
+        with caplog.at_level(logging.WARNING, "repro.dse.net.worker"):
+            closer.start()
+            closer.join(timeout=60.0)
+        assert not closer.is_alive()
+        assert "4242" in caplog.text
+        assert executor.procs == []
+
+
+class _Unkillable:
+    """A Popen stand-in that outlives terminate and kill."""
+
+    pid = 4242
+
+    def poll(self):
+        return None
+
+    def terminate(self):
+        pass
+
+    def kill(self):
+        pass
+
+    def wait(self, timeout=None):
+        if timeout is None:
+            threading.Event().wait()  # what a real unkillable process does
+        raise subprocess.TimeoutExpired(cmd="worker", timeout=timeout)
 
 
 #: Chaos twin that also reports the pid of the process that evaluated.
@@ -697,8 +713,8 @@ def _drive_serial(schedule, camp, jobs, key, resume):
 class _WorkerFleet:
     """Respawn crashed network-worker threads until told to stop.
 
-    An injected ``ChaosCrash`` in a worker models that worker's death;
-    a real fleet has a supervisor respawning it, and this is the
+    An injected ``ChaosCrash`` in a worker models that worker being
+    killed; ``worker --processes`` respawns a killed one, and this is the
     in-process equivalent (exceptions are swallowed — the protocol's
     lease expiry + reclaim owns recovery).
     """

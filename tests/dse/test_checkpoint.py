@@ -17,8 +17,8 @@ from repro.dse import (
     campaign_key,
     read_events,
     register_target,
-    run_checkpointed,
 )
+from test_utils import run_closed
 
 KEY = campaign_key({"kind": "test", "axes": [["x", [0, 1, 2, 3, 4, 5]]]})
 
@@ -61,6 +61,7 @@ class TestCampaignState:
             "elapsed": outcome.elapsed,
         }
         assert loaded.meta == {"kind": "test"}
+        state.close()
 
     def test_status_payload(self, tmp_path):
         path = str(tmp_path / "checkpoint.json")
@@ -84,9 +85,11 @@ class TestCampaignState:
         job = Job("ckpt-echo", {"x": 0})
         (outcome,) = CampaignRunner(workers=1).run([job])
         state.record(outcome)
+        state.close()
         fresh = CampaignState.open(path, KEY, total=4, resume=False)
         assert fresh.done == 0
         assert CampaignState.load(path).done == 0
+        fresh.close()
 
     def test_load_corrupt_raises(self, tmp_path):
         path = tmp_path / "checkpoint.json"
@@ -113,6 +116,7 @@ class TestCampaignState:
             assert sum(1 for e in events if e["event"] == "done") == count + 1
             loaded = CampaignState.load(path)
             assert loaded.done == count + 1
+        state.close()
 
     def test_record_appends_one_line_per_point(self, tmp_path):
         """O(1) journal I/O: history is never rewritten on record()."""
@@ -124,6 +128,7 @@ class TestCampaignState:
             state.record(outcome)
             state.sync()
             sizes.append(os.path.getsize(path))
+        state.close()
         growth = [b - a for a, b in zip(sizes, sizes[1:])]
         # Each completion appends one bounded line: growth is flat, not
         # proportional to the number of points already journaled.
@@ -144,6 +149,7 @@ class TestCampaignState:
         loaded = CampaignState.load(path)
         assert loaded.done == 1
         assert loaded.entry(job.key)["ok"] is True
+        state.close()
 
     def test_atomic_write_cleans_tmp_when_replace_fails(
         self, tmp_path, monkeypatch
@@ -187,6 +193,7 @@ class TestStatusAccounting:
         # failed/timeouts stay raw diagnostics over every completion:
         # the quarantined point's final failure is still visible.
         assert status["failed"] == 1
+        state.close()
 
     def test_release_returns_point_to_remaining(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
@@ -201,6 +208,7 @@ class TestStatusAccounting:
         assert status["quarantined"] == 0
         assert status["remaining"] == 2
         assert status["failed"] == 0  # the failed entry was cleared
+        state.close()
 
     def test_accounting_identity_survives_reload(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
@@ -301,7 +309,7 @@ class TestRunCheckpointed:
         runner = self._runner(tmp_path)
         state = CampaignState.open(path, KEY, total=6)
         with pytest.raises(Killed):
-            run_checkpointed(jobs, runner, state, progress=bomb)
+            run_closed(jobs, runner, state, progress=bomb)
         assert len(calls) == 3  # killed after the 3rd evaluation
 
         journal = CampaignState.load(path)
@@ -309,7 +317,7 @@ class TestRunCheckpointed:
         assert 1 <= journal.done <= 3
 
         resumed_state = CampaignState.open(path, KEY, total=6, resume=True)
-        results = run_checkpointed(jobs, runner, resumed_state, progress=None)
+        results = run_closed(jobs, runner, resumed_state, progress=None)
 
         # Zero re-evaluation: every point ran exactly once across both
         # attempts, and the journaled points came back as cache hits.
@@ -327,7 +335,7 @@ class TestRunCheckpointed:
         path = str(tmp_path / "checkpoint.json")
         runner = self._runner(tmp_path)
         state = CampaignState.open(path, KEY, total=3)
-        first = run_checkpointed(jobs, runner, state)
+        first = run_closed(jobs, runner, state)
         assert [r.ok for r in first] == [True, False, True]
 
         calls = []
@@ -338,13 +346,13 @@ class TestRunCheckpointed:
 
         register_target("ckpt-fragile", healed)
         resumed = CampaignState.open(path, KEY, total=3, resume=True)
-        replayed = run_checkpointed(jobs, runner, resumed)
+        replayed = run_closed(jobs, runner, resumed)
         assert calls == []  # journaled failure replayed, evaluator untouched
         assert not replayed[1].ok
         assert "point 1 is broken" in replayed[1].error
         assert replayed[1].from_cache
 
-        retried = run_checkpointed(jobs, runner, resumed, retry_failed=True)
+        retried = run_closed(jobs, runner, resumed, retry_failed=True)
         assert calls == [1]
         assert retried[1].ok
         register_target("ckpt-fragile", _fragile)
@@ -352,7 +360,7 @@ class TestRunCheckpointed:
     def test_duplicate_jobs_supported(self, tmp_path):
         jobs = [Job("ckpt-echo", {"x": 7})] * 3
         state = CampaignState.open(str(tmp_path / "c.json"), KEY, total=3)
-        results = run_checkpointed(jobs, self._runner(tmp_path), state)
+        results = run_closed(jobs, self._runner(tmp_path), state)
         assert [r.result["value"] for r in results] == [70, 70, 70]
         assert state.done == 1  # one key, journaled once
 
@@ -360,7 +368,7 @@ class TestRunCheckpointed:
         events = []
         jobs = [Job("ckpt-echo", {"x": i}) for i in range(4)]
         state = CampaignState.open(str(tmp_path / "c.json"), KEY, total=4)
-        run_checkpointed(
+        run_closed(
             jobs, self._runner(tmp_path), state, progress=events.append
         )
         assert [e.done for e in events] == [1, 2, 3, 4]
@@ -380,7 +388,7 @@ class TestRunCheckpointed:
         path = str(tmp_path / "checkpoint.json")
         runner = self._runner(tmp_path)
         state = CampaignState.open(path, KEY, total=2)
-        run_checkpointed(jobs, runner, state)
+        run_closed(jobs, runner, state)
         assert len(calls) == 2
 
         # Wipe the cache but keep the journal.
@@ -388,7 +396,7 @@ class TestRunCheckpointed:
 
         shutil.rmtree(str(tmp_path / "cache"))
         resumed = CampaignState.open(path, KEY, total=2, resume=True)
-        results = run_checkpointed(jobs, runner, resumed)
+        results = run_closed(jobs, runner, resumed)
         assert len(calls) == 4  # both re-evaluated — correctness over thrift
         assert all(r.ok for r in results)
 

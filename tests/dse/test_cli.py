@@ -243,7 +243,7 @@ class TestRunResumeStatus:
         assert "1/1 done (100.0%)" in out
 
         # --json is machine-readable: exactly one JSON object, nothing
-        # else on stdout (supervisors and CI parse this verbatim).
+        # else on stdout (scripts and CI parse this verbatim).
         assert main(["status", "--dir", campaign_dir, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["done"] == 1
@@ -381,12 +381,18 @@ class TestArgumentValidation:
                 ["worker", "--connect", bad], "invalid --connect", capsys
             )
 
-    def test_supervise_min_above_max(self, capsys):
+    def test_worker_processes_must_be_positive(self, capsys):
+        self._rejects(
+            ["worker", "--connect", "localhost:4000", "--processes", "0"],
+            "must be >= 1", capsys,
+        )
+
+    def test_worker_processes_refuses_one_id(self, capsys):
         assert main([
-            "supervise", "--connect", "localhost:4000",
-            "--min", "3", "--max", "1",
+            "worker", "--connect", "localhost:4000", "--id", "w1",
+            "--processes", "2",
         ]) == 2
-        assert "max_workers" in capsys.readouterr().err
+        assert "--id names one worker" in capsys.readouterr().err
 
     def test_serve_requires_port(self, tmp_path, capsys):
         with pytest.raises(SystemExit, match="--port"):

@@ -1,4 +1,4 @@
-"""repro.dse.net tests: protocol, server core, faults, supervisor.
+"""repro.dse.net tests: protocol, server core, faults, worker fleet.
 
 The conformance suite proves :class:`NetworkExecutor`'s campaign
 semantics match every other backend; this module proves the
@@ -7,7 +7,7 @@ core (lease rules: ``test_lease_properties.py``), the executor's stall
 guard and worker fleet, the worker client, a SIGKILLed server resuming
 with zero re-evaluation (real subprocesses, real SIGKILL), a dropped
 connection not losing an evaluated outcome, a killed worker's points
-being reclaimed, and the supervisor's respawn/autoscale policy.
+being reclaimed, and the ``worker --processes`` fleet's respawn rule.
 """
 
 import json
@@ -39,7 +39,8 @@ from repro.dse import (
     run_network_worker,
 )
 from repro.dse import chaos
-from repro.dse.net import CampaignServer, ServerThread, Supervisor
+from repro.dse.net import CampaignServer, ServerThread
+from repro.dse.net.worker import keep_fleet, spawn_worker, worker_command
 from repro.dse.net.server import task_id
 from repro.dse.net.protocol import (
     MAX_LINE_BYTES,
@@ -646,147 +647,85 @@ class TestServerSigkillResume:
                     proc.wait()
 
 
-class _FakeProc:
-    """A Popen stand-in the supervisor can poll/terminate."""
+class _ExitingProc:
+    """A Popen stand-in that exits with ``code`` at its second poll."""
 
-    def __init__(self):
-        self.dead = False
-        self.terminated = False
+    pid = 0
+
+    def __init__(self, code):
+        self.code = code
+        self.returncode = None
+        self.polls = 0
 
     def poll(self):
-        return 0 if (self.dead or self.terminated) else None
-
-    def terminate(self):
-        self.terminated = True
-
-    def kill(self):
-        self.terminated = True
-
-    def wait(self, timeout=None):
-        return 0
+        self.polls += 1
+        if self.polls >= 2:
+            self.returncode = self.code
+        return self.returncode
 
 
-class TestSupervisorPolicy:
-    """The autoscaling/respawn policy, with fakes (no processes)."""
+class TestWorkerFleet:
+    def test_respawns_only_signalled_children(self):
+        """SIGKILLed children come back; children that exit on their
+        own (stop, unreachable server, traceback) do not."""
+        codes = iter([-9, 2, 1, 0])
+        spawned = []
 
-    def _supervisor(self, status, **kwargs):
-        kwargs.setdefault("min_workers", 1)
-        kwargs.setdefault("max_workers", 3)
-        return Supervisor(
-            ("127.0.0.1", 1), spawn=_FakeProc,
-            probe=lambda: dict(status), **kwargs
-        )
+        def spawn():
+            spawned.append(_ExitingProc(next(codes)))
+            return spawned[-1]
 
-    def test_scales_to_pending_clamped_to_bounds(self):
-        status = {"ok": True, "pending": 10, "stopping": False}
-        sup = self._supervisor(status)
-        assert sup.step()["started"] == 3  # ceiling
-        status["pending"] = 2
-        assert sup.step()["stopped"] == 1  # down to depth
-        status["pending"] = 0
-        assert sup.step()["stopped"] == 1  # floor keeps one warm
-        assert len(sup.procs) == 1
+        assert keep_fleet(spawn, 3) == (4, 1, 2)
+        assert [proc.code for proc in spawned] == [-9, 2, 1, 0]
 
-    def test_respawns_dead_workers(self):
-        status = {"ok": True, "pending": 2, "stopping": False}
-        sup = self._supervisor(status)
-        assert sup.step()["started"] == 2
-        sup.procs[0].dead = True
-        info = sup.step()
-        assert info["died"] == 1 and info["started"] == 1
-        assert sup.respawned == 1
-
-    def test_stopping_server_winds_the_fleet_down(self):
-        status = {"ok": True, "pending": 5, "stopping": False}
-        sup = self._supervisor(status)
-        sup.step()
-        status["stopping"] = True
-        info = sup.step()
-        assert info["stopped"] == 3 and not sup.procs
-
-    def test_unreachable_server_respects_grace(self):
-        sup = Supervisor(
-            ("127.0.0.1", 1), min_workers=1, max_workers=3, grace=3,
-            spawn=_FakeProc, probe=lambda: {"ok": True, "pending": 2},
-        )
-        sup.step()
-        assert len(sup.procs) == 2
-
-        def boom():
-            raise OSError("connection refused")
-
-        sup._probe = boom
-        for _ in range(2):
-            assert sup.step()["alive"] == 2  # kept through the grace window
-        assert sup.step()["alive"] == 0  # grace exhausted: wind down
-
-    def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            Supervisor(("h", 1), min_workers=3, max_workers=1)
-
-    def test_run_winds_down_cleanly_on_stopping(self):
-        calls = {"n": 0}
-
-        def probe():
-            calls["n"] += 1
-            return {"ok": True, "pending": 2, "stopping": calls["n"] > 1}
-
-        sup = Supervisor(
-            ("127.0.0.1", 1), min_workers=1, max_workers=3, interval=0.01,
-            spawn=_FakeProc, probe=probe,
-        )
-        lines = []
-        assert sup.run(log=lines.append) == 0
-        assert not sup.procs
-        assert any("fleet" in line for line in lines)
-
-    def test_run_gives_up_after_grace_misses(self):
-        def boom():
-            raise OSError("refused")
-
-        sup = Supervisor(
-            ("127.0.0.1", 1), min_workers=1, max_workers=2, interval=0.01,
-            grace=2, spawn=_FakeProc, probe=boom,
-        )
-        assert sup.run() == 1
-
-
-class TestSupervisorIntegration:
     def test_respawn_feeds_a_real_queue(self, tmp_path, monkeypatch):
         """Real server thread, real worker subprocesses: SIGKILL one
-        worker; the supervisor replaces it and the queue still drains."""
+        child; the fleet replaces it and the queue still drains."""
         monkeypatch.setenv("REPRO_DSE_SELFTEST_DIR", str(tmp_path / "inv"))
         server = CampaignServer(str(tmp_path / "camp"), lease_ttl=2.0)
         thread = ServerThread(server)
         thread.start()
         jobs = _jobs(4, sleep_s=0.3)
         server.submit(jobs)
-        sup = Supervisor(
-            ("127.0.0.1", server.port), min_workers=1, max_workers=2,
-            interval=0.1, worker_poll=0.05,
+        cmd = worker_command(("127.0.0.1", server.port), 0.05)
+        procs = []
+
+        def spawn():
+            procs.append(spawn_worker(cmd))
+            return procs[-1]
+
+        counts = []
+        fleet = threading.Thread(
+            target=lambda: counts.append(keep_fleet(spawn, 2)), daemon=True
         )
+        fleet.start()
         killed = False
         try:
             deadline = time.monotonic() + 90.0
             while time.monotonic() < deadline:
-                sup.step()
-                if (
-                    not killed
-                    and sup.procs
-                    and server.stats["leases"] >= 1
-                ):
-                    os.kill(sup.procs[0].pid, signal.SIGKILL)
+                if not killed and server.stats["leases"] >= 1:
+                    os.kill(procs[0].pid, signal.SIGKILL)
                     killed = True
                 if server.handle_message({"op": "status"})["results"] == 4:
                     break
                 time.sleep(0.1)
             assert server.handle_message({"op": "status"})["results"] == 4
-            assert killed and sup.respawned >= 1
             for job in jobs:
                 ok, result, _, _ = server.take(task_id(job))
                 assert ok and result["value"] == 2 * job.spec["x"]
+            server.stopping = True
+            fleet.join(timeout=60.0)
+            assert not fleet.is_alive()
+            started, respawned, worst = counts[0]
+            assert killed and respawned >= 1 and worst == 0
+            assert started == 2 + respawned == len(procs)
         finally:
-            sup.shutdown()
+            server.stopping = True
+            fleet.join(timeout=30.0)
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
             thread.stop()
 
 
@@ -1155,8 +1094,8 @@ class TestWorkerClient:
 
 
 class TestCliInProcess:
-    """Fast-tier CLI coverage: serve and supervise, no subprocesses
-    beyond the one spawned worker."""
+    """Fast-tier CLI coverage: serve and the worker fleet, no
+    subprocesses beyond the spawned workers."""
 
     def test_serve_runs_a_one_point_campaign(self, tmp_path, capsys):
         from repro.dse.__main__ import main
@@ -1178,20 +1117,54 @@ class TestCliInProcess:
         assert "campaign finished" in out.out
         assert "serving campaign on" in out.err
 
-    def test_supervise_exits_cleanly_when_server_is_stopping(self, tmp_path):
+    def _spy_spawns(self, monkeypatch):
+        from repro.dse.net import worker
+
+        procs = []
+
+        def spawn(cmd):
+            procs.append(spawn_worker(cmd))
+            return procs[-1]
+
+        monkeypatch.setattr(worker, "spawn_worker", spawn)
+        return procs
+
+    def test_worker_fleet_exits_cleanly_when_server_is_stopping(
+        self, tmp_path, monkeypatch, capsys
+    ):
         from repro.dse.__main__ import main
 
+        procs = self._spy_spawns(monkeypatch)
         server = CampaignServer(str(tmp_path), lease_ttl=5.0)
         server.stopping = True
         thread = ServerThread(server)
         thread.start()
         try:
             assert main([
-                "supervise", "--connect", "127.0.0.1:%d" % server.port,
-                "--min", "0", "--max", "1", "--interval", "0.05", "--quiet",
+                "worker", "--connect", "127.0.0.1:%d" % server.port,
+                "--poll", "0.05", "--processes", "1",
             ]) == 0
         finally:
             thread.stop()
+        assert "worker fleet done: 1 started, 0 respawned" in capsys.readouterr().out
+        assert len(procs) == 1 and procs[0].returncode == 0
+
+    def test_worker_fleet_gives_up_on_unreachable_server(
+        self, monkeypatch, capsys
+    ):
+        """Children that exit 2 (no server) are not respawned: the
+        fleet ends after its first two spawns with their exit code."""
+        from repro.dse.__main__ import main
+
+        procs = self._spy_spawns(monkeypatch)
+        start = time.monotonic()
+        assert main([
+            "worker", "--connect", "127.0.0.1:%d" % _free_port(),
+            "--reconnect-timeout", "0.2", "--processes", "2",
+        ]) == 2
+        assert time.monotonic() - start < 60.0
+        assert "2 started, 0 respawned" in capsys.readouterr().out
+        assert [proc.returncode for proc in procs] == [2, 2]
 
 
 @pytest.mark.slow

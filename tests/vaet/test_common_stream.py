@@ -190,6 +190,28 @@ class TestConsumers:
         for name in vars(drawn):
             assert np.array_equal(getattr(stream, name), getattr(drawn, name)), name
 
+    def test_a_population_inside_the_prefix_draws_nothing(
+        self, tool, monkeypatch
+    ):
+        """The population discards the generator, so a count inside the
+        held prefix (the 256-bit writes come first) is a view: no second
+        draw to learn the state there."""
+        standard_normals(SEED, 4 * 6000)
+        generators = []
+        default_rng = np.random.default_rng
+
+        def spy(*args, **kwargs):
+            generators.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        stream = ErrorRateAnalysis(tool.engine, population=3000, seed=SEED).cells
+        assert generators == []
+        assert 4 * 3000 not in variation_model._STREAM.states
+        drawn = tool.variation.sample_cells(default_rng(SEED), 3000)
+        for name in vars(drawn):
+            assert np.array_equal(getattr(stream, name), getattr(drawn, name)), name
+
     def test_estimate_equals_the_generator_draw(self, tool):
         estimate = tool.estimate(num_words=60, seed=SEED)
         rng = np.random.default_rng(SEED)
@@ -208,7 +230,9 @@ class TestConsumers:
             return standard_normals(seed, count)
 
         monkeypatch.setattr(estimator_module, "standard_normals", spy)
-        monkeypatch.setattr(error_rates_module, "standard_normals", spy)
+        monkeypatch.setattr(
+            error_rates_module, "normals_prefix", lambda *a: spy(*a)[0]
+        )
         monkeypatch.setenv(SCALAR_REFERENCE_ENV, "1")
         tool.estimate(num_words=5, seed=SEED)
         ErrorRateAnalysis(tool.engine, population=200, seed=SEED)
@@ -226,7 +250,9 @@ class TestConsumers:
             return normals, generator
 
         monkeypatch.setattr(estimator_module, "standard_normals", spy)
-        monkeypatch.setattr(error_rates_module, "standard_normals", spy)
+        monkeypatch.setattr(
+            error_rates_module, "normals_prefix", lambda *a: spy(*a)[0]
+        )
         population = 2000
         grid = [
             (node, MemoryConfig(word_bits=16, subarray_rows=rows))
