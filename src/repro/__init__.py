@@ -37,11 +37,11 @@ The five device names below are loaded on first access (PEP 562), so
 ``import repro.dse`` does not pull in the device physics or scipy.
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-#: Names re-exported from ``repro.core``, resolved by :func:`__getattr__`.
+#: Names re-exported from ``repro.core``, resolved on first access.
 _CORE_NAMES = (
     "MSSDevice",
     "MSSMode",
@@ -52,10 +52,4 @@ _CORE_NAMES = (
 
 __all__ = ["__version__", *_CORE_NAMES]
 
-
-def __getattr__(name):
-    if name in _CORE_NAMES:
-        value = getattr(importlib.import_module("repro.core"), name)
-        globals()[name] = value
-        return value
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+__getattr__, __dir__ = lazy_exports(__name__, dict.fromkeys(_CORE_NAMES, "repro.core"))

@@ -1,38 +1,29 @@
 """MSS standard/periphery cells and the characterisation flow."""
 
-from repro.cells.bitcell import (
-    ACCESS_WIDTH_FACTOR,
-    BitCellHandles,
-    build_read_cell,
-    build_write_cell,
-)
-from repro.cells.sense_amp import SenseAmpHandles, build_sense_path, reference_resistance
-from repro.cells.write_driver import (
-    DRIVER_WIDTH_FACTOR,
-    WriteDriverHandles,
-    build_driver_write_path,
-)
-from repro.cells.nvff import NonVolatileFlipFlop, NVFFTimings
-from repro.cells.current_source import CurrentSourceLevel, ProgrammableCurrentSource
-from repro.cells.cellconfig import CellConfig
-from repro.cells.characterize import CharacterizationSettings, characterize_cell
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ACCESS_WIDTH_FACTOR",
-    "BitCellHandles",
-    "build_read_cell",
-    "build_write_cell",
-    "SenseAmpHandles",
-    "build_sense_path",
-    "reference_resistance",
-    "DRIVER_WIDTH_FACTOR",
-    "WriteDriverHandles",
-    "build_driver_write_path",
-    "NonVolatileFlipFlop",
-    "NVFFTimings",
-    "CurrentSourceLevel",
-    "ProgrammableCurrentSource",
-    "CellConfig",
-    "CharacterizationSettings",
-    "characterize_cell",
-]
+#: Each exported name and the submodule that defines it, imported on
+#: first access (PEP 562).
+_EXPORTS = {
+    "ACCESS_WIDTH_FACTOR": ".bitcell",
+    "BitCellHandles": ".bitcell",
+    "build_read_cell": ".bitcell",
+    "build_write_cell": ".bitcell",
+    "SenseAmpHandles": ".sense_amp",
+    "build_sense_path": ".sense_amp",
+    "reference_resistance": ".sense_amp",
+    "DRIVER_WIDTH_FACTOR": ".write_driver",
+    "WriteDriverHandles": ".write_driver",
+    "build_driver_write_path": ".write_driver",
+    "NonVolatileFlipFlop": ".nvff",
+    "NVFFTimings": ".nvff",
+    "CurrentSourceLevel": ".current_source",
+    "ProgrammableCurrentSource": ".current_source",
+    "CellConfig": ".cellconfig",
+    "CharacterizationSettings": ".characterize",
+    "characterize_cell": ".characterize",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

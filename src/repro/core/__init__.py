@@ -5,99 +5,56 @@ configured into memory, RF-oscillator or sensor devices through pillar
 diameter and patterned permanent-magnet bias fields.
 """
 
-from repro.core.material import (
-    BarrierMaterial,
-    FreeLayerMaterial,
-    MSS_BARRIER,
-    MSS_FREE_LAYER,
-)
-from repro.core.geometry import (
-    MEMORY_PILLAR,
-    PillarGeometry,
-    SENSOR_PILLAR,
-    oblate_spheroid_demag_factor,
-)
-from repro.core.mtj import MTJTransport
-from repro.core.llg import LLGConfig, LLGResult, MacrospinLLG, thermal_equilibrium_angle
-from repro.core.thermal import (
-    ATTEMPT_TIME,
-    ThermalStability,
-    delta_for_retention,
-    diameter_for_retention,
-)
-from repro.core.switching import SwitchingModel
-from repro.core.bias import (
-    BiasMagnetPair,
-    COCR,
-    NDFEB,
-    PermanentMagnetMaterial,
-    design_bias_magnets,
-    rectangular_pole_face_field,
-)
-from repro.core.sensor import MSSFieldSensor, SensorOperatingPoint, sensor_bias_field_rule
-from repro.core.oscillator import (
-    MSSOscillator,
-    OscillatorOperatingPoint,
-    equilibrium_tilt,
-    oscillator_bias_field_rule,
-)
-from repro.core.modes import (
-    MSSDevice,
-    MSSMode,
-    design_memory_mss,
-    design_oscillator_mss,
-    design_sensor_mss,
-)
-from repro.core.compact import BehavioralMTJModel, CompactModelState, PhysicalMTJModel
-from repro.core.crosstalk import (
-    CrosstalkAnalysis,
-    astroid_switching_field,
-    barrier_degradation_factor,
-    stray_field_on_axis,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BarrierMaterial",
-    "FreeLayerMaterial",
-    "MSS_BARRIER",
-    "MSS_FREE_LAYER",
-    "MEMORY_PILLAR",
-    "PillarGeometry",
-    "SENSOR_PILLAR",
-    "oblate_spheroid_demag_factor",
-    "MTJTransport",
-    "LLGConfig",
-    "LLGResult",
-    "MacrospinLLG",
-    "thermal_equilibrium_angle",
-    "ATTEMPT_TIME",
-    "ThermalStability",
-    "delta_for_retention",
-    "diameter_for_retention",
-    "SwitchingModel",
-    "BiasMagnetPair",
-    "COCR",
-    "NDFEB",
-    "PermanentMagnetMaterial",
-    "design_bias_magnets",
-    "rectangular_pole_face_field",
-    "MSSFieldSensor",
-    "SensorOperatingPoint",
-    "sensor_bias_field_rule",
-    "MSSOscillator",
-    "OscillatorOperatingPoint",
-    "equilibrium_tilt",
-    "oscillator_bias_field_rule",
-    "MSSDevice",
-    "MSSMode",
-    "design_memory_mss",
-    "design_oscillator_mss",
-    "design_sensor_mss",
-    "BehavioralMTJModel",
-    "CompactModelState",
-    "PhysicalMTJModel",
-    "CrosstalkAnalysis",
-    "astroid_switching_field",
-    "barrier_degradation_factor",
-    "stray_field_on_axis",
-]
+#: Each exported name and the submodule that defines it, imported on
+#: first access (PEP 562).
+_EXPORTS = {
+    "BarrierMaterial": ".material",
+    "FreeLayerMaterial": ".material",
+    "MSS_BARRIER": ".material",
+    "MSS_FREE_LAYER": ".material",
+    "MEMORY_PILLAR": ".geometry",
+    "PillarGeometry": ".geometry",
+    "SENSOR_PILLAR": ".geometry",
+    "oblate_spheroid_demag_factor": ".geometry",
+    "MTJTransport": ".mtj",
+    "LLGConfig": ".llg",
+    "LLGResult": ".llg",
+    "MacrospinLLG": ".llg",
+    "thermal_equilibrium_angle": ".llg",
+    "ATTEMPT_TIME": ".thermal",
+    "ThermalStability": ".thermal",
+    "delta_for_retention": ".thermal",
+    "diameter_for_retention": ".thermal",
+    "SwitchingModel": ".switching",
+    "BiasMagnetPair": ".bias",
+    "COCR": ".bias",
+    "NDFEB": ".bias",
+    "PermanentMagnetMaterial": ".bias",
+    "design_bias_magnets": ".bias",
+    "rectangular_pole_face_field": ".bias",
+    "MSSFieldSensor": ".sensor",
+    "SensorOperatingPoint": ".sensor",
+    "sensor_bias_field_rule": ".sensor",
+    "MSSOscillator": ".oscillator",
+    "OscillatorOperatingPoint": ".oscillator",
+    "equilibrium_tilt": ".oscillator",
+    "oscillator_bias_field_rule": ".oscillator",
+    "MSSDevice": ".modes",
+    "MSSMode": ".modes",
+    "design_memory_mss": ".modes",
+    "design_oscillator_mss": ".modes",
+    "design_sensor_mss": ".modes",
+    "BehavioralMTJModel": ".compact",
+    "CompactModelState": ".compact",
+    "PhysicalMTJModel": ".compact",
+    "CrosstalkAnalysis": ".crosstalk",
+    "astroid_switching_field": ".crosstalk",
+    "barrier_degradation_factor": ".crosstalk",
+    "stray_field_on_axis": ".crosstalk",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

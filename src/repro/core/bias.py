@@ -24,9 +24,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Tuple
 
-from scipy import optimize
-
 from repro.utils.constants import MU_0
+from repro.utils.roots import brentq
 
 
 @dataclass(frozen=True)
@@ -167,5 +166,5 @@ def design_bias_magnets(
         )
     if error_high > 0.0:
         raise ValueError("target field not reachable even at maximum gap")
-    gap = float(optimize.brentq(gap_error, low, high))
+    gap = brentq(gap_error, low, high)
     return BiasMagnetPair(material, width, height, length, gap)

@@ -20,13 +20,12 @@ This module computes:
 
 import math
 
-from scipy import optimize
-
 from repro.core.bias import BiasMagnetPair, rectangular_pole_face_field
 from repro.core.geometry import PillarGeometry
 from repro.core.material import FreeLayerMaterial
 from repro.core.thermal import ThermalStability
 from repro.utils.constants import ROOM_TEMPERATURE
+from repro.utils.roots import brentq
 
 
 def stray_field_on_axis(pair: BiasMagnetPair, distance_from_center: float) -> float:
@@ -157,4 +156,4 @@ class CrosstalkAnalysis:
         high = 1e-4  # 100 um is beyond any stray field of interest
         if gap_fn(low) >= 0.0:
             return low
-        return float(optimize.brentq(gap_fn, low, high))
+        return brentq(gap_fn, low, high)

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.geometry import PillarGeometry
 from repro.core.material import BarrierMaterial, FreeLayerMaterial
@@ -107,6 +106,8 @@ class MSSFieldSensor:
         Args:
             sensed_field: H_z to be measured [A/m].
         """
+        from scipy import optimize
+
         h_z = sensed_field / self._hk
         result = optimize.minimize_scalar(
             lambda theta: self._reduced_energy(theta, h_z),

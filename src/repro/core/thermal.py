@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy import optimize
-
 from repro.core.geometry import PillarGeometry
 from repro.core.material import FreeLayerMaterial
 from repro.utils.constants import BOLTZMANN, MU_0, ROOM_TEMPERATURE
+from repro.utils.roots import brentq
 
 #: Attempt period of the Neel-Brown model [s]; 1 ns is the standard value.
 ATTEMPT_TIME = 1e-9
@@ -152,4 +151,4 @@ def diameter_for_retention(
             "retention target Delta=%.1f unreachable below %.0f nm pillar"
             % (target_delta, high * 1e9)
         )
-    return float(optimize.brentq(gap, low, high))
+    return brentq(gap, low, high)

@@ -257,7 +257,7 @@ def run_network_worker(
                         and now - disconnected_since >= reconnect_timeout
                     ):
                         raise ConnectionError(
-                            "no server at %s:%d for %.0f s: %s"
+                            "no server at %s:%d for %g s: %s"
                             % (host, port, reconnect_timeout, exc)
                         )
                     time.sleep(min(wait, max_backoff))

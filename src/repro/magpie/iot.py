@@ -22,6 +22,7 @@ from repro.archsim.soc import ClusterConfig, SoCConfig
 from repro.archsim.simulator import simulate_cluster
 from repro.archsim.workloads import MIBENCH_KERNELS, WorkloadDescriptor
 from repro.magpie.flow import MagpieFlow
+from repro.utils.roots import brentq
 
 #: Sleep-mode retention factor of a drowsy SRAM (fraction of active leakage).
 SRAM_RETENTION_FACTOR = 0.35
@@ -142,6 +143,4 @@ class IoTNodeStudy:
 
         if gap(high) < 0.0:
             return float("inf")
-        from scipy import optimize
-
-        return float(optimize.brentq(gap, low, high))
+        return brentq(gap, low, high)

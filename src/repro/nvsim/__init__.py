@@ -1,38 +1,31 @@
 """NVSim-class circuit-level memory latency/energy/area model."""
 
-from repro.nvsim.config import CellKind, MemoryConfig, MemoryType, PAPER_ARRAY
-from repro.nvsim.wire import (
-    WireSegment,
-    driver_resistance,
-    global_wire,
-    intermediate_wire,
-    local_wire,
-)
-from repro.nvsim.decoder import DecoderEstimate, decoder_estimate
-from repro.nvsim.senseamp_model import SenseAmpEstimate, sense_amp_estimate
-from repro.nvsim.subarray import SubarrayModel, SubarrayTiming
-from repro.nvsim.bank import BankModel, BankTiming
-from repro.nvsim.result import MemoryEstimate
-from repro.nvsim.estimator import NVSimEstimator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CellKind",
-    "MemoryConfig",
-    "MemoryType",
-    "PAPER_ARRAY",
-    "WireSegment",
-    "driver_resistance",
-    "global_wire",
-    "intermediate_wire",
-    "local_wire",
-    "DecoderEstimate",
-    "decoder_estimate",
-    "SenseAmpEstimate",
-    "sense_amp_estimate",
-    "SubarrayModel",
-    "SubarrayTiming",
-    "BankModel",
-    "BankTiming",
-    "MemoryEstimate",
-    "NVSimEstimator",
-]
+#: Each exported name and the submodule that defines it, imported on
+#: first access (PEP 562).
+_EXPORTS = {
+    "CellKind": ".config",
+    "MemoryConfig": ".config",
+    "MemoryType": ".config",
+    "PAPER_ARRAY": ".config",
+    "WireSegment": ".wire",
+    "driver_resistance": ".wire",
+    "global_wire": ".wire",
+    "intermediate_wire": ".wire",
+    "local_wire": ".wire",
+    "DecoderEstimate": ".decoder",
+    "decoder_estimate": ".decoder",
+    "SenseAmpEstimate": ".senseamp_model",
+    "sense_amp_estimate": ".senseamp_model",
+    "SubarrayModel": ".subarray",
+    "SubarrayTiming": ".subarray",
+    "BankModel": ".bank",
+    "BankTiming": ".bank",
+    "MemoryEstimate": ".result",
+    "NVSimEstimator": ".estimator",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,62 +1,42 @@
 """SPICE-class circuit simulation substrate (MNA + Newton + MDL)."""
 
-from repro.spice.netlist import Circuit, Element
-from repro.spice.mna import ConvergenceError, GMIN, MNASystem, solve_nonlinear
-from repro.spice.elements import (
-    Capacitor,
-    CurrentSource,
-    DC,
-    Pulse,
-    PWL,
-    Resistor,
-    VoltageSource,
-    Waveform,
-)
-from repro.spice.mosfet import MOSFET
-from repro.spice.mtj_element import MTJElement
-from repro.spice.analysis import TransientResult, dc_operating_point, transient
-from repro.spice.waveform import Trace, WaveformSet
-from repro.spice.mdl import (
-    CrossEvent,
-    Delay,
-    Energy,
-    Expression,
-    Extreme,
-    Integral,
-    Measurement,
-    MeasurementScript,
-    When,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Circuit",
-    "Element",
-    "ConvergenceError",
-    "GMIN",
-    "MNASystem",
-    "solve_nonlinear",
-    "Capacitor",
-    "CurrentSource",
-    "DC",
-    "Pulse",
-    "PWL",
-    "Resistor",
-    "VoltageSource",
-    "Waveform",
-    "MOSFET",
-    "MTJElement",
-    "TransientResult",
-    "dc_operating_point",
-    "transient",
-    "Trace",
-    "WaveformSet",
-    "CrossEvent",
-    "Delay",
-    "Energy",
-    "Expression",
-    "Extreme",
-    "Integral",
-    "Measurement",
-    "MeasurementScript",
-    "When",
-]
+#: Each exported name and the submodule that defines it, imported on
+#: first access (PEP 562).
+_EXPORTS = {
+    "Circuit": ".netlist",
+    "Element": ".netlist",
+    "ConvergenceError": ".mna",
+    "GMIN": ".mna",
+    "MNASystem": ".mna",
+    "solve_nonlinear": ".mna",
+    "Capacitor": ".elements",
+    "CurrentSource": ".elements",
+    "DC": ".elements",
+    "Pulse": ".elements",
+    "PWL": ".elements",
+    "Resistor": ".elements",
+    "VoltageSource": ".elements",
+    "Waveform": ".elements",
+    "MOSFET": ".mosfet",
+    "MTJElement": ".mtj_element",
+    "TransientResult": ".analysis",
+    "dc_operating_point": ".analysis",
+    "transient": ".analysis",
+    "Trace": ".waveform",
+    "WaveformSet": ".waveform",
+    "CrossEvent": ".mdl",
+    "Delay": ".mdl",
+    "Energy": ".mdl",
+    "Expression": ".mdl",
+    "Extreme": ".mdl",
+    "Integral": ".mdl",
+    "Measurement": ".mdl",
+    "MeasurementScript": ".mdl",
+    "When": ".mdl",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from scipy import optimize
 from scipy.special import bdtrc
 
+from repro.utils.roots import brentq
 from repro.vaet.error_rates import (
     ErrorRateAnalysis,
     UnreachableTargetError,
@@ -62,8 +62,8 @@ def block_failure_probability(codeword_bits: int, per_bit_wer: float,
 def per_bit_budget(codeword_bits: int, correct_bits: int, target: float) -> float:
     """Per-bit WER allowed so the block failure stays below ``target``.
 
-    Solved on log10(p) with bisection; the Poisson small-p approximation
-    P ~ (n p)^(t+1) / (t+1)! seeds the bracket.
+    Solved on log10(p) in [-30, -0.01] with Brent's method
+    (:func:`repro.utils.roots.brentq`, to 1e-6 in log10(p)).
 
     Raises:
         ValueError: On a non-physical target.
@@ -79,7 +79,7 @@ def per_bit_budget(codeword_bits: int, correct_bits: int, target: float) -> floa
     lo, hi = -30.0, -0.01
     if gap(lo) > 0.0:
         raise ValueError("target unreachable even at per-bit WER 1e-30")
-    return 10.0 ** optimize.brentq(gap, lo, hi, xtol=1e-6)
+    return 10.0 ** brentq(gap, lo, hi, xtol=1e-6)
 
 
 @dataclass(frozen=True)

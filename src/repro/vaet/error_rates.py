@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.special import ndtr, ndtri
 
 from repro.nvsim.subarray import SENSE_MARGIN
+from repro.utils.roots import brentq
 from repro.vaet.montecarlo import MonteCarloEngine
 from repro.vaet.variation_model import (
     CellSamples,
@@ -56,7 +56,7 @@ def unreachable(what: str, lo: float, hi: float) -> UnreachableTargetError:
 def brentq_log_root(gap, lo: float, hi: float, xtol: float, what: str) -> float:
     """The brentq reference solve of ``gap(x) = 0`` on ``[lo, hi]``."""
     try:
-        return optimize.brentq(gap, lo, hi, xtol=xtol)
+        return brentq(gap, lo, hi, xtol=xtol)
     except ValueError:
         raise unreachable(what, lo, hi) from None
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.thermal import ATTEMPT_TIME
+from repro.utils.roots import brentq
 from repro.vaet.ecc import block_failure_probability
 from repro.vaet.error_rates import ErrorRateAnalysis
 
@@ -149,7 +149,7 @@ class RetentionFaultModel:
         if gap(math.log(high)) < 0.0:
             return high
         return math.exp(
-            optimize.brentq(gap, math.log(low), math.log(high), xtol=1e-4)
+            brentq(gap, math.log(low), math.log(high), xtol=1e-4)
         )
 
     def scrub_energy_per_day(self, interval: float, access_energy: float) -> float:

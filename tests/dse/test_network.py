@@ -374,10 +374,8 @@ class TestServerCore:
                                             None, 0.0]))
         second = self._server(tmp_path)
         assert first.log.path != second.log.path
-        events = [
-            json.loads(line)
-            for line in open(first.log.path).read().splitlines()
-        ]
+        with open(first.log.path) as log:
+            events = [json.loads(line) for line in log]
         assert [e["event"] for e in events] == ["claim", "heartbeat", "done"]
         assert [e["seq"] for e in events] == [1, 2, 3]
         assert all(e["worker"] == "w1" for e in events)
@@ -1054,6 +1052,17 @@ class TestWorkerClient:
                 backoff=0.05, reconnect_timeout=0.4,
             )
         assert time.monotonic() - start < 10.0
+
+    def test_give_up_message_keeps_a_sub_second_timeout(self):
+        port = _free_port()
+        with pytest.raises(ConnectionError) as info:
+            run_network_worker(
+                ("127.0.0.1", port), worker_id="brief",
+                backoff=0.05, reconnect_timeout=0.2,
+            )
+        assert str(info.value).startswith(
+            "no server at 127.0.0.1:%d for 0.2 s: " % port
+        )
 
     def test_batched_tasks_reply_is_an_unexpected_op(self):
         """A lease carries one task; a v2-style ``tasks`` reply is refused."""
