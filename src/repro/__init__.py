@@ -52,4 +52,4 @@ _CORE_NAMES = (
 
 __all__ = ["__version__", *_CORE_NAMES]
 
-__getattr__, __dir__ = lazy_exports(__name__, dict.fromkeys(_CORE_NAMES, "repro.core"))
+__getattr__ = lazy_exports(__name__, dict.fromkeys(_CORE_NAMES, "repro.core"))

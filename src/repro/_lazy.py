@@ -11,7 +11,7 @@ import sys
 
 
 def lazy_exports(package: str, exports: dict):
-    """Module-level ``__getattr__`` and ``__dir__`` for ``package``.
+    """Module-level ``__getattr__`` for ``package``.
 
     ``exports`` maps each exported name to the module that defines it,
     relative to ``package`` (``".thermal"``) or absolute
@@ -25,7 +25,4 @@ def lazy_exports(package: str, exports: dict):
         setattr(sys.modules[package], name, value)
         return value
 
-    def __dir__():
-        return sorted(set(vars(sys.modules[package])) | set(exports))
-
-    return __getattr__, __dir__
+    return __getattr__

@@ -28,4 +28,4 @@ _EXPORTS = {
 
 __all__ = list(_EXPORTS)
 
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -26,22 +26,19 @@ def _value(f, x: float) -> float:
     return fx
 
 
-def brentq(f, a: float, b: float, xtol: float = XTOL, rtol: float = RTOL,
-           maxiter: int = MAXITER) -> float:
+def brentq(f, a: float, b: float, xtol: float = XTOL) -> float:
     """A root of ``f`` in the bracket ``[a, b]`` by Brent's method.
 
-    The root is within ``xtol + rtol * |root|`` of a sign change of
+    The root is within ``xtol + RTOL * |root|`` of a sign change of
     ``f``.  An endpoint where ``f`` is exactly zero is returned as is.
 
     Raises:
         ValueError: If ``f(a)`` and ``f(b)`` have the same sign, ``f``
-            returns NaN, or a tolerance is out of range.
-        RuntimeError: If no root is found within ``maxiter`` iterations.
+            returns NaN, or ``xtol`` is not positive.
+        RuntimeError: If no root is found within ``MAXITER`` iterations.
     """
     if xtol <= 0:
         raise ValueError("xtol too small (%g <= 0)" % xtol)
-    if rtol < RTOL:
-        raise ValueError("rtol too small (%g < %g)" % (rtol, RTOL))
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
     fpre = _value(f, xpre)
@@ -52,7 +49,7 @@ def brentq(f, a: float, b: float, xtol: float = XTOL, rtol: float = RTOL,
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(MAXITER):
         if fpre != 0 and fcur != 0 and (
                 math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
             xblk = xpre
@@ -63,7 +60,7 @@ def brentq(f, a: float, b: float, xtol: float = XTOL, rtol: float = RTOL,
             fpre, fcur, fblk = fcur, fblk, fcur
 
         # the tolerance is 2 * delta
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -99,5 +96,5 @@ def brentq(f, a: float, b: float, xtol: float = XTOL, rtol: float = RTOL,
             xcur += delta if sbis > 0 else -delta
         fcur = _value(f, xcur)
     raise RuntimeError(
-        "Failed to converge after %d iterations, value is %f" % (maxiter, xcur)
+        "Failed to converge after %d iterations, value is %f" % (MAXITER, xcur)
     )
