@@ -56,178 +56,92 @@ wrappers over this engine, and ``python -m repro.dse`` drives
 describe/run/resume/status/analyze campaigns from the command line.
 """
 
-from repro.dse.analytics import (
-    CampaignReport,
-    ParetoSample,
-    WorkerUtilization,
-    build_report,
-)
-from repro.dse.cache import ResultCache
-from repro.dse.chaos import (
-    ChaosCrash,
-    ChaosDrop,
-    Fault,
-    FaultPlane,
-    InvariantChecker,
-    Schedule,
-    seeded_schedule,
-)
-from repro.dse.fidelity import (
-    FIDELITY_MODES,
-    LOWFI_MEMORY_TARGET,
-    FidelityTrace,
-    evaluate_memory_lowfi,
-    lowfi_twin,
-    promotion_indices,
-    run_ladder,
-)
-from repro.dse.surrogate import (
-    AdaptiveRound,
-    AdaptiveTrace,
-    SurrogateSampler,
-    evaluations_to_target,
-    score_records,
-)
-from repro.dse.checkpoint import (
-    JOURNAL_NAME,
-    CampaignState,
-    campaign_key,
-    journal_path,
-    run_checkpointed,
-)
-from repro.dse.executors import (
-    CHAOS_TARGET,
-    EXECUTOR_NAMES,
-    SELFTEST_TARGET,
-    Executor,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    make_executor,
-)
-from repro.dse.jobs import Job, JobResult, canonical_json, content_key
-from repro.dse.journal import JOURNAL_VERSION, JsonlJournal, read_events
-from repro.dse.retry import RetryPolicy
-from repro.dse.pareto import (
-    Objective,
-    dominance_ranks,
-    dominates,
-    hypervolume_proxy,
-    objective_bounds,
-    pareto_front,
-    update_front,
-)
-from repro.dse.runner import (
-    MEMORY_TARGET,
-    SYSTEM_TARGET,
-    TIMEOUT_ERROR,
-    WORKERS_ENV,
-    CampaignRunner,
-    Progress,
-    default_workers,
-    get_target,
-    is_timeout_error,
-    register_target,
-    timeout_error,
-)
-from repro.dse.net import (
-    CampaignServer,
-    NetworkExecutor,
-    WorkerStalled,
-    parse_connect,
-    run_network_worker,
-)
-from repro.dse.space import Axis, ParameterSpace
-from repro.dse.campaign import (
-    MemoryCampaignResult,
-    SystemCampaignResult,
-    evaluate_memory_point,
-    evaluate_system_point,
-    explore_memory,
-    explore_system,
-    memory_point_spec,
-    run_memory_campaign,
-    run_system_campaign,
-    system_point_spec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Axis",
-    "ParameterSpace",
-    "Job",
-    "JobResult",
-    "canonical_json",
-    "content_key",
-    "ResultCache",
-    "CampaignRunner",
-    "Executor",
-    "EXECUTOR_NAMES",
-    "SerialExecutor",
-    "ProcessPoolExecutor",
-    "make_executor",
-    "CampaignServer",
-    "NetworkExecutor",
-    "WorkerStalled",
-    "parse_connect",
-    "run_network_worker",
-    "SELFTEST_TARGET",
-    "CHAOS_TARGET",
-    "Progress",
-    "default_workers",
-    "WORKERS_ENV",
-    "MEMORY_TARGET",
-    "SYSTEM_TARGET",
-    "TIMEOUT_ERROR",
-    "timeout_error",
-    "is_timeout_error",
-    "register_target",
-    "get_target",
-    "ChaosCrash",
-    "ChaosDrop",
-    "Fault",
-    "FaultPlane",
-    "InvariantChecker",
-    "Schedule",
-    "seeded_schedule",
-    "CampaignState",
-    "campaign_key",
-    "journal_path",
-    "run_checkpointed",
-    "JOURNAL_NAME",
-    "JOURNAL_VERSION",
-    "JsonlJournal",
-    "read_events",
-    "RetryPolicy",
-    "AdaptiveRound",
-    "AdaptiveTrace",
-    "score_records",
-    "SurrogateSampler",
-    "evaluations_to_target",
-    "FIDELITY_MODES",
-    "LOWFI_MEMORY_TARGET",
-    "FidelityTrace",
-    "evaluate_memory_lowfi",
-    "lowfi_twin",
-    "promotion_indices",
-    "run_ladder",
-    "Objective",
-    "dominates",
-    "dominance_ranks",
-    "pareto_front",
-    "update_front",
-    "hypervolume_proxy",
-    "objective_bounds",
-    "CampaignReport",
-    "ParetoSample",
-    "WorkerUtilization",
-    "build_report",
-    "MemoryCampaignResult",
-    "SystemCampaignResult",
-    "explore_memory",
-    "explore_system",
-    "run_memory_campaign",
-    "run_system_campaign",
-    "evaluate_memory_point",
-    "evaluate_system_point",
-    "memory_point_spec",
-    "system_point_spec",
-]
+#: Each exported name and the submodule that defines it, imported on
+#: first access (PEP 562).
+_EXPORTS = {
+    "Axis": ".space",
+    "ParameterSpace": ".space",
+    "Job": ".jobs",
+    "JobResult": ".jobs",
+    "canonical_json": ".jobs",
+    "content_key": ".jobs",
+    "ResultCache": ".cache",
+    "CampaignRunner": ".runner",
+    "Executor": ".executors",
+    "EXECUTOR_NAMES": ".executors",
+    "SerialExecutor": ".executors",
+    "ProcessPoolExecutor": ".executors",
+    "make_executor": ".executors",
+    "CampaignServer": ".net",
+    "NetworkExecutor": ".net",
+    "WorkerStalled": ".net",
+    "parse_connect": ".net",
+    "run_network_worker": ".net",
+    "SELFTEST_TARGET": ".executors",
+    "CHAOS_TARGET": ".executors",
+    "Progress": ".runner",
+    "default_workers": ".runner",
+    "WORKERS_ENV": ".runner",
+    "MEMORY_TARGET": ".runner",
+    "SYSTEM_TARGET": ".runner",
+    "TIMEOUT_ERROR": ".runner",
+    "timeout_error": ".runner",
+    "is_timeout_error": ".runner",
+    "register_target": ".runner",
+    "get_target": ".runner",
+    "ChaosCrash": ".chaos",
+    "ChaosDrop": ".chaos",
+    "Fault": ".chaos",
+    "FaultPlane": ".chaos",
+    "InvariantChecker": ".chaos",
+    "Schedule": ".chaos",
+    "seeded_schedule": ".chaos",
+    "CampaignState": ".checkpoint",
+    "campaign_key": ".checkpoint",
+    "journal_path": ".checkpoint",
+    "run_checkpointed": ".checkpoint",
+    "JOURNAL_NAME": ".checkpoint",
+    "JOURNAL_VERSION": ".journal",
+    "JsonlJournal": ".journal",
+    "read_events": ".journal",
+    "RetryPolicy": ".retry",
+    "AdaptiveRound": ".surrogate",
+    "AdaptiveTrace": ".surrogate",
+    "score_records": ".surrogate",
+    "SurrogateSampler": ".surrogate",
+    "evaluations_to_target": ".surrogate",
+    "FIDELITY_MODES": ".fidelity",
+    "LOWFI_MEMORY_TARGET": ".fidelity",
+    "FidelityTrace": ".fidelity",
+    "evaluate_memory_lowfi": ".fidelity",
+    "lowfi_twin": ".fidelity",
+    "promotion_indices": ".fidelity",
+    "run_ladder": ".fidelity",
+    "Objective": ".pareto",
+    "dominates": ".pareto",
+    "dominance_ranks": ".pareto",
+    "pareto_front": ".pareto",
+    "update_front": ".pareto",
+    "hypervolume_proxy": ".pareto",
+    "objective_bounds": ".pareto",
+    "CampaignReport": ".analytics",
+    "ParetoSample": ".analytics",
+    "WorkerUtilization": ".analytics",
+    "build_report": ".analytics",
+    "MemoryCampaignResult": ".campaign",
+    "SystemCampaignResult": ".campaign",
+    "explore_memory": ".campaign",
+    "explore_system": ".campaign",
+    "run_memory_campaign": ".campaign",
+    "run_system_campaign": ".campaign",
+    "evaluate_memory_point": ".campaign",
+    "evaluate_system_point": ".campaign",
+    "memory_point_spec": ".campaign",
+    "system_point_spec": ".campaign",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -82,11 +82,9 @@ from repro.dse.campaign import (
 from repro.dse.fidelity import FIDELITY_MODES
 from repro.dse.checkpoint import CampaignState, journal_path
 from repro.dse.executors import CACHE_DIR_NAME, EXECUTOR_NAMES
-from repro.dse.net import WorkerStalled
 from repro.dse.retry import RetryPolicy
 from repro.dse.runner import Progress, default_workers
 from repro.dse.space import ParameterSpace
-from repro.dse.surrogate import SurrogateSampler
 
 
 def _positive_int(text: str) -> int:
@@ -290,6 +288,8 @@ def cmd_describe(args) -> int:
         if sampler == "lhs":
             print("lhs jobs:  %s" % spec.get("samples", "(samples missing)"))
         elif sampler == "surrogate":
+            from repro.dse.surrogate import SurrogateSampler
+
             try:
                 model = SurrogateSampler(space, **(spec.get("sampler_options") or {}))
             except (TypeError, ValueError) as exc:
@@ -426,6 +426,8 @@ def _summarise(result, campaign_dir: str, elapsed: float) -> None:
 
 
 def cmd_run(args, resume: bool = False) -> int:
+    from repro.dse.net.server import WorkerStalled
+
     spec = load_spec(args.spec)
     try:
         journal_path(args.dir)  # refuses a version-1 campaign directory

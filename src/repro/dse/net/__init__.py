@@ -13,28 +13,22 @@ server's campaign resumes with zero re-evaluation, and a worker that
 outlived it redelivers its outcome to the resumed server.
 """
 
-from repro.dse.net.protocol import (
-    PROTOCOL_VERSION,
-    Connection,
-    ProtocolError,
-    parse_connect,
-)
-from repro.dse.net.server import (
-    CampaignServer,
-    NetworkExecutor,
-    ServerThread,
-    WorkerStalled,
-)
-from repro.dse.net.worker import run_network_worker
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignServer",
-    "Connection",
-    "NetworkExecutor",
-    "ProtocolError",
-    "PROTOCOL_VERSION",
-    "ServerThread",
-    "WorkerStalled",
-    "parse_connect",
-    "run_network_worker",
-]
+#: Each exported name and the submodule that defines it, imported on
+#: first access (PEP 562).
+_EXPORTS = {
+    "CampaignServer": ".server",
+    "Connection": ".protocol",
+    "NetworkExecutor": ".server",
+    "ProtocolError": ".protocol",
+    "PROTOCOL_VERSION": ".protocol",
+    "ServerThread": ".server",
+    "WorkerStalled": ".server",
+    "parse_connect": ".protocol",
+    "run_network_worker": ".worker",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

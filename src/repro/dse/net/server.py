@@ -211,6 +211,7 @@ class CampaignServer:
         self._holding: Dict[str, str] = {}  # worker -> task it leased
         self._workers: Set[str] = set()
         self._writers: Set[asyncio.StreamWriter] = set()
+        self._handlers: Set[asyncio.Task] = set()
         self._server: Optional[asyncio.AbstractServer] = None
 
     # -- the task table --------------------------------------------------
@@ -407,6 +408,21 @@ class CampaignServer:
     def connection_count(self) -> int:
         return len(self._writers)
 
+    def _connected(self, reader, writer) -> None:
+        """``start_server``'s callback: the connection's handler task.
+
+        A plain callback, so that the task is this server's own.  For a
+        coroutine callback, Python 3.11's stream protocol adds a done
+        callback that calls ``exception()`` on the task and logs the
+        ``CancelledError`` of every handler :class:`ServerThread`
+        cancels at shutdown.
+        """
+        task = asyncio.get_running_loop().create_task(
+            self._handle_client(reader, writer)
+        )
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
+
     async def _handle_client(self, reader, writer) -> None:
         self._writers.add(writer)
         try:
@@ -451,7 +467,7 @@ class CampaignServer:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_client,
+            self._connected,
             host=self.host,
             port=self.port,
             limit=MAX_LINE_BYTES + 2,
@@ -515,6 +531,14 @@ class ServerThread:
             loop.run_forever()
             loop.run_until_complete(self.server.stop())
         finally:
+            # As asyncio.run does.  A connection accepted just before the
+            # stop leaves a handler task that never ran, and an aborted
+            # one a handler still unwinding: cancel and await them, or
+            # closing the loop destroys them pending.
+            tasks = asyncio.all_tasks(loop)
+            for task in tasks:
+                task.cancel()
+            loop.run_until_complete(asyncio.gather(*tasks, return_exceptions=True))
             loop.close()
 
     def stop(self) -> None:

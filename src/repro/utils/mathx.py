@@ -2,7 +2,7 @@
 
 import math
 
-from scipy import special
+from repro.utils.normal import ndtri
 
 
 def clamp(value: float, low: float, high: float) -> float:
@@ -44,7 +44,7 @@ def q_function_inverse(p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError("tail probability must be in (0, 1), got %r" % p)
-    return math.sqrt(2.0) * special.erfcinv(2.0 * p)
+    return -ndtri(p)
 
 
 def smooth_step(edge0: float, edge1: float, x: float) -> float:

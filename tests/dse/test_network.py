@@ -10,6 +10,7 @@ connection not losing an evaluated outcome, a killed worker's points
 being reclaimed, and the ``worker --processes`` fleet's respawn rule.
 """
 
+import gc
 import json
 import os
 import signal
@@ -19,6 +20,7 @@ import sys
 import textwrap
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -725,6 +727,26 @@ class TestWorkerFleet:
                     proc.kill()
                     proc.wait()
             thread.stop()
+
+
+class TestServerThread:
+    def test_stop_awaits_the_handler_of_a_fresh_connection(self, tmp_path, caplog):
+        """A connection accepted just before ``stop`` has a handler task
+        that never ran.  Closing the loop with it pending printed
+        "coroutine 'CampaignServer._handle_client' was never awaited";
+        ``stop`` must cancel and await it."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(50):
+                server = CampaignServer(str(tmp_path), lease_ttl=5.0)
+                thread = ServerThread(server).start()
+                with socket.create_connection(("127.0.0.1", server.port), timeout=5.0):
+                    thread.stop()
+                assert not thread._thread.is_alive()
+                gc.collect()
+        assert not [w for w in caught if "never awaited" in str(w.message)]
+        assert "destroyed but it is pending" not in caplog.text
+        assert "Exception in callback" not in caplog.text
 
 
 class TestConnectionClient:

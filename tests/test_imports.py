@@ -2,14 +2,18 @@
 
 Each case imports in a new interpreter, since this test session has
 long since loaded everything.  The package inits of ``repro``,
-``repro.core``, ``repro.cells``, ``repro.spice`` and ``repro.nvsim``
-resolve their exports on first access, so a process loads only the
-submodules it uses.  The engine loads neither ``repro.core`` nor scipy.
-The worker's evaluation set loads ``scipy.special``, but neither
-``scipy.optimize`` (~0.4 s; the root solves use
-``repro.utils.roots.brentq``) nor ``scipy.stats`` (~0.5 s), and none of
-the device modes, LLG or SPICE modules; it imports in ~0.5-0.9 s on a
-2-vCPU host, against ~0.9-1.35 s when it loaded ``scipy.optimize``.
+``repro.core``, ``repro.cells``, ``repro.spice``, ``repro.nvsim``,
+``repro.dse`` and ``repro.dse.net`` resolve their exports on first
+access, so a process loads only the submodules it uses.  The engine
+loads neither ``repro.core`` nor scipy.  The worker's evaluation set
+loads no scipy module at all: the root solves use
+``repro.utils.roots.brentq`` and Phi, its inverse and the binomial
+tail come from ``repro.utils.normal``.  Nor does it load the device
+modes, LLG or SPICE modules, the campaign server (and with it
+``asyncio``) or the analytics.  It imports in ~0.4-0.5 s on a 2-vCPU
+host, against ~0.75-0.9 s with ``scipy.special`` and eager
+``repro.dse`` inits, and ~0.9-1.35 s when it also loaded
+``scipy.optimize``.
 """
 
 import importlib
@@ -30,7 +34,8 @@ WORKER_EVALUATION_SET = ("repro.dse.__main__", "repro.dse.net.worker",
 
 
 #: Packages whose inits resolve their exports on first access.
-LAZY_PACKAGES = ("repro", "repro.core", "repro.cells", "repro.spice", "repro.nvsim")
+LAZY_PACKAGES = ("repro", "repro.core", "repro.cells", "repro.spice", "repro.nvsim",
+                 "repro.dse", "repro.dse.net")
 
 #: Device-physics modules a memory-point evaluation never needs.
 UNUSED_DEVICE_MODULES = (
@@ -68,22 +73,26 @@ def test_engine_imports_no_scipy_and_no_device_physics():
     assert not [m for m in modules if m.startswith("repro.core")]
 
 
-def test_worker_evaluation_set_skips_scipy_stats():
+def test_worker_evaluation_set_imports_no_scipy():
     modules = loaded_modules(*WORKER_EVALUATION_SET)
-    assert "scipy.special" in modules
-    assert not _under(modules, "scipy.stats")
+    assert not _under(modules, "scipy")
 
 
 def test_worker_evaluation_set_loads_only_the_physics_it_uses():
     modules = loaded_modules(*WORKER_EVALUATION_SET)
-    assert not _under(modules, "scipy.optimize")
     assert not [m for m in UNUSED_DEVICE_MODULES if m in modules]
     # repro.cells.cellconfig, the one cells module the evaluator reads,
     # needs no circuit simulator.
     assert not _under(modules, "repro.spice")
 
 
-def test_evaluating_a_point_does_not_import_scipy_optimize():
+def test_worker_evaluation_set_skips_the_server_and_analytics():
+    modules = loaded_modules(*WORKER_EVALUATION_SET)
+    for name in ("repro.dse.net.server", "repro.dse.analytics", "asyncio", "ssl"):
+        assert name not in modules
+
+
+def test_evaluating_a_point_imports_no_scipy():
     """A lazy import cannot creep back in at evaluation time."""
     loaded = fresh_run(
         "import json, sys, tempfile\n"
@@ -98,7 +107,7 @@ def test_evaluating_a_point_does_not_import_scipy_optimize():
     )
     points, modules = loaded
     assert points == 1
-    assert not _under(modules, "scipy.optimize")
+    assert not _under(modules, "scipy")
 
 
 def test_every_lazy_export_resolves_from_a_fresh_interpreter():
