@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.utils.mathx import percentile
+
 
 @dataclass(frozen=True)
 class DistributionSummary:
@@ -52,8 +54,8 @@ def summarize(samples: Sequence[float]) -> DistributionSummary:
     return DistributionSummary(
         mean=float(np.mean(data)),
         std=float(np.std(data, ddof=1)) if data.size > 1 else 0.0,
-        p50=float(np.percentile(data, 50.0)),
-        p99=float(np.percentile(data, 99.0)),
+        p50=percentile(data, 50.0),
+        p99=percentile(data, 99.0),
         minimum=float(np.min(data)),
         maximum=float(np.max(data)),
         count=int(data.size),

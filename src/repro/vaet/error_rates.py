@@ -18,11 +18,12 @@ budget gives RER(t) in closed form.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.nvsim.subarray import SENSE_MARGIN
+from repro.utils.mathx import median
 from repro.utils.normal import SQRT1_2, ndtr, ndtri, sorted_sf_sum
 from repro.utils.roots import brentq
 from repro.vaet.montecarlo import MonteCarloEngine
@@ -250,34 +251,38 @@ class ErrorRateAnalysis:
         self.engine = engine
         variation = engine.variation
         if scalar_reference_enabled():
-            self.cells: CellSamples = variation.sample_cells(
-                np.random.default_rng(seed), population
-            )
+            cells = variation.sample_cells(np.random.default_rng(seed), population)
         else:
             normals = normals_prefix(seed, 4 * population)
-            self.cells = variation.cells_from_normals(normals.reshape(4, -1))
-        self._rates = variation.switching_rates(self.cells)
-        self._signals = variation.read_signal_currents(self.cells)
+            cells = variation.cells_from_normals(normals.reshape(4, -1))
+        self._rates = variation.switching_rates(cells)
+        signals = variation.read_signal_currents(cells)
+        # The readers of the cells past here (read disturb, retention
+        # faults) take Delta, R_P, drive strength and I_c0 only.
+        self.cells: CellSamples = replace(
+            cells, diameter=None, resistance_ap_write=None, rate_prefactor=None
+        )
+        del cells
         # Pulse-independent factors, hoisted so the margin solvers (tens
         # of word_wer/word_rer evaluations per brentq call) only pay for
         # one exp/ndtr pass over the population per iteration.
         self._switching = self._rates > 0.0
         self._stuck_fraction = float(np.mean(self._rates <= 0.0))
         self._envelope = (math.pi ** 2) * self.cells.delta / 4.0
-        self._nominal_signal = float(np.median(self._signals))
+        self._nominal_signal = median(signals)
         cdv = engine.leaf.sense.develop_time * self._nominal_signal
         # C such that t_nom develops dV across the nominal cell.
         self._capacitance_equiv = cdv / SENSE_MARGIN
-        self._developed_per_second = self._signals / self._capacitance_equiv
+        signals /= self._capacitance_equiv
+        self._developed_per_second = signals
         self.kernel = WriteKernel(
             self._rates[self._switching], self._envelope[self._switching],
             len(self._rates), self._stuck_fraction,
         )
         # The Newton read kernel's per-cell k in Phi(-k t), ascending so
         # that each erfc branch of a pass is one contiguous slice.
-        self._sense_gain = np.sort(
-            self._developed_per_second / (SENSE_MARGIN / 3.0)
-        )
+        self._sense_gain = np.divide(signals, SENSE_MARGIN / 3.0)
+        self._sense_gain.sort()
 
     # -- writes -------------------------------------------------------
 

@@ -27,6 +27,7 @@ from repro.vaet.montecarlo import MonteCarloEngine
 from repro.vaet.read_disturb import ReadDisturbAnalysis
 from repro.vaet.variation_model import (
     VariationModel,
+    read_blocks,
     scalar_reference_enabled,
     standard_normals,
 )
@@ -120,16 +121,19 @@ class VAETSTT:
         if scalar_reference_enabled():
             rng = np.random.default_rng(seed)
             writes = self.engine.sample_writes(rng, num_words)
+            reads = self.engine.sample_reads(rng, num_words)
         else:
-            # The writes' normals open the seed's stream: take them
-            # from the process-level copy every point of the seed shares.
-            normals, rng = standard_normals(
-                seed, 4 * num_words * self.config.word_bits
-            )
+            # The writes' normals open the seed's stream and the reads'
+            # follow the writes' exponentials: take both from the
+            # process-level copies every point of the seed shares.
+            size = num_words * self.config.word_bits
+            normals, rng = standard_normals(seed, 4 * size)
             writes = self.engine.writes_from_normals(
                 normals.reshape(4, -1), rng, num_words
             )
-        reads = self.engine.sample_reads(rng, num_words)
+            reads = self.engine.reads_from_normals(
+                read_blocks(seed, size, rng), num_words
+            )
         return VariationAwareEstimate(
             nominal=self.nvsim.estimate(),
             write_latency=summarize(writes.latency),

@@ -165,8 +165,8 @@ _physics_lock = threading.Lock()
 
 def clear_physics_memo() -> None:
     """Forget every memoised WER-independent record, and the cached
-    standard normals they were drawn from, so the next point pays for
-    all of its physics."""
+    standard normals and read blocks they were drawn from, so the next
+    point pays for all of its physics."""
     with _physics_lock:
         _physics_memo.clear()
     clear_standard_normals()
@@ -214,12 +214,15 @@ class DesignSpaceExplorer:
         num_words, error_population, rer_target, disturb_budget)``, so
         a sibling point that differs only in the ECC axes pays only for
         its ECC sweep.  The result stays a pure function of the
-        arguments.  A miss draws neither its MC writes' normals nor
-        its population's: both are views of the seed's process-level
-        stream (:func:`~repro.vaet.variation_model.standard_normals`),
-        which every point of that seed shares, with the values it would
-        have drawn itself.  :func:`clear_physics_memo` empties the memo
-        and the stream.  Under ``REPRO_VAET_SCALAR`` both are bypassed
+        arguments.  A miss draws neither its MC writes' normals, nor
+        its MC reads' (unless it is the first of its seed and word-cell
+        count), nor its population's: all are held by the seed's
+        process-level stream
+        (:func:`~repro.vaet.variation_model.standard_normals`,
+        :func:`~repro.vaet.variation_model.read_blocks`), which every
+        point of that seed shares, with the values it would have drawn
+        itself.  :func:`clear_physics_memo` empties the memo and the
+        stream.  Under ``REPRO_VAET_SCALAR`` both are bypassed
         and every point recomputes everything.  Under ``--deadline``
         the points run in one reused evaluation child per executor
         slot, whose memo serves them the same way.

@@ -13,11 +13,17 @@ import numpy as np
 
 from repro.nvsim.bank import BankTiming
 from repro.nvsim.subarray import SubarrayTiming
+from repro.utils.mathx import median
 from repro.vaet.variation_model import (
     VariationModel,
-    normal_blocks,
+    draw_read_blocks,
     scalar_reference_enabled,
 )
+
+#: Cells per chunk of the vectorised write Monte Carlo.  A chunk's
+#: columns are 512 KiB each, where one pass over the 384k cells of a
+#: 256-bit default-effort Monte Carlo held ten columns of 3 MB.
+WRITE_CHUNK = 1 << 16
 
 
 @dataclass
@@ -96,7 +102,7 @@ class MonteCarloEngine:
         size = num_words * self.word_bits
         if not scalar_reference_enabled():
             return self.writes_from_normals(
-                normal_blocks(rng, size), rng, num_words, margin_sigmas
+                rng.standard_normal((4, size)), rng, num_words, margin_sigmas
             )
         variation = self.variation
         cells = variation.sample_cells(rng, size)
@@ -107,13 +113,13 @@ class MonteCarloEngine:
         return self._sample_writes_scalar(times, currents, num_words, margin_sigmas)
 
     def writes_from_normals(
-        self, blocks, rng: np.random.Generator, num_words: int,
+        self, normals: np.ndarray, rng: np.random.Generator, num_words: int,
         margin_sigmas: float = 2.0,
     ) -> WriteSamples:
-        """``num_words`` word writes of the cells drawn as ``blocks``.
+        """``num_words`` word writes of the cells drawn as ``normals``.
 
-        ``blocks`` are the cells' four blocks of ``num_words`` x
-        ``word_bits`` variation normals (see
+        ``normals`` holds the cells' four blocks of ``num_words`` x
+        ``word_bits`` variation normals as rows (see
         :meth:`~repro.vaet.variation_model.VariationModel.cells_from_normals`);
         ``rng`` draws each write's initial angle.
 
@@ -122,27 +128,41 @@ class MonteCarloEngine:
         Energy: every bit is driven for the *margined* pulse (mean
         completion + ``margin_sigmas`` sigma), since an open-loop array
         cannot cut power per bit the instant it happens to switch.
+
+        The cells are built and timed in chunks of whole words, about
+        ``WRITE_CHUNK`` cells each; a word's maximum and current sum
+        are reductions over its own row, so no value depends on the
+        chunking.
         """
         variation = self.variation
-        cells = variation.cells_from_normals(blocks)
-        currents = variation.delivered_write_current(cells)
-        rates = variation._rates_at(cells, currents)
-        delta = cells.delta
-        # Only Delta is read from here on: free the other columns
-        # before the switching-time pass allocates its own.
-        del cells
-        times = variation._times_at(delta, rates, rng)
+        bits = self.word_bits
+        times = np.empty(num_words * bits)
+        word_max = np.empty(num_words)
+        word_current = np.empty(num_words)
+        step = max(1, WRITE_CHUNK // bits)
+        for first in range(0, num_words, step):
+            words = slice(first, min(first + step, num_words))
+            span = slice(words.start * bits, words.stop * bits)
+            cells = variation.cells_from_normals(normals[:, span])
+            currents = variation.delivered_write_current(cells)
+            rates = variation._rates_at(cells, currents)
+            delta = cells.delta
+            # Only Delta is read from here on: free the other columns
+            # before the switching-time pass allocates its own.
+            del cells
+            chunk = variation._times_at(delta, rates, rng)
+            times[span] = chunk
+            word_max[words] = np.max(chunk.reshape(-1, bits), axis=1)
+            word_current[words] = np.sum(currents.reshape(-1, bits), axis=1)
         # Times are finite or +inf (non-switching): words containing a
         # non-switching cell get the window cap.
-        word_max = np.max(times.reshape(num_words, self.word_bits), axis=1)
         word_max[np.isinf(word_max)] = 100e-9
         latency = self._overhead + 2.0 * word_max
 
         applied_pulse = 2.0 * (
             float(np.mean(word_max)) + margin_sigmas * float(np.std(word_max))
         )
-        current_matrix = currents.reshape(num_words, self.word_bits)
-        cell_energy = np.sum(current_matrix, axis=1) * self._vdd * applied_pulse / 2.0
+        cell_energy = word_current * self._vdd * applied_pulse / 2.0
         # The /2 reflects that each bit conducts in only one of the two
         # phases (half the bits per phase on average).
         energy = self._periphery_energy + cell_energy
@@ -189,10 +209,9 @@ class MonteCarloEngine:
 
         The sense develop time of each bit is C_bl * dV / I_signal with
         the per-cell signal current; the word completes on the slowest
-        bit, plus the regeneration time.
+        bit, plus the regeneration time.  Draws the cells' variation
+        normals, then as :meth:`reads_from_normals`.
         """
-        from repro.nvsim.subarray import READ_BIAS
-
         size = num_words * self.word_bits
         if scalar_reference_enabled():
             cells = self.variation.sample_cells(rng, size)
@@ -200,11 +219,19 @@ class MonteCarloEngine:
             return self._sample_reads_scalar(
                 cells, signals, self._develop_times(signals), num_words
             )
-        # The read path needs R_P and drive strength only: skip the
-        # magnetic columns of sample_cells, drawing the same stream.
-        resistance_p, strength = self.variation._draw_cells(
-            normal_blocks(rng, size)
-        )[1::2]
+        return self.reads_from_normals(draw_read_blocks(rng, size), num_words)
+
+    def reads_from_normals(self, blocks, num_words: int) -> ReadSamples:
+        """``num_words`` word reads of the cells drawn as ``blocks``.
+
+        ``blocks`` are the cells' diameter, RA and drive-strength blocks
+        of ``num_words`` x ``word_bits`` normals
+        (:func:`~repro.vaet.variation_model.draw_read_blocks`): the read
+        path needs R_P and drive strength only.
+        """
+        from repro.nvsim.subarray import READ_BIAS
+
+        resistance_p, strength = self.variation.read_cells(blocks)
         read_currents, signals = self.variation.read_path_currents(
             resistance_p, strength
         )
@@ -240,7 +267,7 @@ class MonteCarloEngine:
     def _develop_times(self, signals: np.ndarray) -> np.ndarray:
         """Per-cell develop time from the capacitance the nominal model
         used: t_nom = C dV / I_nom => C dV = t_nom * I_nom."""
-        nominal_signal = float(np.median(signals))
+        nominal_signal = median(signals)
         cdv = self.leaf.sense.develop_time * nominal_signal
         return cdv / np.maximum(signals, 1e-9)
 

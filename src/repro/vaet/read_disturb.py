@@ -45,15 +45,21 @@ class ReadDisturbAnalysis:
         self.analysis = analysis
         self.engine = analysis.engine
         cells = analysis.cells
-        variation = self.engine.variation
-        read_currents = READ_BIAS / (
-            cells.resistance_p
-            + variation._fixed_path_r / np.sqrt(cells.drive_strength)
-        )
-        overdrive = np.minimum(read_currents / cells.critical_current, 0.999)
-        effective_delta = cells.delta * (1.0 - overdrive)
-        exponent = np.minimum(effective_delta, 700.0)
-        self._tau = ATTEMPT_TIME * np.exp(exponent)
+        # tau = tau0 exp(min(Delta (1 - min(I_read / I_c0, 0.999)), 700))
+        # with I_read = V_read / (R_P + R_fixed / sqrt(strength)), built
+        # in one array in place.
+        tau = np.sqrt(cells.drive_strength)
+        np.divide(self.engine.variation._fixed_path_r, tau, out=tau)
+        tau += cells.resistance_p
+        np.divide(READ_BIAS, tau, out=tau)
+        tau /= cells.critical_current
+        np.minimum(tau, 0.999, out=tau)
+        np.subtract(1.0, tau, out=tau)
+        tau *= cells.delta
+        np.minimum(tau, 700.0, out=tau)
+        np.exp(tau, out=tau)
+        tau *= ATTEMPT_TIME
+        self._tau = tau
 
     def per_bit_probability(self, read_period: float) -> float:
         """Population-mean per-bit disturb probability for one read."""

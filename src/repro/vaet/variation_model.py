@@ -23,14 +23,19 @@ one seed scores its array under the same variation draws, so the
 vectorised path reads them from one process-level stream
 (:func:`standard_normals`): the first normals of ``default_rng(seed)``,
 drawn once per process and shared by the Monte Carlo writes of every
-word width and node and by the error population.  The values are the
-ones ``default_rng(seed).normal(0, sigma, n)`` drew per source and
-point, so every output is unchanged.
+word width and node and by the error population.  The Monte Carlo
+reads come next in the stream, after the writes' exponentials, so they
+too depend only on the seed and the word-cell count: the stream holds
+their diameter, RA and drive-strength blocks for the last two counts
+(:func:`read_blocks`).  The values are the ones
+``default_rng(seed).normal(0, sigma, n)`` drew per source and point,
+so every output is unchanged.
 """
 
 import math
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -61,13 +66,20 @@ def scalar_reference_enabled() -> bool:
     return os.environ.get(SCALAR_REFERENCE_ENV, "") not in ("", "0")
 
 
+#: Word-cell counts whose Monte Carlo read blocks the stream holds.  As
+#: for the physics memo's two entries: in every grid of the repo at most
+#: two word widths interleave.
+READ_COUNTS_HELD = 2
+
+
 class _NormalStream:
     """The standard normals of one seed's ``default_rng``, drawn once.
 
     Holds the longest prefix asked for and the bit-generator state at
     every count a generator was asked for, so a generator positioned
-    after any of them is rebuilt without drawing.  A new seed evicts
-    the old one.
+    after any of them is rebuilt without drawing; and the Monte Carlo
+    read blocks of the last ``READ_COUNTS_HELD`` word-cell counts.  A
+    new seed evicts the old one.
     """
 
     def __init__(self):
@@ -78,6 +90,14 @@ class _NormalStream:
         self.seed: Optional[int] = None
         self.prefix = np.empty(0)
         self.states: Dict[int, dict] = {}
+        self.reads: "OrderedDict[int, np.ndarray]" = OrderedDict()
+
+    def _select(self, seed: int) -> None:
+        # Under the lock: make ``seed`` the stream's, evicting another.
+        if self.seed is None or self.seed != seed:
+            self.clear()
+            self.seed = seed
+            self.states[0] = np.random.default_rng(seed).bit_generator.state
 
     def take(
         self, seed: int, count: int, positioned: bool
@@ -85,10 +105,7 @@ class _NormalStream:
         """The first ``count`` normals, and the state right after them
         when ``positioned`` (else None)."""
         with self.lock:
-            if self.seed is None or self.seed != seed:
-                self.clear()
-                self.seed = seed
-                self.states[0] = np.random.default_rng(seed).bit_generator.state
+            self._select(seed)
             have = len(self.prefix)
             if count > have:
                 generator = _positioned(seed, self.states[have])
@@ -105,6 +122,24 @@ class _NormalStream:
                 generator.standard_normal(count)
                 self.states[count] = generator.bit_generator.state
             return self.prefix[:count], self.states[count] if positioned else None
+
+    def reads_of(
+        self, seed: int, size: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """The held read blocks of ``size`` cells, drawn from ``rng`` on
+        a miss."""
+        with self.lock:
+            self._select(seed)
+            blocks = self.reads.get(size)
+            if blocks is None:
+                blocks = draw_read_blocks(rng, size)
+                blocks.flags.writeable = False
+                self.reads[size] = blocks
+                while len(self.reads) > READ_COUNTS_HELD:
+                    self.reads.popitem(last=False)
+            else:
+                self.reads.move_to_end(size)
+            return blocks
 
 
 def _positioned(seed: int, state: dict) -> np.random.Generator:
@@ -139,8 +174,22 @@ def normals_prefix(seed: int, count: int) -> np.ndarray:
     return _STREAM.take(seed, count, positioned=False)[0]
 
 
+def read_blocks(seed: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """The read blocks of a ``size``-cell Monte Carlo of ``seed``.
+
+    What :func:`draw_read_blocks` draws from ``rng``, which stands where
+    every such Monte Carlo's reads start: after the seed's first
+    ``4 * size`` normals and the writes' ``size`` exponentials.  Only
+    the seed and ``size`` set that position, so the stream draws them
+    once and holds them read-only for the last ``READ_COUNTS_HELD``
+    sizes (3 floats per cell); a hit leaves ``rng`` unused.  A new seed
+    and :func:`clear_standard_normals` drop them; thread-safe.
+    """
+    return _STREAM.reads_of(seed, size, rng)
+
+
 def clear_standard_normals() -> None:
-    """Forget the cached stream."""
+    """Forget the cached stream and read blocks."""
     with _STREAM.lock:
         _STREAM.clear()
 
@@ -149,6 +198,27 @@ def normal_blocks(rng: np.random.Generator, size: int):
     """The next ``4 * size`` standard normals of ``rng`` as four blocks
     of ``size``, each drawn only when it is taken."""
     return (rng.standard_normal(size) for _ in range(4))
+
+
+def draw_read_blocks(rng: np.random.Generator, size: int) -> np.ndarray:
+    """The next ``4 * size`` standard normals of ``rng`` as the reads'
+    ``(3, size)`` blocks: diameter, RA and drive strength.
+
+    The reads never use the TMR block; it is drawn into the strength
+    row only to advance the stream, and overwritten.
+    """
+    blocks = np.empty((3, size))
+    for row in (0, 1, 2, 2):
+        rng.standard_normal(out=blocks[row])
+    return blocks
+
+
+def _varied(block: np.ndarray, sigma: float, floor: float) -> np.ndarray:
+    """max(floor, 1 + N(0, sigma)) from a block of standard normals, as
+    a fresh array."""
+    factor = np.multiply(block, sigma)
+    factor += 1.0
+    return np.maximum(factor, floor, out=factor)
 
 
 def oblate_demag_factor_vec(aspect: np.ndarray) -> np.ndarray:
@@ -171,18 +241,22 @@ class CellSamples:
         drive_strength: CMOS path strength factor (1 = nominal).
         rate_prefactor: alpha*gamma0*Hk/(1+alpha^2) per cell [1/s]
             (multiply by (I/Ic0 - 1) for the precessional rate).
+
+    A population kept past its write-rate pass (the error population of
+    :class:`repro.vaet.error_rates.ErrorRateAnalysis`) may hold None for
+    ``diameter``, ``resistance_ap_write`` and ``rate_prefactor``.
     """
 
-    diameter: np.ndarray
+    diameter: Optional[np.ndarray]
     delta: np.ndarray
     critical_current: np.ndarray
     resistance_p: np.ndarray
-    resistance_ap_write: np.ndarray
+    resistance_ap_write: Optional[np.ndarray]
     drive_strength: np.ndarray
-    rate_prefactor: np.ndarray
+    rate_prefactor: Optional[np.ndarray]
 
     def __len__(self) -> int:
-        return len(self.diameter)
+        return len(self.delta)
 
 
 class VariationModel:
@@ -307,28 +381,45 @@ class VariationModel:
         """
         mtj_var = self.pdk.variation.mtj
         blocks = iter(blocks)
+        diameter = self._diameters(next(blocks))
+        r_p = self._resistance_p(next(blocks), diameter)
+        tmr = _varied(next(blocks), mtj_var.tmr_sigma_rel, 0.2)
+        tmr *= self._tmr_nominal
+        return diameter, r_p, tmr, self._strengths(next(blocks))
 
-        def varied(sigma, floor):
-            # max(floor, 1 + N(0, sigma)), as a fresh array.
-            factor = np.multiply(next(blocks), sigma)
-            factor += 1.0
-            return np.maximum(factor, floor, out=factor)
+    def read_cells(self, blocks):
+        """R_P and drive strength per cell, for the read path.
 
-        diameter = varied(mtj_var.diameter_sigma_rel, 0.3)
+        ``blocks`` are the cells' diameter, RA and drive-strength blocks
+        (:func:`draw_read_blocks`); each column is built as in
+        :meth:`_draw_cells`, and the reads have no TMR column.
+        """
+        diameter, ra, strength = blocks
+        return (
+            self._resistance_p(ra, self._diameters(diameter)),
+            self._strengths(strength),
+        )
+
+    def _diameters(self, block: np.ndarray) -> np.ndarray:
+        diameter = _varied(block, self.pdk.variation.mtj.diameter_sigma_rel, 0.3)
         diameter *= self._d0
+        return diameter
+
+    def _resistance_p(self, block: np.ndarray, diameter: np.ndarray) -> np.ndarray:
+        # RA * exp(N(0, sigma)) / area, the area from the diameters.
+        mtj_var = self.pdk.variation.mtj
         area = np.divide(diameter, 2.0)
         area **= 2
         area *= math.pi
         ra_sigma = mtj_var.ra_thickness_sensitivity * mtj_var.mgo_thickness_sigma_rel
-        ra = np.multiply(next(blocks), ra_sigma)
+        ra = np.multiply(block, ra_sigma)
         np.exp(ra, out=ra)
         ra *= self._ra
         ra /= area
-        del area
-        tmr = varied(mtj_var.tmr_sigma_rel, 0.2)
-        tmr *= self._tmr_nominal
-        strength = varied(self._strength_sigma, 0.3)
-        return diameter, ra, tmr, strength
+        return ra
+
+    def _strengths(self, block: np.ndarray) -> np.ndarray:
+        return _varied(block, self._strength_sigma, 0.3)
 
     def _sample_cells_scalar(self, rng: np.random.Generator, size: int) -> CellSamples:
         """Cell-at-a-time reference sampler (``REPRO_VAET_SCALAR``).

@@ -13,7 +13,7 @@ modes, LLG or SPICE modules, the campaign server (and with it
 ``asyncio``) or the analytics.  It imports in ~0.4-0.5 s on a 2-vCPU
 host, against ~0.75-0.9 s with ``scipy.special`` and eager
 ``repro.dse`` inits, and ~0.9-1.35 s when it also loaded
-``scipy.optimize``.
+``scipy.optimize``.  Evaluating a point loads no ``numpy.ma`` either.
 """
 
 import importlib
@@ -108,6 +108,9 @@ def test_evaluating_a_point_imports_no_scipy():
     points, modules = loaded
     assert points == 1
     assert not _under(modules, "scipy")
+    # Nor numpy.ma, which numpy 2's np.median imports on first call
+    # (older numpy loads it with numpy itself).
+    assert not set(_under(modules, "numpy.ma")) - loaded_modules("numpy")
 
 
 def test_every_lazy_export_resolves_from_a_fresh_interpreter():

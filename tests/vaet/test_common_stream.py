@@ -7,12 +7,14 @@ makes that exact — numpy's ``normal`` is ``scale * standard_normal`` on
 the same stream, and split draws concatenate — and the stream's own
 contract: prefixes in any request order, the positioned generator,
 read-only views, threads, eviction, clearing, and the scalar reference
-never touching it.
+never touching it.  The Monte Carlo reads' blocks, held per word-cell
+count after the writes' exponentials, are pinned the same way.
 
 Run by the ``vector-equivalence`` CI job on the oldest and latest
 numpy, since the identities are numpy's, not ours.
 """
 
+import itertools
 import math
 import sys
 import threading
@@ -34,8 +36,11 @@ from repro.vaet.explorer import (
     clear_physics_memo,
 )
 from repro.vaet.variation_model import (
+    READ_COUNTS_HELD,
     SCALAR_REFERENCE_ENV,
+    VariationModel,
     clear_standard_normals,
+    read_blocks,
     standard_normals,
 )
 
@@ -63,6 +68,34 @@ def _reference(seed, count):
 @pytest.fixture(scope="module")
 def tool():
     return VAETSTT(ProcessDesignKit.for_node(45), MemoryConfig(word_bits=16))
+
+
+#: The columns the error population keeps past its write-rate pass.
+KEPT_COLUMNS = ("delta", "critical_current", "resistance_p", "drive_strength")
+
+
+def _population(tool, monkeypatch):
+    """An error-rate analysis, and the whole population it built before
+    dropping the columns no reader takes."""
+    built = []
+    original = VariationModel.cells_from_normals
+
+    def spy(self, blocks):
+        built.append(original(self, blocks))
+        return built[-1]
+
+    monkeypatch.setattr(VariationModel, "cells_from_normals", spy)
+    analysis = ErrorRateAnalysis(tool.engine, population=3000, seed=SEED)
+    monkeypatch.setattr(VariationModel, "cells_from_normals", original)
+    (population,) = built
+    for name in vars(population):
+        kept = getattr(analysis.cells, name)
+        if name in KEPT_COLUMNS:
+            assert kept is getattr(population, name), name
+        else:
+            assert kept is None, name
+    assert len(analysis.cells) == 3000
+    return analysis, population
 
 
 class TestNumpyIdentities:
@@ -184,8 +217,8 @@ class TestConsumers:
         for new, old in zip(drawn, (diameter, r_p, tmr, strength)):
             assert np.array_equal(new, old)
 
-    def test_population_equals_the_generator_draw(self, tool):
-        stream = ErrorRateAnalysis(tool.engine, population=3000, seed=SEED).cells
+    def test_population_equals_the_generator_draw(self, tool, monkeypatch):
+        _, stream = _population(tool, monkeypatch)
         drawn = tool.variation.sample_cells(np.random.default_rng(SEED), 3000)
         for name in vars(drawn):
             assert np.array_equal(getattr(stream, name), getattr(drawn, name)), name
@@ -205,7 +238,7 @@ class TestConsumers:
             return default_rng(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "default_rng", spy)
-        stream = ErrorRateAnalysis(tool.engine, population=3000, seed=SEED).cells
+        _, stream = _population(tool, monkeypatch)
         assert generators == []
         assert 4 * 3000 not in variation_model._STREAM.states
         drawn = tool.variation.sample_cells(default_rng(SEED), 3000)
@@ -233,11 +266,15 @@ class TestConsumers:
         monkeypatch.setattr(
             error_rates_module, "normals_prefix", lambda *a: spy(*a)[0]
         )
+        monkeypatch.setattr(
+            estimator_module, "read_blocks", lambda *a: calls.append(a)
+        )
         monkeypatch.setenv(SCALAR_REFERENCE_ENV, "1")
         tool.estimate(num_words=5, seed=SEED)
         ErrorRateAnalysis(tool.engine, population=200, seed=SEED)
         assert calls == []
         assert variation_model._STREAM.seed is None
+        assert not variation_model._STREAM.reads
 
     def test_a_grid_draws_the_population_once(self, monkeypatch):
         """One seed over 45/65 nm x 2 subarray heights: every point's
@@ -280,5 +317,125 @@ class TestConsumers:
         assert all(np.shares_memory(n, populations[0]) for n in populations)
         assert len(variation_model._STREAM.prefix) == 4 * population
         # Sharing the draw changes no output.
+        assert shared == points(clear=True)
+        assert any(point is not None for point in shared)
+
+
+def _estimate_tool(node, word_bits):
+    return VAETSTT(
+        ProcessDesignKit.for_node(node), MemoryConfig(word_bits=word_bits)
+    )
+
+
+class TestReadBlocks:
+    """The Monte Carlo reads' blocks, held per word-cell count."""
+
+    WORDS = 12
+
+    @pytest.mark.parametrize("node", [45, 65])
+    def test_estimate_equals_the_generator_draw(self, node):
+        """Word widths interleaved 128 -> 256 -> 128 -> 512: a hit, then
+        a third count that evicts the least recent."""
+        draws = []
+        for word_bits in (128, 256, 128, 512):
+            tool = _estimate_tool(node, word_bits)
+            held = dict(variation_model._STREAM.reads)
+            estimate = tool.estimate(num_words=self.WORDS, seed=SEED)
+            size = self.WORDS * word_bits
+            draws.append(size not in held)
+            if size in held:
+                assert variation_model._STREAM.reads[size] is held[size]
+            rng = np.random.default_rng(SEED)
+            writes = tool.engine.sample_writes(rng, self.WORDS)
+            reads = tool.engine.sample_reads(rng, self.WORDS)
+            assert estimate.write_latency == summarize(writes.latency)
+            assert estimate.write_energy == summarize(writes.energy)
+            assert estimate.read_latency == summarize(reads.latency)
+            assert estimate.read_energy == summarize(reads.energy)
+        assert draws == [True, True, False, True]
+        assert READ_COUNTS_HELD == 2
+        assert list(variation_model._STREAM.reads) == [
+            self.WORDS * 128, self.WORDS * 512,
+        ]
+
+    def test_blocks_equal_the_positioned_draw(self, tool):
+        size = self.WORDS * 16
+        tool.estimate(num_words=self.WORDS, seed=SEED)
+        rng = np.random.default_rng(SEED)
+        rng.standard_normal(4 * size)
+        rng.standard_exponential(size)
+        diameter, ra, _, strength = (rng.standard_normal(size) for _ in range(4))
+        held = variation_model._STREAM.reads[size]
+        assert np.array_equal(held, np.stack((diameter, ra, strength)))
+        _, positioned = standard_normals(SEED, 4 * size)
+        assert read_blocks(SEED, size, positioned) is held
+
+    def test_blocks_are_read_only(self, tool):
+        tool.estimate(num_words=self.WORDS, seed=SEED)
+        (blocks,) = variation_model._STREAM.reads.values()
+        assert not blocks.flags.writeable
+        for row in blocks:
+            with pytest.raises(ValueError):
+                row[0] = 0.0
+        with pytest.raises(ValueError):
+            blocks *= 2.0
+
+    def test_a_second_seed_evicts_them(self, tool):
+        tool.estimate(num_words=self.WORDS, seed=SEED)
+        assert variation_model._STREAM.reads
+        standard_normals(SEED + 1, 100)
+        assert not variation_model._STREAM.reads
+        tool.estimate(num_words=self.WORDS, seed=SEED)
+        held = variation_model._STREAM.reads[self.WORDS * 16]
+        other = tool.estimate(num_words=self.WORDS, seed=SEED + 1)
+        assert list(variation_model._STREAM.reads) == [self.WORDS * 16]
+        assert variation_model._STREAM.reads[self.WORDS * 16] is not held
+        rng = np.random.default_rng(SEED + 1)
+        tool.engine.sample_writes(rng, self.WORDS)
+        reads = tool.engine.sample_reads(rng, self.WORDS)
+        assert other.read_latency == summarize(reads.latency)
+
+    def test_clear_physics_memo_empties_them(self, tool):
+        tool.estimate(num_words=self.WORDS, seed=SEED)
+        clear_physics_memo()
+        assert not variation_model._STREAM.reads
+
+    def test_a_grid_draws_the_read_blocks_twice(self, monkeypatch):
+        """A mem-default-shaped grid of one seed: 3 subarray heights x 2
+        word widths x 2 WER targets x 2 nodes.  Its 24 points ask for
+        two word-cell counts, so the reads are drawn twice."""
+        drawn = []
+        original = variation_model.draw_read_blocks
+
+        def spy(rng, size):
+            drawn.append(size)
+            return original(rng, size)
+
+        monkeypatch.setattr(variation_model, "draw_read_blocks", spy)
+        grid = list(itertools.product(
+            (128, 256, 512), (128, 256), (1e-9, 1e-12), (45, 65)
+        ))
+        assert len(grid) == 24
+        words = 10
+
+        def points(clear):
+            results = []
+            for rows, word_bits, wer_target, node in grid:
+                if clear:
+                    clear_physics_memo()
+                config = MemoryConfig(word_bits=word_bits, subarray_rows=rows)
+                explorer = DesignSpaceExplorer(
+                    ProcessDesignKit.for_node(node), config,
+                    DesignConstraints(wer_target=wer_target, rer_target=1e-9),
+                    num_words=words, error_population=2000,
+                )
+                point = explorer.evaluate(config, seed=SEED)
+                results.append(None if point is None else point.to_dict())
+            return results
+
+        clear_physics_memo()
+        shared = points(clear=False)
+        assert drawn == [words * 128, words * 256]
+        # Holding the reads changes no output.
         assert shared == points(clear=True)
         assert any(point is not None for point in shared)
