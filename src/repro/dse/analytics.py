@@ -59,11 +59,10 @@ LATENCY_PERCENTILES = (50, 90, 99)
 
 
 def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile with linear interpolation.
+    """``numpy.percentile(values, q)`` to the last bit, in pure python.
 
-    Matches ``numpy.percentile``'s default method, but stays pure
-    python so report construction never round-trips a few dozen floats
-    through an array.
+    numpy's linear method and rounding (from the nearer order statistic,
+    as :func:`repro.utils.mathx.percentile`), without an array.
 
     Raises:
         ValueError: On an empty sample.
@@ -75,11 +74,12 @@ def percentile(values: Sequence[float], q: float) -> float:
     ordered = sorted(float(v) for v in values)
     rank = (len(ordered) - 1) * (q / 100.0)
     lo = int(math.floor(rank))
-    hi = int(math.ceil(rank))
-    if lo == hi:
+    if lo == rank:
         return ordered[lo]
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    low, high, frac = ordered[lo], ordered[lo + 1], rank - lo
+    if frac >= 0.5:
+        return high - (high - low) * (1.0 - frac)
+    return low + (high - low) * frac
 
 
 @dataclass

@@ -15,6 +15,16 @@ Reads: sensing fails when the developed differential at the sense
 instant is below the latch offset.  Longer sensing develops more
 signal, so RER falls with read period; the Gaussian signal/offset
 budget gives RER(t) in closed form.
+
+Both Newton solves run on kernels of the population: the write kernel
+(:class:`WriteKernel`) and the ascending sense gains.  Neither reads
+the word width: a population is a function of the PDK, temperature,
+seed and size, the array's fixed path resistance and its sense develop
+time alone.  So :class:`repro.vaet.explorer.DesignSpaceExplorer` keeps
+them as population records that word-width, column and target siblings
+share, and solves each sibling afresh over them
+(:meth:`ErrorRateAnalysis.pinned`,
+:meth:`repro.vaet.ecc.ECCAnalysis.pinned`).
 """
 
 import math
@@ -23,7 +33,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.nvsim.subarray import SENSE_MARGIN
-from repro.utils.mathx import median
 from repro.utils.normal import SQRT1_2, ndtr, ndtri, sorted_sf_sum
 from repro.utils.roots import brentq
 from repro.vaet.montecarlo import MonteCarloEngine
@@ -241,9 +250,9 @@ class ErrorRateAnalysis:
     (:func:`~repro.vaet.variation_model.normals_prefix`), shared with
     every analysis and Monte Carlo write of that seed in the process.
     The write solves run on :attr:`kernel`, the population's
-    :class:`WriteKernel`; the read solve and the population-mean WER
-    (:meth:`mean_cell_wer`, the ECC stuck-cell floor and the scalar
-    reference) use the full arrays.
+    :class:`WriteKernel`, and the read solve on its ascending sense
+    gains; the population-mean WER (:meth:`mean_cell_wer`, the ECC
+    stuck-cell floor and the scalar reference) uses the full arrays.
     """
 
     def __init__(self, engine: MonteCarloEngine, population: int = 200_000,
@@ -269,20 +278,46 @@ class ErrorRateAnalysis:
         self._switching = self._rates > 0.0
         self._stuck_fraction = float(np.mean(self._rates <= 0.0))
         self._envelope = (math.pi ** 2) * self.cells.delta / 4.0
-        self._nominal_signal = median(signals)
+        # One sort gives both the median (np.median's two middle order
+        # statistics) and the Newton read kernel's per-cell k in
+        # Phi(-k t), ascending so that each erfc branch of a pass is one
+        # contiguous slice: dividing by positive constants keeps the
+        # order, and each k is the same two divisions as in draw order.
+        ordered = np.sort(signals)
+        middle = len(ordered) // 2
+        self._nominal_signal = float(
+            ordered[middle] if len(ordered) % 2
+            else np.mean(ordered[middle - 1:middle + 1])
+        )
         cdv = engine.leaf.sense.develop_time * self._nominal_signal
         # C such that t_nom develops dV across the nominal cell.
         self._capacitance_equiv = cdv / SENSE_MARGIN
         signals /= self._capacitance_equiv
         self._developed_per_second = signals
+        ordered /= self._capacitance_equiv
+        ordered /= SENSE_MARGIN / 3.0
+        self._sense_gain = ordered
         self.kernel = WriteKernel(
             self._rates[self._switching], self._envelope[self._switching],
             len(self._rates), self._stuck_fraction,
         )
-        # The Newton read kernel's per-cell k in Phi(-k t), ascending so
-        # that each erfc branch of a pass is one contiguous slice.
-        self._sense_gain = np.divide(signals, SENSE_MARGIN / 3.0)
-        self._sense_gain.sort()
+
+    @classmethod
+    def pinned(cls, engine: MonteCarloEngine,
+               sense_gain: np.ndarray) -> "ErrorRateAnalysis":
+        """A read solver over another analysis's ascending sense gains.
+
+        The gains read nothing of the word, so ``engine`` may be any
+        array of the same node, subarray height and develop time.  With
+        no cells to fall back on, it serves only the Newton
+        :meth:`read_margin`:
+        :class:`repro.vaet.explorer.DesignSpaceExplorer` builds one per
+        point from a memoised population and never under the scalar
+        flag.
+        """
+        analysis = cls.__new__(cls)
+        analysis.engine, analysis._sense_gain = engine, sense_gain
+        return analysis
 
     # -- writes -------------------------------------------------------
 

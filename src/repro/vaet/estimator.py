@@ -165,3 +165,10 @@ class VAETSTT:
         if key not in self._disturb_analyses:
             self._disturb_analyses[key] = ReadDisturbAnalysis(self.error_rates())
         return self._disturb_analyses[key]
+
+    def forget_analyses(self) -> None:
+        """Drop the cached margin, ECC and disturb analyses, and with
+        them the error population, once the caller holds what it needs."""
+        self._error_analyses.clear()
+        self._ecc_analyses.clear()
+        self._disturb_analyses.clear()

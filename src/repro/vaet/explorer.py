@@ -18,14 +18,21 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.nvsim.config import MemoryConfig
 from repro.pdk.kit import ProcessDesignKit
 from repro.utils.serde import check_known_fields
 from repro.utils.table import Table
 from repro.vaet.ecc import ECCAnalysis
-from repro.vaet.error_rates import ReadMarginResult, WriteKernel
+from repro.vaet.error_rates import (
+    ErrorRateAnalysis,
+    ReadMarginResult,
+    WriteKernel,
+)
 from repro.vaet.estimator import DEFAULT_SEED, VAETSTT
 from repro.vaet.montecarlo import MonteCarloEngine
+from repro.vaet.read_disturb import ReadDisturbAnalysis
 from repro.vaet.variation_model import (
     clear_standard_normals,
     scalar_reference_enabled,
@@ -129,6 +136,29 @@ class DesignPoint:
 
 
 @dataclass(frozen=True)
+class _Population:
+    """One error population, reduced to what the solves read of it.
+
+    The population reads nothing of the word width, the columns or the
+    targets, so every such sibling of a node, subarray height and seed
+    shares one record.  It holds no solver state: each point builds its
+    own solvers over it.
+
+    Attributes:
+        kernel: The compact write kernel of the ECC sweep.
+        sense_gain: The ascending sense gains of the read solve,
+            read-only.
+        floor: The stuck-cell floor, ``mean_cell_wer(1.0)``.
+        mean_inverse_tau: The read-disturb mean of 1/tau [1/s].
+    """
+
+    kernel: WriteKernel
+    sense_gain: np.ndarray
+    floor: float
+    mean_inverse_tau: float
+
+
+@dataclass(frozen=True)
 class _Physics:
     """The WER-independent stage of one point: everything but the ECC
     choice, which alone reads ``wer_target`` and ``max_ecc_bits``.
@@ -140,7 +170,8 @@ class _Physics:
         read: The read-margin solve at the RER target.
         disturb_ok: Whether its sense time respects the disturb budget.
         engine: The array's Monte Carlo engine (word width, overheads).
-        kernel: The error population's write kernel.
+        kernel: The error population's write kernel (on the vectorised
+            path, its record's).
         floor: Its stuck-cell floor, ``mean_cell_wer(1.0)``.
     """
 
@@ -154,21 +185,49 @@ class _Physics:
     floor: float
 
 
-#: WER-independent records kept for sibling points.  In every grid of
-#: the repo a point's siblings sit 1-4 positions apart, with at most two
-#: physics keys interleaved.
+#: WER-independent records, and population records, kept for sibling
+#: points.  In every grid of the repo a point's siblings sit 1-4
+#: positions apart, with at most two keys of either kind interleaved.
 PHYSICS_MEMO_ENTRIES = 2
 
 _physics_memo: "OrderedDict[tuple, Optional[_Physics]]" = OrderedDict()
+_population_memo: "OrderedDict[tuple, _Population]" = OrderedDict()
 _physics_lock = threading.Lock()
 
 
+_MISS = object()
+
+
+def _recall(memo: OrderedDict, key: tuple):
+    """The record under ``key``, made the newest, or ``_MISS``.
+
+    A miss drops the records the caller's new one will evict now, so
+    their arrays are freed before the new one's are allocated.
+    """
+    with _physics_lock:
+        record = memo.get(key, _MISS)
+        if record is _MISS:
+            while len(memo) >= PHYSICS_MEMO_ENTRIES:
+                memo.popitem(last=False)
+        else:
+            memo.move_to_end(key)
+        return record
+
+
+def _remember(memo: OrderedDict, key: tuple, record) -> None:
+    with _physics_lock:
+        memo[key] = record
+        while len(memo) > PHYSICS_MEMO_ENTRIES:
+            memo.popitem(last=False)
+
+
 def clear_physics_memo() -> None:
-    """Forget every memoised WER-independent record, and the cached
-    standard normals and read blocks they were drawn from, so the next
-    point pays for all of its physics."""
+    """Forget every memoised WER-independent record and population
+    record, and the cached standard normals and read blocks they were
+    drawn from, so the next point pays for all of its physics."""
     with _physics_lock:
         _physics_memo.clear()
+        _population_memo.clear()
     clear_standard_normals()
 
 
@@ -213,19 +272,27 @@ class DesignSpaceExplorer:
         in a process-level memo keyed by ``(pdk, config, seed,
         num_words, error_population, rer_target, disturb_budget)``, so
         a sibling point that differs only in the ECC axes pays only for
-        its ECC sweep.  The result stays a pure function of the
-        arguments.  A miss draws neither its MC writes' normals, nor
-        its MC reads' (unless it is the first of its seed and word-cell
-        count), nor its population's: all are held by the seed's
-        process-level stream
+        its ECC sweep.  A miss builds its error population only if no
+        recent point of the same population did: the last
+        ``PHYSICS_MEMO_ENTRIES`` population records (write kernel,
+        sense gains, stuck-cell floor, disturb mean 1/tau) are keyed by
+        what the population reads, ``(pdk, temperature, seed,
+        error_population, fixed path resistance, develop time)``, so
+        siblings that differ in word width, columns, ``num_words`` or
+        the targets share one, and solve their read margin, disturb
+        bound and ECC sweep on it afresh.  The result stays a pure
+        function of the arguments.  A miss draws neither its MC writes'
+        normals, nor its MC reads' (unless it is the first of its seed
+        and word-cell count), nor its population's: all are held by the
+        seed's process-level stream
         (:func:`~repro.vaet.variation_model.standard_normals`,
         :func:`~repro.vaet.variation_model.read_blocks`), which every
         point of that seed shares, with the values it would have drawn
-        itself.  :func:`clear_physics_memo` empties the memo and the
-        stream.  Under ``REPRO_VAET_SCALAR`` both are bypassed
-        and every point recomputes everything.  Under ``--deadline``
-        the points run in one reused evaluation child per executor
-        slot, whose memo serves them the same way.
+        itself.  :func:`clear_physics_memo` empties both memos and the
+        stream.  Under ``REPRO_VAET_SCALAR`` all are bypassed and every
+        point recomputes everything.  Under ``--deadline`` the points
+        run in one reused evaluation child per executor slot, whose
+        memos serve them the same way.
 
         Args:
             config: The organisation to evaluate.
@@ -265,59 +332,99 @@ class DesignSpaceExplorer:
     def _physics(
         self, config: MemoryConfig, seed: int
     ) -> Tuple[Optional[_Physics], ECCAnalysis]:
-        """The WER-independent stage, computed afresh.
+        """The WER-independent stage, computed afresh on the point's full
+        analyses (the ``REPRO_VAET_SCALAR`` path).
 
         Returns the record (None if the read target is unreachable) and
         an ECC sweep over the point's full error-rate analysis.
         """
-        tool = VAETSTT(
-            self.pdk, config, seed=seed, error_population=self.error_population
-        )
+        tool = self._tool(config, seed)
         estimate = tool.estimate(num_words=self.num_words)
         ecc = tool.ecc()
-        constraints = self.constraints
-        try:
-            read = tool.error_rates().read_margin(constraints.rer_target)
-        except ValueError:
-            return None, ecc
-        disturb = tool.read_disturb()
-        period_cap = disturb.max_read_period(constraints.disturb_budget)
-        physics = _Physics(
-            area=estimate.nominal.area,
-            write_energy=estimate.write_energy.mean,
-            read_energy=estimate.read_energy.mean,
-            read=read,
-            disturb_ok=read.sense_time <= period_cap,
-            engine=tool.engine,
-            kernel=ecc.kernel,
-            floor=ecc.floor,
+        physics = self._solve(
+            tool, estimate, tool.error_rates(), tool.read_disturb(),
+            ecc.kernel, ecc.floor,
         )
         return physics, ecc
 
     def _memoised_physics(
         self, config: MemoryConfig, seed: int
     ) -> Optional[_Physics]:
-        """:meth:`_physics` through the memo, its kernel compacted."""
+        """The WER-independent stage through the memo, solved on a
+        population record."""
         constraints = self.constraints
         key = (
             self.pdk, config, seed, self.num_words, self.error_population,
             constraints.rer_target, constraints.disturb_budget,
         )
-        with _physics_lock:
-            if key in _physics_memo:
-                _physics_memo.move_to_end(key)
-                return _physics_memo[key]
-        physics, ecc = self._physics(config, seed)
-        # Free the point's population first, so the pinned block reuses
-        # its heap instead of growing it.
-        del ecc
-        if physics is not None:
-            physics = replace(physics, kernel=physics.kernel.compact())
-        with _physics_lock:
-            _physics_memo[key] = physics
-            while len(_physics_memo) > PHYSICS_MEMO_ENTRIES:
-                _physics_memo.popitem(last=False)
+        physics = _recall(_physics_memo, key)
+        if physics is not _MISS:
+            return physics
+        tool = self._tool(config, seed)
+        estimate = tool.estimate(num_words=self.num_words)
+        population = self._population(tool)
+        engine = tool.engine
+        physics = self._solve(
+            tool, estimate,
+            ErrorRateAnalysis.pinned(engine, population.sense_gain),
+            ReadDisturbAnalysis.pinned(engine, population.mean_inverse_tau),
+            population.kernel, population.floor,
+        )
+        _remember(_physics_memo, key, physics)
         return physics
+
+    def _population(self, tool: VAETSTT) -> _Population:
+        """The error population of ``tool``'s point, through its memo."""
+        variation = tool.variation
+        key = (
+            self.pdk, variation.temperature, tool.seed, self.error_population,
+            variation._fixed_path_r, tool.engine.leaf.sense.develop_time,
+        )
+        population = _recall(_population_memo, key)
+        if population is not _MISS:
+            return population
+        analysis = tool.error_rates()
+        kernel, gains = analysis.kernel, analysis._sense_gain
+        floor = analysis.mean_cell_wer(1.0)
+        mean_inverse_tau = tool.read_disturb().mean_inverse_tau
+        # Free the population's cells, rates, signals and tau first, so
+        # the kernel's block reuses their heap instead of growing it.
+        del analysis
+        tool.forget_analyses()
+        gains.flags.writeable = False
+        population = _Population(
+            kernel.compact(), gains, floor, mean_inverse_tau
+        )
+        _remember(_population_memo, key, population)
+        return population
+
+    def _tool(self, config: MemoryConfig, seed: int) -> VAETSTT:
+        return VAETSTT(
+            self.pdk, config, seed=seed, error_population=self.error_population
+        )
+
+    def _solve(
+        self, tool: VAETSTT, estimate, analysis: ErrorRateAnalysis,
+        disturb: ReadDisturbAnalysis, kernel: WriteKernel, floor: float,
+    ) -> Optional[_Physics]:
+        """The point's record from its estimate and population solvers;
+        None if the read target is unreachable."""
+        constraints = self.constraints
+        try:
+            read = analysis.read_margin(constraints.rer_target)
+        except ValueError:
+            return None
+        period_cap = disturb.max_read_period(constraints.disturb_budget)
+        return _Physics(
+            area=estimate.nominal.area,
+            write_energy=estimate.write_energy.mean,
+            read_energy=estimate.read_energy.mean,
+            read=read,
+            disturb_ok=read.sense_time <= period_cap,
+            engine=tool.engine,
+            kernel=kernel,
+            floor=floor,
+        )
 
     def sweep_subarrays(
         self,

@@ -21,6 +21,7 @@ import numpy as np
 from repro.core.thermal import ATTEMPT_TIME
 from repro.nvsim.subarray import READ_BIAS
 from repro.vaet.error_rates import ErrorRateAnalysis
+from repro.vaet.montecarlo import MonteCarloEngine
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,24 @@ class ReadDisturbAnalysis:
         np.exp(tau, out=tau)
         tau *= ATTEMPT_TIME
         self._tau = tau
+        #: Population mean of 1/tau, all :meth:`max_read_period` reads.
+        self.mean_inverse_tau = float(np.mean(1.0 / tau))
+
+    @classmethod
+    def pinned(cls, engine: MonteCarloEngine,
+               mean_inverse_tau: float) -> "ReadDisturbAnalysis":
+        """The disturb bound of a population held as its mean 1/tau.
+
+        It reads nothing of the word, so ``engine`` may be any array of
+        the same node and subarray height.  It serves
+        :meth:`max_read_period` only;
+        :class:`repro.vaet.explorer.DesignSpaceExplorer` builds one per
+        point from a memoised population.
+        """
+        disturb = cls.__new__(cls)
+        disturb.analysis, disturb.engine = None, engine
+        disturb.mean_inverse_tau = mean_inverse_tau
+        return disturb
 
     def per_bit_probability(self, read_period: float) -> float:
         """Population-mean per-bit disturb probability for one read."""
@@ -88,7 +107,5 @@ class ReadDisturbAnalysis:
         """
         if not 0.0 < per_word_budget < 1.0:
             raise ValueError("budget must be in (0, 1)")
-        # P ~ t * mean(1/tau) for small P: invert directly, then verify.
-        mean_inverse_tau = float(np.mean(1.0 / self._tau))
-        period = per_word_budget / (self.engine.word_bits * mean_inverse_tau)
-        return period
+        # P ~ t * mean(1/tau) for small P: invert directly.
+        return per_word_budget / (self.engine.word_bits * self.mean_inverse_tau)

@@ -522,14 +522,20 @@ class VariationModel:
         delta: np.ndarray, rates: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Switching times from each cell's Delta and rate; every
-        temporary after the draw is worked in place."""
+        temporary after the draw is worked in place.
+
+        numpy draws ``exponential(scale)`` as ``scale *
+        standard_exponential()``, so the vectorised path draws the
+        standard exponentials and scales them in place: the same stream
+        elements and the same products, without the broadcast draw.
+        """
         scale = np.maximum(delta, 1.0)
+        np.divide(1.0, scale, out=scale)
         if scalar_reference_enabled():
-            times = np.array([
-                rng.exponential(1.0 / scale[i]) for i in range(len(delta))
-            ])
+            times = np.array([rng.exponential(s) for s in scale])
         else:
-            times = rng.exponential(np.divide(1.0, scale, out=scale))
+            times = rng.standard_exponential(len(scale))
+            times *= scale
         del scale
         # theta0, then ln(pi / 2 / theta0), then that over the rate.
         np.maximum(times, 1e-12, out=times)

@@ -5,6 +5,7 @@ import os
 import shutil
 import socket
 
+import numpy as np
 import pytest
 
 from repro.dse import CampaignState, campaign_key, journal_path
@@ -69,6 +70,14 @@ class TestPercentile:
 
     def test_order_independent(self):
         assert percentile([4.0, 1.0, 3.0, 2.0], 50) == 2.5
+
+    @pytest.mark.parametrize("size", range(2, 60))
+    def test_equals_np_percentile_to_the_bit(self, size):
+        # Exponential samples, as evaluation latencies are; numpy lerps
+        # from the nearer order statistic past the midpoint.
+        values = list(np.random.default_rng(size).exponential(0.05, size))
+        for q in (50, 90, 99):
+            assert percentile(values, q) == float(np.percentile(values, q)), q
 
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="empty"):

@@ -20,6 +20,7 @@ from repro.nvsim import MemoryConfig
 from repro.nvsim.subarray import SENSE_MARGIN
 from repro.pdk import ProcessDesignKit
 from repro.utils import normal
+from repro.utils.mathx import median
 from repro.vaet import VAETSTT
 from repro.vaet import ecc
 from repro.vaet.ecc import bch_parity_bits, per_bit_budget
@@ -178,6 +179,24 @@ class TestSortedReadPass:
             want_log_f, want_slope = _unsorted_pass(analysis, log_time + shift)
             assert log_f == pytest.approx(want_log_f, rel=1e-13, abs=0.0)
             assert slope == pytest.approx(want_slope, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("population", [100_000, 100_001])
+    def test_one_sort_keeps_median_and_gains(self, population):
+        """The median and gains from one sort of the signals equal the
+        partition median and the gains sorted after their divisions."""
+        tool = VAETSTT(ProcessDesignKit.for_node(45), MemoryConfig(word_bits=128))
+        analysis = ErrorRateAnalysis(tool.engine, population=population, seed=11)
+        signals = tool.variation.read_signal_currents(analysis.cells)
+        nominal = median(signals)
+        capacitance = (
+            tool.engine.leaf.sense.develop_time * nominal / SENSE_MARGIN
+        )
+        developed = signals / capacitance
+        gain = np.sort(developed / (SENSE_MARGIN / 3.0))
+        assert analysis._nominal_signal == nominal
+        assert analysis._capacitance_equiv == capacitance
+        assert np.array_equal(analysis._developed_per_second, developed)
+        assert np.array_equal(analysis._sense_gain, gain)
 
     def test_every_cell_past_underflow(self, analysis):
         log_f, slope = analysis._read_pass(math.log(1e-6))

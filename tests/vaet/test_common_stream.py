@@ -4,7 +4,9 @@ Every vectorised cell population reads its variation draws from
 ``standard_normals(seed, count)``: the first ``count`` standard normals
 of ``default_rng(seed)``, drawn once per process.  These tests pin what
 makes that exact — numpy's ``normal`` is ``scale * standard_normal`` on
-the same stream, and split draws concatenate — and the stream's own
+the same stream, and split draws concatenate (and the switching times'
+``exponential(scale)`` is ``scale * standard_exponential``) — and the
+stream's own
 contract: prefixes in any request order, the positioned generator,
 read-only views, threads, eviction, clearing, and the scalar reference
 never touching it.  The Monte Carlo reads' blocks, held per word-cell
@@ -35,6 +37,7 @@ from repro.vaet.explorer import (
     DesignSpaceExplorer,
     clear_physics_memo,
 )
+from repro.vaet.montecarlo import WRITE_CHUNK
 from repro.vaet.variation_model import (
     READ_COUNTS_HELD,
     SCALAR_REFERENCE_ENV,
@@ -121,6 +124,32 @@ class TestNumpyIdentities:
         filled = np.empty(4000)
         np.random.default_rng(SEED).standard_normal(out=filled)
         assert np.array_equal(filled, _reference(SEED, 4000)[0])
+
+    @pytest.mark.parametrize("sizes", [
+        (WRITE_CHUNK - 1,), (WRITE_CHUNK,), (WRITE_CHUNK + 1,),
+        # The chunks of a 1500-word, 128-bit Monte Carlo write.
+        (WRITE_CHUNK, WRITE_CHUNK, 1500 * 128 - 2 * WRITE_CHUNK),
+    ])
+    def test_switching_times_draw_scaled_standard_exponentials(self, tool,
+                                                               sizes):
+        """``_times_at`` scales ``standard_exponential`` draws in place;
+        ``exponential(scale)`` draws the same values from the same
+        stream elements, chunk after chunk."""
+        ours = np.random.default_rng(SEED)
+        theirs = np.random.default_rng(SEED)
+        cells = np.random.default_rng(len(sizes))
+        for size in sizes:
+            delta = cells.uniform(0.5, 90.0, size)
+            rates = cells.uniform(-1e8, 1e9, size)
+            times = tool.variation._times_at(delta, rates, ours)
+            theta = np.sqrt(np.maximum(
+                theirs.exponential(1.0 / np.maximum(delta, 1.0)), 1e-12
+            ))
+            want = np.log(np.maximum(math.pi / 2.0 / theta, 1.0 + 1e-9))
+            want = want / np.maximum(rates, 1e-30)
+            want[~(rates > 0.0)] = np.inf
+            assert np.array_equal(times, want)
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestStream:

@@ -1,19 +1,25 @@
-"""The explorer's WER-independent physics memo.
+"""The explorer's WER-independent physics memo and population records.
 
 ``DesignSpaceExplorer.evaluate`` keeps the last two WER-independent
 records (MC energies, read margin, disturb, stuck-cell floor, write
 kernel) and serves them to sibling points that differ only in
-``wer_target``/``max_ecc_bits``.  These tests pin its contract: a
-point's result is a pure function of its spec whatever the evaluation
-order, a hit recomputes no physics, every key field forces a miss, the
-scalar reference path bypasses the memo, and the memo stays small and
-read-only.
+``wer_target``/``max_ecc_bits``.  A miss takes its error population
+from the last two population records (write kernel, sense gains,
+stuck-cell floor, disturb mean 1/tau), keyed only by what the
+population reads, so word-width, column, ``num_words`` and target
+siblings share one.  These tests pin the contract of both: a point's
+result is a pure function of its spec whatever the evaluation order, a
+hit recomputes no physics, every key field forces a miss and exactly
+the population fields force a build, the scalar reference path
+bypasses both, and both stay small and read-only.
 """
 
 import itertools
 import sys
 import threading
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.nvsim import MemoryConfig
@@ -27,6 +33,7 @@ from repro.vaet.explorer import (
     DesignSpaceExplorer,
     clear_physics_memo,
 )
+from repro.vaet.read_disturb import ReadDisturbAnalysis
 from repro.vaet.variation_model import SCALAR_REFERENCE_ENV, VariationModel
 
 CONFIGS = (MemoryConfig(word_bits=16), MemoryConfig(word_bits=16, subarray_rows=128))
@@ -38,7 +45,16 @@ EFFORT = dict(num_words=20, error_population=2_000)
 
 def evaluate(config, wer_target=1e-9, max_ecc_bits=3, node=45, seed=SEED,
              rer_target=1e-9, disturb_budget=1e-4, **effort):
-    """One point from its spec, through a fresh explorer."""
+    """One point from its spec, through a fresh explorer.
+
+    Config fields may be given on their own (``word_bits=32``); they
+    replace those of ``config``.
+    """
+    fields = {
+        name: effort.pop(name) for name in list(effort)
+        if name in MemoryConfig.__dataclass_fields__
+    }
+    config = replace(config, **fields)
     constraints = DesignConstraints(
         wer_target=wer_target, rer_target=rer_target,
         disturb_budget=disturb_budget, max_ecc_bits=max_ecc_bits,
@@ -104,6 +120,44 @@ class TestOrderIndependence:
         assert counts["population"] == len(CONFIGS)
 
 
+#: The ``mem-default`` benchmark grid, in its axis order, at reduced
+#: effort: 12 physics keys over 6 populations (node x subarray height).
+MEM_DEFAULT_GRID = [
+    dict(config=MemoryConfig(word_bits=bits, subarray_rows=rows),
+         wer_target=wer, node=node)
+    for rows, bits, wer, node in itertools.product(
+        (128, 256, 512), (128, 256), (1e-9, 1e-12), (45, 65)
+    )
+]
+
+
+class TestMemDefaultGrid:
+    @pytest.fixture(scope="class")
+    def reference(self):
+        points = []
+        for spec in MEM_DEFAULT_GRID:
+            clear_physics_memo()
+            points.append(evaluate(**spec))
+        assert all(point is not None for point in points)
+        return points
+
+    @pytest.mark.parametrize("order", ["forward", "reverse", "interleaved"])
+    def test_every_order_gives_the_cleared_memo_points(self, reference, order):
+        indices = list(range(len(MEM_DEFAULT_GRID)))
+        if order == "reverse":
+            indices.reverse()
+        elif order == "interleaved":
+            half = len(indices) // 2
+            indices = [k for pair in zip(indices[:half], indices[half:]) for k in pair]
+        results = {k: evaluate(**MEM_DEFAULT_GRID[k]) for k in indices}
+        assert [results[k] for k in range(len(MEM_DEFAULT_GRID))] == reference
+
+    def test_a_cold_pass_builds_each_population_once(self, counts):
+        for spec in MEM_DEFAULT_GRID:
+            evaluate(**spec)
+        assert counts == {"population": 6, "estimate": 12}
+
+
 class TestHits:
     def test_a_hit_skips_the_physics(self, counts):
         first = evaluate(CONFIGS[0], wer_target=1e-6)
@@ -129,22 +183,110 @@ class TestHits:
         assert evaluate(CONFIGS[0], wer_target=1e-6) is None
         assert counts["population"] == 1
 
-    @pytest.mark.parametrize("field, value", [
-        ("seed", SEED + 1),
-        ("num_words", EFFORT["num_words"] + 1),
-        ("error_population", EFFORT["error_population"] + 1),
-        ("rer_target", 1e-8),
-        ("disturb_budget", 1e-3),
-        ("config", CONFIGS[1]),
-        ("node", 65),
-    ])
+    #: Each physics key field, and the population builds its change
+    #: costs: only the fields the population reads force a second one.
+    KEY_FIELDS = [
+        ("seed", SEED + 1, 2),
+        ("num_words", EFFORT["num_words"] + 1, 1),
+        ("error_population", EFFORT["error_population"] + 1, 2),
+        ("rer_target", 1e-8, 1),
+        ("disturb_budget", 1e-3, 1),
+        ("config", CONFIGS[1], 2),
+        ("node", 65, 2),
+    ]
+
+    @pytest.mark.parametrize(
+        "field, value", [(field, value) for field, value, _ in KEY_FIELDS]
+    )
     def test_every_key_field_forces_a_miss(self, counts, field, value):
+        """A physics miss: the point's MC estimate runs again."""
         base = dict(config=CONFIGS[0])
         evaluate(**base)
         evaluate(**dict(base, wer_target=1e-6))
         assert counts["population"] == 1
         evaluate(**dict(base, **{field: value}))
-        assert counts == {"population": 2, "estimate": 2}
+        assert counts["estimate"] == 2
+
+    @pytest.mark.parametrize("field, value, builds", KEY_FIELDS)
+    def test_population_fields_force_a_population_build(self, counts, field,
+                                                       value, builds):
+        base = dict(config=CONFIGS[0])
+        evaluate(**base)
+        evaluate(**dict(base, wer_target=1e-6))
+        assert counts["population"] == 1
+        evaluate(**dict(base, **{field: value}))
+        assert counts == {"population": builds, "estimate": 2}
+
+
+def _physics_of(config, node=45, seed=SEED, **effort):
+    """The memoised WER-independent record of one spec."""
+    constraints = DesignConstraints(wer_target=1e-9, rer_target=1e-9)
+    effort = dict(EFFORT, **effort)
+    key = (
+        ProcessDesignKit.for_node(node), config, seed, effort["num_words"],
+        effort["error_population"], constraints.rer_target,
+        constraints.disturb_budget,
+    )
+    return explorer_module._physics_memo[key]
+
+
+class TestPopulationRecords:
+    @pytest.mark.parametrize("field, value, shared", [
+        ("word_bits", 32, True),
+        ("subarray_cols", 128, True),
+        ("num_words", EFFORT["num_words"] + 1, True),
+        ("rer_target", 1e-8, True),
+        ("disturb_budget", 1e-3, True),
+        ("subarray_rows", 128, False),
+        ("node", 65, False),
+        ("seed", SEED + 1, False),
+        ("error_population", EFFORT["error_population"] + 1, False),
+    ])
+    def test_siblings_share_a_record(self, counts, field, value, shared):
+        base = CONFIGS[0]
+        first = evaluate(base)
+        kernel = _physics_of(base).kernel
+        second = evaluate(base, **{field: value})
+        assert first is not None and second is not None
+        assert counts == {"population": 1 if shared else 2, "estimate": 2}
+        assert len(explorer_module._population_memo) == (1 if shared else 2)
+        records = list(explorer_module._population_memo.values())
+        assert (records[-1].kernel is kernel) == shared
+        # Sharing a record changes no output.
+        clear_physics_memo()
+        assert evaluate(base, **{field: value}) == second
+
+    @pytest.mark.parametrize("field, value", [
+        ("word_bits", 32), ("subarray_cols", 128),
+    ])
+    def test_a_sibling_builds_the_same_population(self, field, value):
+        """What the record holds reads nothing of the shared fields."""
+        def population(config):
+            tool = VAETSTT(ProcessDesignKit.for_node(45), config, seed=SEED,
+                           error_population=EFFORT["error_population"])
+            analysis = tool.error_rates()
+            return analysis, tool.read_disturb()
+
+        (ours, our_disturb), (theirs, their_disturb) = (
+            population(CONFIGS[0]),
+            population(replace(CONFIGS[0], **{field: value})),
+        )
+        assert np.array_equal(ours._sense_gain, theirs._sense_gain)
+        assert np.array_equal(ours.kernel.rates, theirs.kernel.rates)
+        assert np.array_equal(ours.kernel.envelope, theirs.kernel.envelope)
+        assert ours.mean_cell_wer(1.0) == theirs.mean_cell_wer(1.0)
+        assert our_disturb.mean_inverse_tau == their_disturb.mean_inverse_tau
+
+    def test_pinned_solvers_match_the_full_analysis(self):
+        tool = VAETSTT(ProcessDesignKit.for_node(45), CONFIGS[0], seed=SEED,
+                       error_population=EFFORT["error_population"])
+        analysis, disturb = tool.error_rates(), tool.read_disturb()
+        read = ErrorRateAnalysis.pinned(tool.engine, analysis._sense_gain)
+        bound = ReadDisturbAnalysis.pinned(tool.engine, disturb.mean_inverse_tau)
+        for target in (1e-3, 1e-9, 1e-15):
+            assert read.read_margin(target) == analysis.read_margin(target)
+        for budget in (1e-6, 1e-4):
+            assert bound.max_read_period(budget) == disturb.max_read_period(budget)
 
 
 class TestScalarBypass:
@@ -152,7 +294,8 @@ class TestScalarBypass:
         monkeypatch.delenv(SCALAR_REFERENCE_ENV, raising=False)
         evaluate(CONFIGS[0])
         memo = dict(explorer_module._physics_memo)
-        assert len(memo) == 1
+        populations = dict(explorer_module._population_memo)
+        assert len(memo) == len(populations) == 1
         calls = []
         original = ErrorRateAnalysis._mean_cell_wer_scalar
 
@@ -165,6 +308,11 @@ class TestScalarBypass:
         assert evaluate(CONFIGS[0]) is not None
         assert calls
         assert dict(explorer_module._physics_memo) == memo
+        # A word-width sibling builds its population afresh too.
+        calls.clear()
+        assert evaluate(CONFIGS[0], word_bits=32) is not None
+        assert calls
+        assert dict(explorer_module._population_memo) == populations
 
 
 class TestBounds:
@@ -172,7 +320,9 @@ class TestBounds:
         for seed in range(PHYSICS_MEMO_ENTRIES + 2):
             evaluate(CONFIGS[0], seed=seed)
             assert len(explorer_module._physics_memo) <= PHYSICS_MEMO_ENTRIES
+            assert len(explorer_module._population_memo) <= PHYSICS_MEMO_ENTRIES
         assert len(explorer_module._physics_memo) == PHYSICS_MEMO_ENTRIES
+        assert len(explorer_module._population_memo) == PHYSICS_MEMO_ENTRIES
         for physics in explorer_module._physics_memo.values():
             kernel = physics.kernel
             for array in (kernel.rates, kernel.envelope):
@@ -181,16 +331,35 @@ class TestBounds:
                     array[0] = 0.0
             # One block holds both arrays.
             assert kernel.rates.base is kernel.envelope.base
+        kernels = [physics.kernel for physics in explorer_module._physics_memo.values()]
+        for record in explorer_module._population_memo.values():
+            # The physics records point at their population's kernel.
+            assert any(record.kernel is kernel for kernel in kernels)
+            for array in (record.kernel.rates, record.kernel.envelope,
+                          record.sense_gain):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+
+    def test_clear_empties_the_records(self):
+        evaluate(CONFIGS[0])
+        assert explorer_module._population_memo
+        clear_physics_memo()
+        assert not explorer_module._population_memo
+        assert not explorer_module._physics_memo
 
 
 class TestThreads:
     def test_concurrent_evaluations_agree_with_a_serial_run(self):
-        # Four physics keys through a two-entry memo, from more threads
-        # than cores: hits, misses and evictions interleave.  A lookup
-        # racing an eviction must neither raise nor serve a wrong record.
+        # Six physics keys over four populations through two-entry
+        # memos, from more threads than cores: hits, misses and
+        # evictions of both interleave, and word-width siblings share
+        # records.  A lookup racing an eviction must neither raise nor
+        # serve a wrong record.
+        configs = CONFIGS + (replace(CONFIGS[0], word_bits=32),)
         specs = [
             dict(config=config, seed=seed, wer_target=wer)
-            for config in CONFIGS for seed in (SEED, SEED + 1)
+            for config in configs for seed in (SEED, SEED + 1)
             for wer in WER_TARGETS
         ]
         expected = []
@@ -227,3 +396,4 @@ class TestThreads:
         assert len(outcomes) == len(threads)
         assert all(mine == expected for mine in outcomes.values())
         assert len(explorer_module._physics_memo) <= PHYSICS_MEMO_ENTRIES
+        assert len(explorer_module._population_memo) <= PHYSICS_MEMO_ENTRIES
