@@ -4,8 +4,8 @@ The fast smoke path (default) runs a 24-point memory campaign cold and
 warm, asserting the warm-cache replay is >= 5x faster with identical
 records, then measures **journal-append throughput and resume latency**
 at 10^4 synthetic points — demonstrating the JSONL journal's O(1)
-per-point appends against the legacy whole-file-rewrite (O(n) per
-point, O(n^2) per campaign).  The slow path scales the campaign to the
+per-point appends (flat per-point cost, compaction included).  The
+slow path scales the campaign to the
 216-point grid of ``examples/dse_campaign.py``.  Everything records a
 JSON artefact under benchmarks/output/.
 
@@ -133,28 +133,12 @@ def _decile_medians(samples):
     return statistics.median(samples[:window]), statistics.median(samples[-window:])
 
 
-def _legacy_rewrite(path, payload):
-    """The PR-2 journal write, reproduced byte-for-byte for comparison:
-    re-dump the *entire* completed map atomically on every point."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def journal_bench(points=10_000, legacy_points=1_000):
-    """Append-throughput + resume-latency comparison at synthetic scale.
+def journal_bench(points=10_000):
+    """Append-throughput + resume-latency measurement at synthetic scale.
 
     Returns a JSON-ready summary.  The key number is *flatness*: the
     ratio of the last-decile to first-decile median per-point journal
-    time.  The JSONL journal stays near 1 (O(1) appends, compaction
-    included); the legacy rewrite grows with the number of points
-    already journaled.
+    time, which stays near 1 (O(1) appends, compaction included).
     """
     key = campaign_key({"kind": "journal-bench", "points": points})
     jobs = [Job("bench-journal", {"i": i}) for i in range(points)]
@@ -175,22 +159,7 @@ def journal_bench(points=10_000, legacy_points=1_000):
         resume_load_s = time.perf_counter() - tick
         assert resumed.done == points
 
-        legacy = os.path.join(workdir, "checkpoint.json")
-        completed = {}
-        legacy_times = []
-        for job in jobs[:legacy_points]:
-            completed[job.key] = {"ok": True, "error": None, "elapsed": 1e-3}
-            payload = {
-                "version": 1, "campaign_key": key, "total": points,
-                "meta": {}, "created": 0.0, "updated": 0.0,
-                "completed": completed,
-            }
-            tick = time.perf_counter()
-            _legacy_rewrite(legacy, payload)
-            legacy_times.append(time.perf_counter() - tick)
-
     jsonl_first, jsonl_last = _decile_medians(jsonl_times)
-    legacy_first, legacy_last = _decile_medians(legacy_times)
     return {
         "points": points,
         "jsonl_total_s": sum(jsonl_times),
@@ -198,38 +167,30 @@ def journal_bench(points=10_000, legacy_points=1_000):
         "jsonl_us_per_point_last_decile": jsonl_last * 1e6,
         "jsonl_flatness": jsonl_last / jsonl_first,
         "resume_load_s": resume_load_s,
-        "legacy_points": legacy_points,
-        "legacy_total_s": sum(legacy_times),
-        "legacy_us_per_point_first_decile": legacy_first * 1e6,
-        "legacy_us_per_point_last_decile": legacy_last * 1e6,
-        "legacy_growth": legacy_last / legacy_first,
-        "jsonl_speedup_at_tail": legacy_last / jsonl_last,
     }
 
 
 def _check_and_save_journal(name, summary):
-    # Near-flat JSONL appends vs a legacy cost that grows with journal
-    # size: generous bounds so CI noise cannot flake the assertion.
+    # Near-flat JSONL appends: a generous bound so CI noise cannot
+    # flake the assertion.
     assert summary["jsonl_flatness"] < 10.0, (
         "JSONL append cost grew %.1fx across the campaign"
         % summary["jsonl_flatness"]
     )
-    assert summary["legacy_growth"] > summary["jsonl_flatness"]
-    assert summary["legacy_growth"] > 3.0
     save_artifact(name, json.dumps(summary, indent=2))
     return summary
 
 
 def test_journal_append_throughput(tmp_path):
     """Fast tier-1 path: O(1) appends visible even at reduced scale."""
-    summary = journal_bench(points=2_000, legacy_points=400)
+    summary = journal_bench(points=2_000)
     _check_and_save_journal("dse_journal_bench.json", summary)
 
 
 @_slow
 def test_journal_append_throughput_full():
     """The 10^4-point scale of the acceptance criteria."""
-    summary = journal_bench(points=10_000, legacy_points=1_000)
+    summary = journal_bench(points=10_000)
     _check_and_save_journal("dse_journal_bench.json", summary)
     assert summary["points"] >= 10_000
 
@@ -986,7 +947,7 @@ def main(argv=None) -> int:
             ),
             "journal": _check_and_save_journal(
                 "dse_journal_bench.json",
-                journal_bench(points=10_000, legacy_points=1_000),
+                journal_bench(points=10_000),
             ),
             "executors": _check_and_save_executors(
                 "dse_executor_bench.json",
@@ -1026,11 +987,10 @@ def main(argv=None) -> int:
     summary = _check_and_save(name, space, cold, warm)
     print(json.dumps(summary, indent=2))
 
-    print("journal: %d synthetic points (JSONL) vs %d (legacy rewrite)"
-          % (10_000, 1_000))
+    print("journal: %d synthetic points (JSONL)" % 10_000)
     journal_summary = _check_and_save_journal(
         "dse_journal_bench.json",
-        journal_bench(points=10_000, legacy_points=1_000),
+        journal_bench(points=10_000),
     )
     print(json.dumps(journal_summary, indent=2))
     return 0

@@ -8,8 +8,7 @@ to compare the committed baseline (``BENCH_dse.json`` at the repo
 root) against the run that just happened.  The comparison **gates**:
 any gated metric drifting more than 30% in the wrong direction fails
 the build with a one-line diff per regression.  Metrics dominated by
-shared-runner noise (process-spawn wall-clocks, legacy-replay ratios)
-are report-only.
+shared-runner noise (process-spawn wall-clocks) are report-only.
 
 ``REPRO_BENCH_NO_GATE=1`` downgrades the gate to a report (exit 0) —
 the escape hatch for known-noisy runners and for intentional
@@ -39,7 +38,6 @@ METRICS = [
     ("journal", "jsonl_us_per_point_last_decile", "down", True),
     ("journal", "jsonl_flatness", "down", True),
     ("journal", "resume_load_s", "down", True),
-    ("journal", "jsonl_speedup_at_tail", "up", False),
     # One read-side fold over a 10^4-event campaign directory; the
     # bench asserts < 1 s absolutely, the gate catches slow creep.
     ("analytics", "report_build_s", "down", True),

@@ -30,8 +30,9 @@ Subpackages
     result cache, a multiprocessing campaign runner with failure
     isolation, and Pareto frontier extraction.  ``explore_memory``
     drives VAET-STT, ``explore_system`` drives MAGPIE; the legacy
-    ``DesignSpaceExplorer.sweep_subarrays`` / ``MagpieFlow.run``
-    APIs are thin wrappers over it (see ``examples/dse_campaign.py``).
+    ``DesignSpaceExplorer.sweep_subarrays`` is a thin wrapper over it,
+    and ``MagpieFlow.run`` runs its grid through the same campaign
+    dispatch as ``explore_system`` (see ``examples/dse_campaign.py``).
 
 The five device names below are loaded on first access (PEP 562), so
 ``import repro.dse`` does not pull in the device physics or scipy.

@@ -49,11 +49,15 @@ subsystem every layer plugs into:
   and network seams, plus the :class:`~repro.dse.chaos.InvariantChecker`
   that replays a campaign directory and asserts its conservation laws;
 * :mod:`repro.dse.campaign` — :func:`explore_memory` (VAET-STT) and
-  :func:`explore_system` (MAGPIE) entry points.
+  :func:`explore_system` (MAGPIE) entry points and their resumable
+  ``run_*_campaign`` forms, all over one campaign dispatch.
 
-``DesignSpaceExplorer.sweep_subarrays`` and ``MagpieFlow.run`` are thin
-wrappers over this engine, and ``python -m repro.dse`` drives
-describe/run/resume/status/analyze campaigns from the command line.
+``DesignSpaceExplorer.sweep_subarrays`` is a thin wrapper over this
+engine; ``MagpieFlow.run`` runs its kernel x scenario grid through the
+same dispatch as :func:`explore_system`, with the flow's cached memory
+records and a serial runner by default.  ``python -m repro.dse`` drives
+describe/run/resume/status/analyze campaigns from the command line
+(``run --executor network`` serves one to network workers).
 """
 
 from repro._lazy import lazy_exports

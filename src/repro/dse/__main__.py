@@ -17,17 +17,18 @@ Subcommands:
   campaign over TCP (start any number, on any host; retries with
   backoff on disconnect, exits on the server's stop or
   ``--idle-timeout``); ``--processes N`` runs N such workers as
-  children instead, respawning one only when a signal killed it;
-* ``serve SPEC --dir DIR --port N`` — run a campaign whose points are
-  leased to network workers by an embedded campaign server.
+  children instead, respawning one only when a signal killed it.
 
 ``run``/``resume`` select the execution backend with ``--executor
-serial|pool|network``; ``--executor network --port N --spawn-workers
-M`` also launches M local workers for the run's duration (multi-host
-campaigns instead start ``worker --connect`` processes by hand, and
-``serve`` is sugar for ``run --executor network``).
+serial|pool|network``.  ``--executor network --port N`` serves the
+campaign: an embedded campaign server leases its points to network
+workers, and the run prints where they should connect;
+``--spawn-workers M`` also launches M local workers for the run's
+duration (multi-host campaigns instead start ``worker --connect``
+processes by hand).
 
-A campaign spec is a JSON file::
+A campaign spec is a JSON file (an unknown memory axis, kernel or
+scenario is refused with a one-line error before anything runs)::
 
     {
       "kind": "memory",
@@ -75,6 +76,8 @@ from typing import Dict, List, Optional
 from repro.dse.cache import ResultCache
 from repro.dse.campaign import (
     MODEL_SAMPLERS,
+    _check_axis,
+    _system_space,
     check_sampler,
     run_memory_campaign,
     run_system_campaign,
@@ -159,6 +162,14 @@ def load_spec(path: str) -> Dict:
         )
     if kind == "memory" and not isinstance(spec.get("axes"), dict):
         raise SystemExit('spec %s: memory campaigns need an "axes" object' % path)
+    try:  # the campaigns' own axis and kernel/scenario checks
+        if kind == "memory":
+            for name in spec["axes"]:
+                _check_axis(name)
+        else:
+            _system_space(spec.get("workloads"), spec.get("scenarios"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SystemExit("spec %s: %s" % (path, exc.args[0]))
     sampler = spec.get("sampler", "grid")
     try:
         check_sampler(sampler)
@@ -310,16 +321,11 @@ def cmd_describe(args) -> int:
                 % (fidelity, spec.get("promote_ranks", 1))
             )
     else:
-        workloads = spec.get("workloads")
-        scenarios = spec.get("scenarios")
-        from repro.archsim.workloads import PARSEC_KERNELS
-        from repro.magpie.scenarios import Scenario
-
-        names = workloads if workloads is not None else sorted(PARSEC_KERNELS)
-        chosen = scenarios if scenarios is not None else [s.value for s in Scenario]
-        print("workloads: %s" % list(names))
-        print("scenarios: %s" % list(chosen))
-        print("grid size: %d" % (len(names) * len(chosen)))
+        space = _system_space(spec.get("workloads"), spec.get("scenarios"))
+        workloads, scenarios = space.axes
+        print("workloads: %s" % list(workloads.values))
+        print("scenarios: %s" % list(scenarios.values))
+        print("grid size: %d" % space.size)
     for key in sorted(settings):
         print("setting:   %s = %r" % (key, settings[key]))
     print("workers:   %d (default; REPRO_DSE_WORKERS overrides)" % default_workers())
@@ -434,6 +440,14 @@ def cmd_run(args, resume: bool = False) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    if args.executor == "network" and args.port is not None:
+        host = args.bind or "127.0.0.1"
+        print(
+            "serving campaign on %s:%d — connect workers with: "
+            "python -m repro.dse worker --connect %s:%d"
+            % (host, args.port, host, args.port),
+            file=sys.stderr,
+        )
     start = time.perf_counter()
     try:
         result = _run_campaign(spec, args, resume=resume or args.resume)
@@ -686,25 +700,6 @@ def cmd_worker_fleet(args) -> int:
     return worst
 
 
-def cmd_serve(args) -> int:
-    """Run a campaign served to network workers over TCP."""
-    if args.executor not in (None, "network"):
-        raise SystemExit("serve implies --executor network, not %r" % args.executor)
-    args.executor = "network"
-    if args.port is None:
-        raise SystemExit(
-            "serve needs --port (workers must be told where to connect)"
-        )
-    host = args.bind or "127.0.0.1"
-    print(
-        "serving campaign on %s:%d — connect workers with: "
-        "python -m repro.dse worker --connect %s:%d"
-        % (host, args.port, host, args.port),
-        file=sys.stderr,
-    )
-    return cmd_run(args, resume=args.resume)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.dse",
@@ -794,17 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
     resume = sub.add_parser("resume", help="continue a killed campaign")
     add_run_arguments(resume)
     resume.set_defaults(func=cmd_resume, resume=True)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run a campaign served to network workers over TCP",
-    )
-    add_run_arguments(serve)
-    serve.add_argument(
-        "--resume", action="store_true",
-        help="continue an existing journal instead of starting fresh",
-    )
-    serve.set_defaults(func=cmd_serve)
 
     status = sub.add_parser("status", help="report a campaign directory")
     status.add_argument("--dir", required=True, help="campaign directory")

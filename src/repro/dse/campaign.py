@@ -30,13 +30,17 @@ the frontier band at full Monte-Carlo fidelity (see
 result cache plus a :class:`~repro.dse.checkpoint.CampaignState`
 journal, so a campaign killed after N of M points continues with
 ``resume=True`` exactly where it stopped — zero re-evaluation of the N
-finished points.  Both memory entry points share one dispatch
-(surrogate loop, fidelity ladder, or static job list); they differ only
-in how a batch of jobs is executed — straight through the runner, or
-journaled.
+finished points.
+
+Every campaign — both memory entry points, both system entry points and
+``MagpieFlow.run`` — goes through one dispatch, :func:`_drive`
+(surrogate loop, fidelity ladder, or static job list over a
+:class:`~repro.dse.space.ParameterSpace`; a MAGPIE grid is the
+``workload`` x ``scenario`` space).  They differ only in how a batch of
+jobs is executed — straight through the runner, or journaled by
+:func:`_run_journaled` — and in how an outcome becomes a record.
 """
 
-import enum
 import os
 import time
 from dataclasses import dataclass, field
@@ -66,7 +70,7 @@ from repro.dse.runner import (
     ProgressCallback,
     register_target,
 )
-from repro.dse.space import ParameterSpace
+from repro.dse.space import ParameterSpace, plain_value
 from repro.dse.surrogate import AdaptiveTrace, SurrogateSampler, score_records
 
 #: Samplers the campaign entry points understand.
@@ -85,13 +89,17 @@ _CONFIG_FIELDS = (
 _CONSTRAINT_FIELDS = ("wer_target", "rer_target", "disturb_budget", "max_ecc_bits")
 #: Spec-level knobs an axis may override.
 _SPEC_FIELDS = ("node_nm", "num_words", "error_population", "seed")
+#: Every name a memory axis may carry.
+_AXIS_FIELDS = _CONFIG_FIELDS + _CONSTRAINT_FIELDS + _SPEC_FIELDS
 
 
-def _json_value(value):
-    """Coerce axis values to JSON-ready form (enums by value)."""
-    if isinstance(value, enum.Enum):
-        return value.value
-    return value
+def _check_axis(name: str) -> None:
+    """Reject a memory axis that maps to no config/constraint/spec field."""
+    if name not in _AXIS_FIELDS:
+        raise ValueError(
+            "axis %r maps to no MemoryConfig/DesignConstraints/spec field; "
+            "known: %s" % (name, sorted(_AXIS_FIELDS))
+        )
 
 
 # -- evaluators (run inside workers) ------------------------------------
@@ -260,22 +268,14 @@ def _memory_jobs(
             "seed": seed,
         }
         for name, value in point.items():
-            value = _json_value(value)
+            _check_axis(name)
+            value = plain_value(value)
             if name in _CONFIG_FIELDS:
                 config_dict[name] = value
             elif name in _CONSTRAINT_FIELDS:
                 constraint_dict[name] = value
-            elif name in _SPEC_FIELDS:
-                spec[name] = value
             else:
-                raise ValueError(
-                    "axis %r maps to no MemoryConfig/DesignConstraints/"
-                    "spec field; known: %s"
-                    % (
-                        name,
-                        sorted(_CONFIG_FIELDS + _CONSTRAINT_FIELDS + _SPEC_FIELDS),
-                    )
-                )
+                spec[name] = value
         spec["config"] = config_dict
         spec["constraints"] = constraint_dict
         jobs.append(Job(MEMORY_TARGET, spec))
@@ -285,7 +285,7 @@ def _memory_jobs(
 def _space_signature(space: ParameterSpace) -> List:
     """JSON-ready axis summary for campaign signatures / journals."""
     return [
-        [axis.name, [_json_value(value) for value in axis.values]]
+        [axis.name, [plain_value(value) for value in axis.values]]
         for axis in space.axes
     ]
 
@@ -390,24 +390,6 @@ def _memory_settings(base_config, constraints):
     return base_config, constraints
 
 
-def _campaign_executor(executor, campaign_dir, workers, executor_options):
-    """Resolve the ``executor=`` argument of the campaign entry points.
-
-    Returns ``(executor instance or None, close_when_done)`` — a name
-    string builds a fresh executor this campaign owns (and must close);
-    an instance passes through and stays the caller's to manage.
-    """
-    if executor is None:
-        return None, False
-    built = make_executor(
-        executor,
-        campaign_dir=campaign_dir,
-        workers=workers,
-        **dict(executor_options or {}),
-    )
-    return built, built is not executor
-
-
 def _validate_memory(sampler: str, fidelity: str, samples: Optional[int]) -> None:
     """Reject unknown samplers/fidelity modes, bare LHS, model-sampler ladders."""
     check_sampler(sampler)
@@ -424,24 +406,28 @@ def _validate_memory(sampler: str, fidelity: str, samples: Optional[int]) -> Non
         )
 
 
-def _drive_memory(
+def _drive(
     space: ParameterSpace,
     build_jobs,
     execute,
-    sampler: str,
-    samples: Optional[int],
-    sample_seed: int,
-    sampler_options: Optional[Dict],
-    objectives: Sequence[ObjectiveSpec],
-    fidelity: str,
-    promote_ranks: int,
+    record,
+    sampler: str = "grid",
+    samples: Optional[int] = None,
+    sample_seed: int = 0,
+    sampler_options: Optional[Dict] = None,
+    objectives: Sequence[ObjectiveSpec] = (),
+    fidelity: str = "high",
+    promote_ranks: int = 1,
 ):
-    """The memory campaigns' one dispatch, over the caller's ``execute``.
+    """Every campaign's one dispatch, over the caller's ``execute``.
 
     Runs the surrogate loop, the fidelity ladder, or the static (grid /
     LHS, high or low fidelity) job list; every batch goes through
-    ``execute(jobs) -> outcomes``.  Arguments are as in
-    :func:`explore_memory`, already validated by :func:`_validate_memory`.
+    ``execute(jobs) -> outcomes``, and ``record(job, outcome)`` turns an
+    outcome into the flat row the surrogate and the ladder score
+    (:func:`_memory_record`, or a system row, which raises on a failed
+    cell).  Arguments are as in :func:`explore_memory`, already
+    validated.
 
     Returns:
         ``(jobs, outcomes, sampler trace, fidelity trace)``; a trace is
@@ -461,7 +447,7 @@ def _drive_memory(
                     seen.add(job.key)
                     jobs.append(job)
                     outcomes.append(outcome)
-            rows = [_memory_record(j, o) for j, o in zip(batch, results)]
+            rows = [record(j, o) for j, o in zip(batch, results)]
             return score_records(rows, objectives)
 
         model = SurrogateSampler(space, **dict(sampler_options or {}))
@@ -473,13 +459,85 @@ def _drive_memory(
     jobs = build_jobs(points)
     if fidelity == "ladder":
         jobs, outcomes, ftrace = run_ladder(
-            jobs, execute, _memory_record, objectives,
-            promote_ranks=promote_ranks,
+            jobs, execute, record, objectives, promote_ranks=promote_ranks,
         )
         return jobs, outcomes, None, ftrace
     if fidelity == "low":
         jobs = [lowfi_twin(job) for job in jobs]
     return jobs, execute(jobs), None, None
+
+
+def _explore_runner(runner, cache_dir, workers, deadline) -> CampaignRunner:
+    """The ``explore_*`` engine: the caller's runner, or a fresh one."""
+    if runner is not None:
+        return runner
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    return CampaignRunner(workers=workers, cache=cache, deadline=deadline)
+
+
+def _run_journaled(
+    campaign_dir: str,
+    signature: Dict,
+    drive,
+    resume: bool,
+    retry_failed: bool,
+    retry: Optional[RetryPolicy],
+    progress: Optional[ProgressCallback],
+    executor,
+    executor_options: Optional[Dict],
+    workers: Optional[int],
+    deadline: Optional[float],
+):
+    """Run ``drive(execute)`` against ``campaign_dir``'s cache and journal.
+
+    The resumable entry points' one set-up.  The result cache lives under
+    ``campaign_dir``; a named ``executor`` is built here and owned (and
+    closed) by this campaign, an instance stays the caller's to manage.
+    The journal opens on the first batch, and its total grows as later
+    batches (surrogate rounds, ladder confirms) are planned.  The
+    executor and the journal close on every exit.
+
+    Returns:
+        ``(drive's return value, cache stats, quarantined job keys)``.
+    """
+    journal = journal_path(campaign_dir)  # refuses a version-1 directory
+    cache = ResultCache(os.path.join(campaign_dir, CACHE_DIR_NAME))
+    engine = executor
+    if executor is not None:
+        engine = make_executor(
+            executor, campaign_dir=campaign_dir, workers=workers,
+            **dict(executor_options or {}),
+        )
+    runner = CampaignRunner(
+        workers=workers, cache=cache, executor=engine, deadline=deadline
+    )
+    state = None
+    planned = 0
+
+    def execute(batch):
+        nonlocal state, planned
+        planned += len(batch)
+        if state is None:
+            state = CampaignState.open(
+                journal, campaign_key(signature), total=planned,
+                resume=resume, meta=signature,
+            )
+        state.total = max(state.total, planned)
+        return run_checkpointed(
+            batch, runner, state, retry_failed=retry_failed,
+            retry=retry, progress=progress,
+        )
+
+    try:
+        value = drive(execute)
+        if state is None:  # a surrogate over an axis-less space plans nothing
+            execute([])
+    finally:
+        if engine is not executor:  # built from a name here
+            engine.close()
+        if state is not None:
+            state.close()
+    return value, cache.stats(), sorted(state.quarantined)
 
 
 def explore_memory(
@@ -559,11 +617,7 @@ def explore_memory(
     """
     _validate_memory(sampler, fidelity, samples)
     base_config, constraints = _memory_settings(base_config, constraints)
-    if runner is None:
-        cache = ResultCache(cache_dir) if cache_dir is not None else None
-        runner = CampaignRunner(
-            workers=workers, cache=cache, deadline=deadline
-        )
+    runner = _explore_runner(runner, cache_dir, workers, deadline)
 
     def build_jobs(points):
         return _memory_jobs(
@@ -572,11 +626,11 @@ def explore_memory(
         )
 
     start = time.perf_counter()
-    jobs, outcomes, trace, ftrace = _drive_memory(
+    jobs, outcomes, trace, ftrace = _drive(
         space, build_jobs,
         lambda batch: runner.run(batch, progress=progress, retry=retry),
-        sampler, samples, sample_seed, sampler_options, objectives,
-        fidelity, promote_ranks,
+        _memory_record, sampler, samples, sample_seed, sampler_options,
+        objectives, fidelity, promote_ranks,
     )
     elapsed = time.perf_counter() - start
     stats = runner.cache.stats() if runner.cache is not None else None
@@ -677,14 +731,6 @@ def run_memory_campaign(
         # (and therefore resumability) of existing journals are stable.
         signature["fidelity"] = fidelity
         signature["promote_ranks"] = promote_ranks
-    cache = ResultCache(os.path.join(campaign_dir, CACHE_DIR_NAME))
-    journal = journal_path(campaign_dir)
-    engine, owns_executor = _campaign_executor(
-        executor, campaign_dir, workers, executor_options
-    )
-    runner = CampaignRunner(
-        workers=workers, cache=cache, executor=engine, deadline=deadline
-    )
 
     def build_jobs(points):
         return _memory_jobs(
@@ -692,110 +738,121 @@ def run_memory_campaign(
             node_nm, num_words, error_population, seed,
         )
 
-    state = None
-    planned = 0
-
-    def execute(batch):
-        # The journal opens on the first batch, and its total grows as
-        # later batches (surrogate rounds, ladder confirms) are planned.
-        nonlocal state, planned
-        planned += len(batch)
-        if state is None:
-            state = CampaignState.open(
-                journal, campaign_key(signature), total=planned,
-                resume=resume, meta=signature,
-            )
-        state.total = max(state.total, planned)
-        return run_checkpointed(
-            batch, runner, state, retry_failed=retry_failed,
-            retry=retry, progress=progress,
-        )
-
     start = time.perf_counter()
-    try:
-        jobs, outcomes, trace, ftrace = _drive_memory(
-            space, build_jobs, execute, sampler, samples, sample_seed,
-            sampler_options, objectives, fidelity, promote_ranks,
-        )
-        if state is None:  # a surrogate over an axis-less space plans nothing
-            execute([])
-    finally:
-        if owns_executor:
-            engine.close()
-        if state is not None:
-            state.close()
-    elapsed = time.perf_counter() - start
+    (jobs, outcomes, trace, ftrace), stats, quarantined = _run_journaled(
+        campaign_dir, signature,
+        lambda execute: _drive(
+            space, build_jobs, execute, _memory_record, sampler, samples,
+            sample_seed, sampler_options, objectives, fidelity, promote_ranks,
+        ),
+        resume, retry_failed, retry, progress,
+        executor, executor_options, workers, deadline,
+    )
     return MemoryCampaignResult(
-        jobs=jobs, outcomes=outcomes, elapsed=elapsed,
-        cache_stats=cache.stats(), adaptive=trace, fidelity=ftrace,
-        quarantined=sorted(state.quarantined),
+        jobs=jobs, outcomes=outcomes, elapsed=time.perf_counter() - start,
+        cache_stats=stats, adaptive=trace, fidelity=ftrace,
+        quarantined=quarantined,
     )
 
 
-def _system_row(kernel: str, scenario, cell) -> Dict:
-    """Flat record of one (kernel, scenario) cell."""
-    energy = cell.energy.total_energy
-    return {
-        "workload": kernel,
-        "scenario": scenario.value,
-        "exec_time": cell.energy.exec_time,
-        "energy": energy,
-        "edp": energy * cell.energy.exec_time,
-    }
+def _system_space(workloads, scenarios) -> ParameterSpace:
+    """The validated ``workload`` x ``scenario`` space of a MAGPIE grid.
 
-
-def _system_jobs(flow, cells: Sequence[Tuple[str, object]]) -> List[Job]:
-    """System-level jobs for (kernel name, Scenario) cells."""
-    from repro.archsim.workloads import PARSEC_KERNELS
-
-    return [
-        Job(SYSTEM_TARGET, system_point_spec(flow, PARSEC_KERNELS[name], scenario))
-        for name, scenario in cells
-    ]
-
-
-def _system_results(flow, cells, outcomes) -> Dict:
-    """Parse cell outcomes into the (kernel, Scenario) -> result grid.
+    Its grid order is the historic cell order: every scenario of the
+    first kernel, then the next kernel.
 
     Raises:
-        RuntimeError: On any failed cell (system campaigns keep the
+        KeyError: On unknown kernel names or scenario values.
+    """
+    from repro.magpie.flow import MagpieFlow
+
+    names, chosen = MagpieFlow.validate_grid(workloads, scenarios)
+    return ParameterSpace(
+        [("workload", names), ("scenario", [s.value for s in chosen])]
+    )
+
+
+def _system_cell(flow, job: Job, outcome: JobResult) -> Tuple:
+    """``((kernel, Scenario), ScenarioResult)`` of one cell's outcome.
+
+    Raises:
+        RuntimeError: On a failed cell (system campaigns keep the
             historic fail-fast contract of ``MagpieFlow.run``).
     """
     from repro.archsim.stats import ActivityReport
     from repro.magpie.flow import ScenarioResult
+    from repro.magpie.scenarios import Scenario
     from repro.mcpat.components import estimate_energy
 
-    results: Dict = {}
-    for (name, scenario), outcome in zip(cells, outcomes):
-        if not outcome.ok:
-            raise RuntimeError(
-                "MAGPIE job (%s, %s) failed: %s"
-                % (name, scenario.value, outcome.error)
-            )
-        report = ActivityReport.parse(outcome.result["report"])
-        soc = flow.build_soc(scenario)
-        energy = estimate_energy(soc, report)
-        results[(name, scenario)] = ScenarioResult(
-            scenario=scenario, report=report, energy=energy
+    name = job.spec["workload"]["name"]
+    scenario = Scenario(job.spec["scenario"])
+    if not outcome.ok:
+        raise RuntimeError(
+            "MAGPIE job (%s, %s) failed: %s"
+            % (name, scenario.value, outcome.error)
         )
-    return results
+    report = ActivityReport.parse(outcome.result["report"])
+    energy = estimate_energy(flow.build_soc(scenario), report)
+    return (name, scenario), ScenarioResult(
+        scenario=scenario, report=report, energy=energy
+    )
 
 
-def run_system_cells(
+def _system_row(cell: Tuple, result) -> Dict:
+    """Flat record of one (kernel, Scenario) cell's ``ScenarioResult``."""
+    kernel, scenario = cell
+    energy = result.energy.total_energy
+    return {
+        "workload": kernel,
+        "scenario": scenario.value,
+        "exec_time": result.energy.exec_time,
+        "energy": energy,
+        "edp": energy * result.energy.exec_time,
+    }
+
+
+def _run_system(
     flow,
-    cells: Sequence[Tuple[str, object]],
-    runner: CampaignRunner,
-    progress: Optional[ProgressCallback] = None,
-) -> Dict:
-    """Evaluate (kernel, Scenario) cells through the engine.
+    space: ParameterSpace,
+    execute,
+    sampler: str = "grid",
+    sampler_options: Optional[Dict] = None,
+    objectives: Sequence[ObjectiveSpec] = ("edp",),
+):
+    """Every system campaign's core: ``flow``'s cells of ``space``.
 
-    The shared core of ``MagpieFlow.run`` and the system campaign entry
-    points: each cell is a content-hashed job carrying the memory-level
-    records, so caching/parallel runners drop in transparently.
+    Each cell is a content-hashed job carrying the flow's memory-level
+    records, run by :func:`_drive` over the caller's ``execute``.
+
+    Returns:
+        ``(grid, sampler trace)`` — the (kernel, Scenario) ->
+        ``ScenarioResult`` grid of the evaluated cells, in evaluation
+        order.
     """
-    jobs = _system_jobs(flow, cells)
-    outcomes = runner.run(jobs, progress=progress)
-    return _system_results(flow, cells, outcomes)
+    from repro.archsim.workloads import PARSEC_KERNELS
+    from repro.magpie.scenarios import Scenario
+
+    def build_jobs(points):
+        return [
+            Job(SYSTEM_TARGET, system_point_spec(
+                flow, PARSEC_KERNELS[point["workload"]],
+                Scenario(point["scenario"]),
+            ))
+            for point in points
+        ]
+
+    def record(job, outcome):
+        return _system_row(*_system_cell(flow, job, outcome))
+
+    jobs, outcomes, trace, _ = _drive(
+        space, build_jobs, execute, record, sampler,
+        sampler_options=sampler_options, objectives=objectives,
+    )
+    grid = dict(
+        _system_cell(flow, job, outcome)
+        for job, outcome in zip(jobs, outcomes)
+    )
+    return grid, trace
 
 
 @dataclass
@@ -818,10 +875,7 @@ class SystemCampaignResult:
 
     def records(self) -> List[Dict]:
         """Grid cells as flat dicts with exec time, energy and EDP."""
-        return [
-            _system_row(kernel, scenario, cell)
-            for (kernel, scenario), cell in self.results.items()
-        ]
+        return [_system_row(cell, result) for cell, result in self.results.items()]
 
     def pareto(
         self, objectives: Sequence[ObjectiveSpec] = ("exec_time", "energy")
@@ -865,55 +919,18 @@ def explore_system(
     from repro.magpie.flow import MagpieFlow
 
     flow = MagpieFlow(node_nm=node_nm, base=base, wer_target=wer_target)
-    if runner is None:
-        cache = ResultCache(cache_dir) if cache_dir is not None else None
-        runner = CampaignRunner(workers=workers, cache=cache, deadline=deadline)
-
+    space = _system_space(workloads, scenarios)
+    runner = _explore_runner(runner, cache_dir, workers, deadline)
     start = time.perf_counter()
-    trace = None
-    if sampler in MODEL_SAMPLERS:
-        results, trace = _surrogate_system(
-            flow, workloads, scenarios, runner,
-            sampler_options, objectives, progress,
-        )
-    else:
-        results = flow.run(
-            workloads=workloads, scenarios=scenarios, runner=runner,
-            progress=progress,
-        )
+    results, trace = _run_system(
+        flow, space, lambda batch: runner.run(batch, progress=progress),
+        sampler, sampler_options, objectives,
+    )
     elapsed = time.perf_counter() - start
     stats = runner.cache.stats() if runner.cache is not None else None
     return SystemCampaignResult(
         results=results, elapsed=elapsed, cache_stats=stats, adaptive=trace
     )
-
-
-def _surrogate_system(
-    flow, workloads, scenarios, runner, sampler_options, objectives, progress,
-):
-    """Model-driven cell selection over the workload x scenario grid."""
-    from repro.magpie.scenarios import Scenario
-
-    names, chosen = flow.validate_grid(workloads, scenarios)
-    space = ParameterSpace(
-        [("workload", names), ("scenario", [s.value for s in chosen])]
-    )
-    results: Dict = {}
-
-    def evaluate(points):
-        cells = [
-            (point["workload"], Scenario(point["scenario"])) for point in points
-        ]
-        batch = run_system_cells(flow, cells, runner, progress=progress)
-        results.update(batch)
-        rows = [
-            _system_row(name, scenario, batch[(name, scenario)])
-            for name, scenario in cells
-        ]
-        return score_records(rows, objectives)
-
-    model = SurrogateSampler(space, **dict(sampler_options or {}))
-    return results, model.run(evaluate)
 
 
 def run_system_campaign(
@@ -946,44 +963,24 @@ def run_system_campaign(
     from repro.magpie.flow import MagpieFlow
 
     flow = MagpieFlow(node_nm=node_nm, base=base, wer_target=wer_target)
-    names, chosen = flow.validate_grid(workloads, scenarios)
-    cells = [(name, scenario) for name in names for scenario in chosen]
+    space = _system_space(workloads, scenarios)
+    workload_axis, scenario_axis = space.axes
     signature = {
         "kind": "system",
-        "workloads": names,
-        "scenarios": [s.value for s in chosen],
+        "workloads": list(workload_axis.values),
+        "scenarios": list(scenario_axis.values),
         "node_nm": node_nm,
         "wer_target": wer_target,
         "base": flow.base.to_dict(),
     }
-    cache = ResultCache(os.path.join(campaign_dir, CACHE_DIR_NAME))
-    journal = journal_path(campaign_dir)
-    engine, owns_executor = _campaign_executor(
-        executor, campaign_dir, workers, executor_options
-    )
-    runner = CampaignRunner(
-        workers=workers, cache=cache, executor=engine, deadline=deadline
-    )
-    jobs = _system_jobs(flow, cells)
-    state = CampaignState.open(
-        journal,
-        campaign_key(signature),
-        total=len(jobs),
-        resume=resume,
-        meta=signature,
-    )
     start = time.perf_counter()
-    try:
-        outcomes = run_checkpointed(
-            jobs, runner, state, retry_failed=retry_failed,
-            retry=retry, progress=progress,
-        )
-    finally:
-        if owns_executor:
-            engine.close()
-        state.close()
-    results = _system_results(flow, cells, outcomes)
-    elapsed = time.perf_counter() - start
+    (results, _), stats, _ = _run_journaled(
+        campaign_dir, signature,
+        lambda execute: _run_system(flow, space, execute),
+        resume, retry_failed, retry, progress,
+        executor, executor_options, workers, deadline,
+    )
     return SystemCampaignResult(
-        results=results, elapsed=elapsed, cache_stats=cache.stats()
+        results=results, elapsed=time.perf_counter() - start,
+        cache_stats=stats,
     )

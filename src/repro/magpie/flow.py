@@ -151,11 +151,12 @@ class MagpieFlow:
     ) -> Dict[Tuple[str, Scenario], ScenarioResult]:
         """Evaluate a kernel x scenario grid.
 
-        The grid runs on the :mod:`repro.dse` engine: each (kernel,
-        scenario) cell is a content-hashed job carrying the memory-level
-        records, so a caching/parallel ``CampaignRunner`` can be passed
-        in.  The default serial runner reproduces the historic
-        cell-by-cell outputs exactly.
+        The grid runs on the :mod:`repro.dse` engine, through the same
+        dispatch as every ``repro.dse`` campaign: each (kernel, scenario)
+        cell is a content-hashed job carrying this flow's (cached)
+        memory-level records, so a caching/parallel ``CampaignRunner``
+        can be passed in.  The default serial runner reproduces the
+        historic cell-by-cell outputs exactly.
 
         Args:
             workloads: Parsec kernel names (default: all, sorted).
@@ -168,17 +169,18 @@ class MagpieFlow:
         Raises:
             KeyError: On unknown kernel names or scenario values.
         """
-        names, chosen = self.validate_grid(workloads, scenarios)
-
-        from repro.dse.campaign import run_system_cells
+        from repro.dse.campaign import _run_system, _system_space
         from repro.dse.runner import CampaignRunner
 
-        grid = [(name, scenario) for name in names for scenario in chosen]
+        space = _system_space(workloads, scenarios)
         engine = runner if runner is not None else CampaignRunner(workers=1)
-        return run_system_cells(self, grid, engine, progress=progress)
+        results, _ = _run_system(
+            self, space, lambda jobs: engine.run(jobs, progress=progress)
+        )
+        return results
 
+    @staticmethod
     def validate_grid(
-        self,
         workloads: Optional[Iterable[str]] = None,
         scenarios: Optional[Iterable[Scenario]] = None,
     ) -> Tuple[List[str], List[Scenario]]:
@@ -196,15 +198,8 @@ class MagpieFlow:
                 raise KeyError(
                     "unknown kernel %r; available: %s" % (name, sorted(PARSEC_KERNELS))
                 )
-        return names, self._validate_scenarios(scenarios)
-
-    @staticmethod
-    def _validate_scenarios(
-        scenarios: Optional[Iterable[Scenario]],
-    ) -> List[Scenario]:
-        """Normalise a scenario iterable, mirroring the kernel check."""
         if scenarios is None:
-            return list(Scenario)
+            return names, list(Scenario)
         chosen: List[Scenario] = []
         for scenario in scenarios:
             if isinstance(scenario, Scenario):
@@ -217,4 +212,4 @@ class MagpieFlow:
                     "unknown scenario %r; available: %s"
                     % (scenario, sorted(s.value for s in Scenario))
                 )
-        return chosen
+        return names, chosen

@@ -60,6 +60,26 @@ class TestSpecValidation:
         with pytest.raises(SystemExit, match="grid-only"):
             load_spec(_write_spec(tmp_path, bad))
 
+    @pytest.mark.parametrize("spec, name", [
+        ({"kind": "memory", "axes": {"subarray_rowz": [128]}}, "subarray_rowz"),
+        ({"kind": "system", "workloads": ["doom"]}, "doom"),
+        ({"kind": "system", "scenarios": ["Half-SRAM"]}, "Half-SRAM"),
+    ], ids=["axis", "kernel", "scenario"])
+    def test_unknown_names_fail_with_one_line(self, tmp_path, spec, name):
+        path = _write_spec(tmp_path, spec)
+        with pytest.raises(SystemExit) as excinfo:
+            load_spec(path)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert message.startswith("spec %s: " % path)
+        assert repr(name) in message
+        # describe and run refuse it the same way, before running anything.
+        for argv in (["describe", path], ["run", path, "--dir", str(tmp_path / "c")]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert str(excinfo.value) == message
+        assert not (tmp_path / "c").exists()
+
     def test_removed_adaptive_sampler_fails_loudly(self, tmp_path):
         bad = dict(MEMORY_SPEC, sampler="adaptive")
         with pytest.raises(SystemExit) as excinfo:
@@ -395,8 +415,12 @@ class TestArgumentValidation:
         assert "--id names one worker" in capsys.readouterr().err
 
     def test_serve_requires_port(self, tmp_path, capsys):
+        # Serving is `run --executor network`; workers need the port.
         with pytest.raises(SystemExit, match="--port"):
-            main(["serve", "spec.json", "--dir", str(tmp_path), "--quiet"])
+            main([
+                "run", _write_spec(tmp_path, MEMORY_SPEC), "--dir",
+                str(tmp_path / "c"), "--quiet", "--executor", "network",
+            ])
 
     def test_network_flags_require_network_executor(self, tmp_path):
         spec = _write_spec(tmp_path, MEMORY_SPEC)

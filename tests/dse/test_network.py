@@ -1125,8 +1125,9 @@ class TestWorkerClient:
 
 
 class TestCliInProcess:
-    """Fast-tier CLI coverage: serve and the worker fleet, no
-    subprocesses beyond the spawned workers."""
+    """Fast-tier CLI coverage: a served campaign (``run --executor
+    network``) and the worker fleet, no subprocesses beyond the spawned
+    workers."""
 
     def test_serve_runs_a_one_point_campaign(self, tmp_path, capsys):
         from repro.dse.__main__ import main
@@ -1140,8 +1141,8 @@ class TestCliInProcess:
         }))
         port = _free_port()
         assert main([
-            "serve", str(spec), "--dir", str(tmp_path / "camp"), "--quiet",
-            "--port", str(port), "--spawn-workers", "1",
+            "run", str(spec), "--dir", str(tmp_path / "camp"), "--quiet",
+            "--executor", "network", "--port", str(port), "--spawn-workers", "1",
             "--stall-timeout", "120",
         ]) == 0
         out = capsys.readouterr()
@@ -1201,8 +1202,9 @@ class TestCliInProcess:
 @pytest.mark.slow
 class TestCliEndToEnd:
     def test_serve_with_spawned_workers_and_status_json(self, tmp_path):
-        """`serve` + `--spawn-workers 2` + `status --json`: the CLI
-        surface of the subsystem, end to end over real TCP."""
+        """`run --executor network` + `--spawn-workers 2` + `status
+        --json`: the CLI surface of the subsystem, end to end over real
+        TCP."""
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({
             "kind": "memory",
@@ -1214,14 +1216,16 @@ class TestCliEndToEnd:
         port = _free_port()
         env = _src_env()
         serve = subprocess.run(
-            [sys.executable, "-m", "repro.dse", "serve", str(spec_path),
-             "--dir", campaign_dir, "--quiet", "--port", str(port),
+            [sys.executable, "-m", "repro.dse", "run", str(spec_path),
+             "--dir", campaign_dir, "--quiet", "--executor", "network",
+             "--port", str(port),
              "--spawn-workers", "2", "--stall-timeout", "120"],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert serve.returncode == 0, serve.stderr + serve.stdout
         assert "campaign finished" in serve.stdout
         assert "points:   2" in serve.stdout
+        assert "serving campaign on 127.0.0.1:%d" % port in serve.stderr
         status = subprocess.run(
             [sys.executable, "-m", "repro.dse", "status",
              "--dir", campaign_dir, "--json"],

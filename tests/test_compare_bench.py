@@ -27,7 +27,6 @@ def _snapshot(**overrides):
             "jsonl_us_per_point_last_decile": 40.0,
             "jsonl_flatness": 1.2,
             "resume_load_s": 0.05,
-            "jsonl_speedup_at_tail": 100.0,
         },
         "executors": {
             "serial_wall_s": 1.2,
