@@ -374,13 +374,19 @@ def test_executor_comparison():
 
 
 #: Methods that each make one pass over the error population, by
-#: kernel: the write-error and read-error kernels.
+#: kernel: the write-error and read-error kernels.  A kernel pass is
+#: binned where its remainder bound allows; the per-cell passes among
+#: them (fallbacks, or every pass of a kernel too small to bin) are
+#: counted again under ``cell_passes_per_point``.
 KERNEL_PASSES = {
     "write_passes_per_point": (
         ("ErrorRateAnalysis", "mean_cell_wer"), ("WriteKernel", "write_pass"),
     ),
     "read_passes_per_point": (
-        ("ErrorRateAnalysis", "word_rer"), ("ErrorRateAnalysis", "_read_pass"),
+        ("ErrorRateAnalysis", "word_rer"), ("ReadKernel", "read_pass"),
+    ),
+    "cell_passes_per_point": (
+        ("WriteKernel", "cell_pass"), ("ReadKernel", "cell_pass"),
     ),
 }
 

@@ -59,14 +59,17 @@ quarantinable like any other failure, and counted by ``status``.
 
 ``settings`` keys are passed through to :func:`run_memory_campaign` /
 :func:`run_system_campaign` verbatim, so everything those accept
-(``node_nm``, ``seed``, ``workers``, ...) is spec-addressable.  The
-campaign directory holds ``cache/`` and the append-only
+(``node_nm``, ``seed``, ``workers``, ...) is spec-addressable, except
+what the spec's own keys and the flags set.  Any other ``settings``
+name, like an axis with no values, is refused with a one-line error.
+The campaign directory holds ``cache/`` and the append-only
 ``journal.jsonl``; both are written as results arrive, so a killed
 ``run`` continues with ``resume``.  A directory holding only a
 version-1 ``checkpoint.json`` is refused with a one-line error.
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -166,10 +169,21 @@ def load_spec(path: str) -> Dict:
         if kind == "memory":
             for name in spec["axes"]:
                 _check_axis(name)
+            _memory_space(spec)
         else:
             _system_space(spec.get("workloads"), spec.get("scenarios"))
     except (KeyError, TypeError, ValueError) as exc:
         raise SystemExit("spec %s: %s" % (path, exc.args[0]))
+    settings = spec.get("settings", {})
+    if not isinstance(settings, dict):
+        raise SystemExit('spec %s: "settings" must be a JSON object' % path)
+    known = _known_settings(kind)
+    for name in settings:
+        if name not in known:
+            raise SystemExit(
+                "spec %s: unknown setting %r; known: %s"
+                % (path, name, ", ".join(known))
+            )
     sampler = spec.get("sampler", "grid")
     try:
         check_sampler(sampler)
@@ -225,6 +239,27 @@ def load_spec(path: str) -> Dict:
                 "got %r" % (path, deadline)
             )
     return spec
+
+
+#: Campaign arguments that ``run``/``resume`` set from the spec's own
+#: keys or from flags, so ``settings`` may not name them.
+_RUN_ARGUMENTS = {
+    "campaign_dir", "resume", "retry_failed", "retry", "progress",
+    "executor", "executor_options",
+}
+_SPEC_ARGUMENTS = {
+    "memory": {"space", "sampler", "samples", "sampler_options",
+               "objectives", "fidelity", "promote_ranks"},
+    "system": {"workloads", "scenarios"},
+}
+
+
+def _known_settings(kind: str) -> List[str]:
+    """The ``settings`` names a spec of ``kind`` may carry: the keyword
+    arguments of its campaign function that nothing else sets."""
+    campaign = run_memory_campaign if kind == "memory" else run_system_campaign
+    taken = _RUN_ARGUMENTS | _SPEC_ARGUMENTS[kind]
+    return sorted(set(inspect.signature(campaign).parameters) - taken)
 
 
 def _retry_policy(spec: Dict, args) -> Optional[RetryPolicy]:

@@ -200,6 +200,7 @@ class CampaignState:
         # appends must stay past them even though the events are gone.
         state._last_t = max(state._last_t, float(state.updated or 0.0))
         state._journal.lines = len(events)
+        state._journal.tail_bytes = os.path.getsize(path)
         state.recovered_torn_bytes = torn
         state._ready = True
         return state

@@ -15,7 +15,8 @@ them costs a worker ~0.25 s of start-up, so they live here:
 
 :func:`sorted_sf_sum` is the read kernel's form of ``ndtr``: one sum
 over an ascending population whose Gaussian density the caller already
-holds, taken over contiguous branch slices.
+holds, taken over contiguous branch slices; :func:`sorted_sf` gives the
+same terms one by one.
 
 ``tests/test_normal.py`` pins each against scipy.
 """
@@ -162,6 +163,18 @@ def ndtr(a):
     return out[()] if out.ndim == 0 else out
 
 
+def _sorted_sf_pieces(y: np.ndarray, density: np.ndarray):
+    """Phi(-sqrt(2) y) over an ascending ``y`` below Cephes' underflow,
+    as ``(start, values, scale)`` per contiguous branch slice: the
+    terms are ``scale * values``."""
+    one, eight, under = np.searchsorted(y, (1.0, 8.0, _UNDERFLOW))
+    if one:
+        yield 0, _cdf_scaled(-y[:one]), 1.0
+    for lo, hi, num, den in ((one, eight, _P, _Q), (eight, under, _R, _S)):
+        if hi > lo:
+            yield lo, _erfc_ratio(y[lo:hi], density[lo:hi], num, den), 0.5
+
+
 def sorted_sf_sum(y: np.ndarray, density: np.ndarray) -> float:
     """Sum of Phi(-sqrt(2) y) = erfc(y)/2 over an ascending ``y``.
 
@@ -170,13 +183,20 @@ def sorted_sf_sum(y: np.ndarray, density: np.ndarray) -> float:
     second ``exp``.  Each Cephes branch is one contiguous slice, so no
     mask is built; cells with ``y < 1`` take :func:`ndtr`'s path.
     """
-    one, eight, under = np.searchsorted(y, (1.0, 8.0, _UNDERFLOW))
-    total = float(np.sum(_cdf_scaled(-y[:one])))
-    for lo, hi, num, den in ((one, eight, _P, _Q), (eight, under, _R, _S)):
-        if hi > lo:
-            tail = _erfc_ratio(y[lo:hi], density[lo:hi], num, den)
-            total += 0.5 * float(np.sum(tail))
+    total = 0.0
+    for _, values, scale in _sorted_sf_pieces(y, density):
+        total += scale * float(np.sum(values))
     return total
+
+
+def sorted_sf(y: np.ndarray, density: np.ndarray) -> np.ndarray:
+    """Phi(-sqrt(2) y) elementwise over an ascending ``y``: the terms
+    of :func:`sorted_sf_sum`, zero past the underflow."""
+    out = np.zeros_like(y)
+    for start, values, scale in _sorted_sf_pieces(y, density):
+        values *= scale
+        out[start:start + len(values)] = values
+    return out
 
 
 def ndtri(p: float) -> float:

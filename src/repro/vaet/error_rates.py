@@ -17,23 +17,53 @@ signal, so RER falls with read period; the Gaussian signal/offset
 budget gives RER(t) in closed form.
 
 Both Newton solves run on kernels of the population: the write kernel
-(:class:`WriteKernel`) and the ascending sense gains.  Neither reads
-the word width: a population is a function of the PDK, temperature,
-seed and size, the array's fixed path resistance and its sense develop
-time alone.  So :class:`repro.vaet.explorer.DesignSpaceExplorer` keeps
-them as population records that word-width, column and target siblings
-share, and solves each sibling afresh over them
+(:class:`WriteKernel`) and the read kernel of ascending sense gains
+(:class:`ReadKernel`).  Neither reads the word width: a population is
+a function of the PDK, temperature, seed and size, the array's fixed
+path resistance and its sense develop time alone.  So
+:class:`repro.vaet.explorer.DesignSpaceExplorer` keeps them as
+population records that word-width, column and target siblings share,
+and solves each sibling afresh over them
 (:meth:`ErrorRateAnalysis.pinned`,
 :meth:`repro.vaet.ecc.ECCAnalysis.pinned`).
+
+Binned passes.  A pass sums a smooth function of each cell's rate (or
+gain) over the whole population, so, as in the fast Gauss transform
+(Greengard and Strain, "The fast Gauss transform", SIAM J. Sci. Stat.
+Comput. 12(1), 1991), each kernel also keeps its cells grouped into
+bins of width ``WRITE_BIN_WIDTH`` in log r (``READ_BIN_WIDTH`` in log
+k) with a few moments per bin (:class:`MomentBins`): sum w o^n / n! for
+n below the order, where o = v / c - 1 is a cell's relative offset from
+its bin centre c, and w its weight (the WER envelope of a write cell, 1
+for a read cell).  A pass then sums, per bin, the Taylor series of the
+kernel about the centre: e^(-2 c t (1 + o)) for writes, and
+Phi(-c t (1 + o)) for reads, whose derivatives are Hermite polynomials
+times the Gaussian density.  Each binned pass also sums a rigorous
+bound on the Lagrange remainder of its series, and of its slope's.  It
+returns its value only when both bounds are at most ``BIN_RTOL`` of
+the value and of the slope, and when no write cell can reach the WER
+cap of 1; otherwise it runs the per-cell pass (``cell_pass``).  That
+happens where the series converge slowly or the cap binds: the cap
+region, the bracket ends and deep-tail probes.  A kernel with fewer
+than ``BIN_MIN_FILL`` cells per bin of its range holds no bins and
+always runs the per-cell pass.  Every solve of a kernel goes through the same
+``write_pass``/``read_pass``, so there is no second solver path.
 """
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.nvsim.subarray import SENSE_MARGIN
-from repro.utils.normal import SQRT1_2, ndtr, ndtri, sorted_sf_sum
+from repro.utils.normal import (
+    SQRT1_2,
+    ndtr,
+    ndtri,
+    sorted_sf,
+    sorted_sf_sum,
+)
 from repro.utils.roots import brentq
 from repro.vaet.montecarlo import MonteCarloEngine
 from repro.vaet.variation_model import (
@@ -53,6 +83,29 @@ NEWTON_MAX_PASSES = 100
 #: temporaries (256 KiB each) stay in a core's L2 cache; one pass over
 #: all 200k cells at once ran ~1.8x slower, bound by memory traffic.
 READ_BLOCK = 1 << 15
+
+#: Bin width in log rate, and moments per bin, of the write kernel.  At
+#: the default 200k cells this gives ~260-330 bins; the remainder bound
+#: of order 9 holds at every Newton pass of the ECC sweeps.
+WRITE_BIN_WIDTH = 0.004
+WRITE_BIN_ORDER = 9
+#: Bin width in log gain, and moments per bin, of the read kernel
+#: (~570-690 bins at 200k cells).
+READ_BIN_WIDTH = 1e-3
+READ_BIN_ORDER = 8
+#: A binned pass is used only when its remainder bounds are at most
+#: this share of its value and of its slope.
+BIN_RTOL = 1e-14
+#: A kernel is binned only with at least this many cells per bin that
+#: its range spans: below it the bins save little and their build costs
+#: more than the passes they serve (10k cells span ~225-375 write bins).
+BIN_MIN_FILL = 64
+
+_TINY = np.finfo(float).tiny
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+#: Cramer's inequality, |He_n(x)| e^(-x^2/4) <= K sqrt(n!), with
+#: K = 1.086435 rounded up.
+_CRAMER = 1.09
 
 
 class UnreachableTargetError(ValueError):
@@ -130,6 +183,116 @@ def newton_log_root(kernel, log_target: float, lo: float, hi: float,
     raise RuntimeError("%s: no convergence in %d passes" % (what, NEWTON_MAX_PASSES))
 
 
+def _hermite_pair(x, n: int):
+    """``(He_(n-1)(x), He_n(x))``, probabilists' Hermite polynomials,
+    by their recurrence He_(k+1) = x He_k - k He_(k-1); ``n >= 1``."""
+    prev, cur = 1.0, x
+    for k in range(1, n):
+        prev, cur = cur, x * cur - k * prev
+    return prev, cur
+
+
+def _largest_hermite_root(n: int) -> float:
+    """An upper bound, tight to rounding, on the largest zero of He_n.
+
+    Newton from ``sqrt(4n + 2)``, above every zero, where He_n is
+    increasing and convex, so each step stays above the zero.
+    """
+    x = math.sqrt(4.0 * n + 2.0)
+    while True:
+        lower, value = _hermite_pair(x, n)
+        step = value / (n * lower)
+        x -= step
+        if step <= 1e-15 * x:
+            return x + 1e-9
+
+
+class MomentBins:
+    """A cell population grouped into bins of equal width in log value.
+
+    Bin j holds the cells with ``v_min e^(j width) <= v < v_min
+    e^((j + 1) width)``; its centre is ``c = v_min e^((j + 1/2)
+    width)``, and its moments are the sums of ``w o^n / n!`` over its
+    cells, with ``o = v / c - 1`` a cell's relative offset and ``w`` its
+    weight.  Only occupied bins are kept, in ascending order.  The build
+    is sort-free: one ``bincount`` per moment, or, over ``ascending``
+    values, one ``reduceat`` over contiguous slices.
+
+    Attributes:
+        centre: Bin centres, ascending.
+        moments: ``(order, bins)`` array of the scaled moments.
+        spread: The largest ``|o|`` of any cell.
+        total_weight: Sum of all weights.
+    """
+
+    def __init__(self, values: np.ndarray, weights, width: float,
+                 order: int, ascending: bool = False):
+        if ascending:
+            low = math.log(float(values[0]))
+            steps = np.arange(int((math.log(float(values[-1])) - low) / width) + 1)
+            ends = np.searchsorted(values, np.exp(low + (steps + 1) * width))
+            ends[-1] = len(values)
+            counts = np.diff(ends, prepend=0)
+            occupied = np.flatnonzero(counts)
+            starts = ends[occupied] - counts[occupied]
+            self.centre = np.exp(low + (occupied + 0.5) * width)
+            offset = values / np.repeat(self.centre, counts[occupied])
+
+            def bin_sums(term):
+                return np.add.reduceat(term, starts)
+        else:
+            logs = np.log(values)
+            low = float(logs.min())
+            index = ((logs - low) * (1.0 / width)).astype(np.intp)
+            counts = np.bincount(index)
+            occupied = np.flatnonzero(counts)
+            index = (np.cumsum(counts > 0) - 1)[index]
+            self.centre = np.exp(low + (occupied + 0.5) * width)
+            offset = values / self.centre[index]
+
+            def bin_sums(term):
+                return np.bincount(index, term, minlength=len(occupied))
+        offset -= 1.0
+        self.spread = float(np.abs(offset).max())
+        self.moments = np.empty((order, len(occupied)))
+        term = np.ones_like(offset) if weights is None else weights.copy()
+        for n in range(order):
+            self.moments[n] = bin_sums(term)
+            self.moments[n] /= math.factorial(n)
+            if n + 1 < order:
+                term *= offset
+        self.total_weight = float(self.moments[0].sum())
+
+    @classmethod
+    def build(cls, values: np.ndarray, weights, width: float, order: int,
+              ascending: bool = False):
+        """The bins of ``values`` (all positive), or None when the
+        population has fewer than ``BIN_MIN_FILL`` cells per bin that
+        its range spans.  The test reads only the extreme values, so a
+        small population pays nothing for it."""
+        if len(values) < BIN_MIN_FILL:
+            return None
+        if ascending:
+            low, high = float(values[0]), float(values[-1])
+        else:
+            low, high = float(values.min()), float(values.max())
+        if not low > 0.0:
+            return None
+        spanned = math.log(high / low) / width + 1.0
+        if len(values) < BIN_MIN_FILL * spanned:
+            return None
+        return cls(values, weights, width, order, ascending)
+
+
+def _horner(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``sum_n rows[n] z^n`` elementwise."""
+    out = rows[-1].copy()
+    for row in rows[-2::-1]:
+        out *= z
+        out += row
+    return out
+
+
 @dataclass(frozen=True)
 class WriteMarginResult:
     """Write-latency solve for one WER target.
@@ -166,11 +329,12 @@ class WriteKernel:
     Everything a write-pulse solve reads, and nothing else: the
     switching cells' rates and WER envelopes, with the stuck cells
     (zero rate) kept only as a count, since each adds WER 1 at any
-    pulse.  :meth:`ErrorRateAnalysis.write_margin` and the ECC pulse
-    inversion (:class:`repro.vaet.ecc.ECCAnalysis`) both solve on it.
-    It holds two population-sized arrays, not the analysis's dozen, so
-    :class:`repro.vaet.explorer.DesignSpaceExplorer` can keep a
-    :meth:`compact` copy for the sibling points of a sweep.
+    pulse, and the rates' :class:`MomentBins` (None for a small
+    population).  :meth:`ErrorRateAnalysis.write_margin` and the ECC
+    pulse inversion (:class:`repro.vaet.ecc.ECCAnalysis`) both solve on
+    it.  It holds two population-sized arrays, not the analysis's
+    dozen, so :class:`repro.vaet.explorer.DesignSpaceExplorer` can keep
+    a :meth:`compact` copy for the sibling points of a sweep.
 
     Args:
         rates: Precessional rate of each switching cell [1/s].
@@ -186,16 +350,83 @@ class WriteKernel:
         self.population = population
         self.stuck_fraction = stuck_fraction
         self.stuck_count = float(population - len(rates))
+        self.bins = MomentBins.build(
+            rates, envelope, WRITE_BIN_WIDTH, WRITE_BIN_ORDER
+        )
+        if self.bins is not None:
+            bins = self.bins
+            # The slope's series: sum_n n m_n z^(n-1).
+            self._slope_moments = (
+                np.arange(1, WRITE_BIN_ORDER)[:, None] * bins.moments[1:]
+            )
+            # No cell reaches WER 1 while 2 r_min t > log(max envelope).
+            self._cap_rate = 0.5 * math.log(float(envelope.max())) / float(
+                rates.min()
+            )
 
     def compact(self) -> "WriteKernel":
-        """A copy whose two arrays share one read-only block."""
+        """A copy whose two arrays share one read-only block (and whose
+        bins are this kernel's)."""
         block = np.stack((self.rates, self.envelope))
         block.flags.writeable = False
-        return WriteKernel(block[0], block[1], self.population,
-                           self.stuck_fraction)
+        kernel = copy.copy(self)
+        kernel.rates, kernel.envelope = block[0], block[1]
+        return kernel
 
     def write_pass(self, log_pulse: float):
         """One write-kernel pass: log mean cell WER and its slope in log t.
+
+        Binned when the remainder bound allows it (see the module
+        docstring), else :meth:`cell_pass`.
+        """
+        if self.bins is not None:
+            result = self._binned_pass(math.exp(log_pulse))
+            if result is not None:
+                return result
+        return self.cell_pass(log_pulse)
+
+    def _binned_pass(self, pulse: float):
+        """:meth:`cell_pass` from the bins, or None where its remainder
+        bound is too loose or a cell may reach the WER cap.
+
+        With x = 2 c t per bin and z = -x, the bin's WER sum is
+        e^-x P(z), P(z) = sum_n m_n z^n, and its sum of r WER is
+        c e^-x (P(z) + P'(z)).  Each cell's truncated series
+        e^(-x o) misses at most e^u u^N / N! with u = x |o|max, N the
+        order; the slope's sum misses c (1 + N/x) times that.
+        """
+        if pulse <= self._cap_rate:
+            return None
+        bins = self.bins
+        x = bins.centre * (2.0 * pulse)
+        z = -x
+        decay = np.exp(z)
+        series = _horner(bins.moments, z)
+        value = float(np.dot(decay, series))
+        series += _horner(self._slope_moments, z)
+        decay *= bins.centre
+        decay_rate = float(np.dot(decay, series))
+        u = x * bins.spread
+        remainder = np.exp(u - x)
+        remainder *= u ** WRITE_BIN_ORDER
+        remainder *= bins.moments[0]
+        remainder /= math.factorial(WRITE_BIN_ORDER)
+        value_bound = float(remainder.sum()) + _TINY * bins.total_weight
+        remainder *= bins.centre
+        remainder *= 1.0 + WRITE_BIN_ORDER / x
+        rate_bound = float(remainder.sum()) + (
+            _TINY * bins.total_weight * float(bins.centre[-1])
+            * (1.0 + bins.spread)
+        )
+        total = value + self.stuck_count
+        if not (value_bound <= BIN_RTOL * total
+                and rate_bound <= BIN_RTOL * decay_rate):
+            return None
+        return (math.log(total / self.population),
+                -2.0 * pulse * decay_rate / total)
+
+    def cell_pass(self, log_pulse: float):
+        """The write pass over every cell.
 
         WER_i = min(A_i e^(-2 r_i t), 1) over the switching cells, plus
         the stuck count.
@@ -242,6 +473,157 @@ class WriteKernel:
         )
 
 
+class ReadKernel:
+    """The Newton read kernel of one cell population.
+
+    The cells' ascending gains k (developed rate over the latch offset
+    sigma), read-only, and their :class:`MomentBins` (None for a small
+    population).  The mean cell RER at sense time t is the mean of
+    Phi(-k t).  Like :class:`WriteKernel`, it reads nothing of the
+    word, so sibling points share it.
+
+    Args:
+        gain: Ascending gains of the cells [1/s].
+    """
+
+    def __init__(self, gain: np.ndarray):
+        self.gain = gain
+        self.bins = MomentBins.build(
+            gain, None, READ_BIN_WIDTH, READ_BIN_ORDER, ascending=True
+        )
+        if self.bins is not None:
+            moments = self.bins.moments
+            # The slope's series pairs m_n with (n + 1) m_(n+1).
+            self._slope_moments = moments.copy()
+            self._slope_moments[:-1] += (
+                np.arange(1, READ_BIN_ORDER)[:, None] * moments[1:]
+            )
+
+    def newton_time(self, mean_rer: float, lo: float, hi: float, what: str):
+        """Newton solve of mean cell RER = ``mean_rer`` for a log sense
+        time; returns the root and the last pass.
+
+        Phi(-k_min t) bounds the mean from above: its root is a start at
+        or beyond the solution.
+        """
+        slowest = float(self.gain[0])
+        start = (
+            math.log(-ndtri(mean_rer) / slowest)
+            if mean_rer < 0.5 and slowest > 0.0 else lo
+        )
+        return newton_log_root(
+            self.read_pass, math.log(mean_rer), lo, hi, start, what
+        )
+
+    def read_pass(self, log_time: float):
+        """One read-kernel pass: log mean cell RER and its slope in log t.
+
+        Binned when the remainder bound allows it (see the module
+        docstring), else :meth:`cell_pass`.
+        """
+        if self.bins is not None:
+            result = self._binned_pass(math.exp(log_time))
+            if result is not None:
+                return result
+        return self.cell_pass(log_time)
+
+    def _binned_pass(self, sense_time: float):
+        """:meth:`cell_pass` from the bins, or None where its remainder
+        bound is too loose.
+
+        With y = c t per bin, a cell's Phi(-y (1 + o)) is Phi(-y) plus
+        phi(y) sum_(n>=1) (-y)^n He_(n-1)(y) o^n / n!, and its k phi(k t)
+        is c phi(y) (1 + o) sum_n (-y)^n He_n(y) o^n / n!.  The series
+        of order N misses at most v^N / N! max |He_(N-1)| phi over the
+        bin, v = y |o|max, and the slope's c (v^N / N! max |He_N| phi +
+        |o|max v^(N-1) / (N-1)! max |He_(N-1)| phi).  Past the largest
+        zero of He_(m+1), |He_m| phi falls, so its maximum sits at the
+        bin's low end y - v; below it Cramer's inequality bounds it.
+        """
+        bins = self.bins
+        order = READ_BIN_ORDER
+        y = bins.centre * sense_time
+        density = np.exp(-0.5 * np.square(y))
+        # terms[n] = (-y)^n He_n(y), by He's recurrence times (-y)^(n+1):
+        # terms[n+1] = -y^2 (terms[n] + n terms[n-1]).
+        terms = np.empty((order, len(y)))
+        terms[0] = 1.0
+        np.square(y, out=terms[1])
+        np.negative(terms[1], out=terms[1])
+        for n in range(1, order - 1):
+            np.multiply(terms[n - 1], n, out=terms[n + 1])
+            terms[n + 1] += terms[n]
+            terms[n + 1] *= terms[1]
+        # The value's series is -y sum_n (-y)^n He_n m_(n+1).
+        tails = sorted_sf(y * SQRT1_2, density)
+        density /= _SQRT_2PI
+        value = float(np.dot(tails, bins.moments[0])) - float(np.vdot(
+            terms[:-1], bins.moments[1:] * (y * density)
+        ))
+        density *= bins.centre
+        rate = float(np.vdot(terms, self._slope_moments * density))
+        v = y * bins.spread
+        low = y - v
+        near, far = _hermite_pair(low, order)
+        low_density = np.exp(-0.5 * np.square(low))
+        low_density /= _SQRT_2PI
+        cramer = np.exp(-0.25 * np.square(np.maximum(low, 0.0)))
+        cramer *= _CRAMER / _SQRT_2PI
+        near_peak = np.where(
+            low >= _HERMITE_ROOTS[0], np.abs(near) * low_density,
+            cramer * math.sqrt(math.factorial(order - 1)),
+        )
+        far_peak = np.where(
+            low >= _HERMITE_ROOTS[1], np.abs(far) * low_density,
+            cramer * math.sqrt(math.factorial(order)),
+        )
+        term = v ** order / math.factorial(order)
+        term *= bins.moments[0]
+        value_bound = float(np.dot(term, near_peak)) + _TINY * bins.total_weight
+        rate_bound = float(np.dot(term * bins.centre, far_peak + (
+            order * bins.spread / np.maximum(v, _TINY)) * near_peak
+        )) + _TINY * bins.total_weight * float(bins.centre[-1])
+        if not (value_bound <= BIN_RTOL * value
+                and rate_bound <= BIN_RTOL * rate):
+            return None
+        return (math.log(value / bins.total_weight),
+                -sense_time * rate / value)
+
+    def cell_pass(self, log_time: float):
+        """The read pass over every cell.
+
+        Mean Phi(-k t) over the cells and its slope
+        -t mean(k phi(k t)) / mean Phi(-k t).  With y = k t / sqrt(2),
+        one density exp(-y^2) serves both: the slope's phi and, over the
+        sorted gains, the erfc tails of
+        :func:`~repro.utils.normal.sorted_sf_sum`.  The pass walks the
+        gains in blocks of ``READ_BLOCK``, so each block's temporaries
+        stay in cache.
+        """
+        sense_time = math.exp(log_time)
+        scale = sense_time * SQRT1_2
+        gain = self.gain
+        total = weighted = 0.0
+        for start in range(0, len(gain), READ_BLOCK):
+            block = gain[start:start + READ_BLOCK]
+            scaled = np.multiply(block, scale)
+            density = np.exp(-np.square(scaled))
+            total += sorted_sf_sum(scaled, density)
+            weighted += float(np.dot(block, density))
+        if total <= 0.0:
+            return -math.inf, math.nan
+        slope = weighted * sense_time / _SQRT_2PI
+        return math.log(total / len(gain)), -slope / total
+
+
+#: Upper bounds on the largest zeros of He_N and He_(N+1), N the read
+#: order: past them |He_(N-1)| phi and |He_N| phi fall.
+_HERMITE_ROOTS = (
+    _largest_hermite_root(READ_BIN_ORDER),
+    _largest_hermite_root(READ_BIN_ORDER + 1),
+)
+
+
 class ErrorRateAnalysis:
     """WER/RER timing-margin solver bound to one Monte Carlo engine.
 
@@ -250,8 +632,8 @@ class ErrorRateAnalysis:
     (:func:`~repro.vaet.variation_model.normals_prefix`), shared with
     every analysis and Monte Carlo write of that seed in the process.
     The write solves run on :attr:`kernel`, the population's
-    :class:`WriteKernel`, and the read solve on its ascending sense
-    gains; the population-mean WER (:meth:`mean_cell_wer`, the ECC
+    :class:`WriteKernel`, and the read solve on :attr:`read_kernel`,
+    its :class:`ReadKernel`; the population-mean WER (:meth:`mean_cell_wer`, the ECC
     stuck-cell floor and the scalar reference) uses the full arrays.
     """
 
@@ -296,7 +678,7 @@ class ErrorRateAnalysis:
         self._developed_per_second = signals
         ordered /= self._capacitance_equiv
         ordered /= SENSE_MARGIN / 3.0
-        self._sense_gain = ordered
+        self.read_kernel = ReadKernel(ordered)
         self.kernel = WriteKernel(
             self._rates[self._switching], self._envelope[self._switching],
             len(self._rates), self._stuck_fraction,
@@ -304,10 +686,10 @@ class ErrorRateAnalysis:
 
     @classmethod
     def pinned(cls, engine: MonteCarloEngine,
-               sense_gain: np.ndarray) -> "ErrorRateAnalysis":
-        """A read solver over another analysis's ascending sense gains.
+               read_kernel: ReadKernel) -> "ErrorRateAnalysis":
+        """A read solver over another analysis's read kernel.
 
-        The gains read nothing of the word, so ``engine`` may be any
+        The kernel reads nothing of the word, so ``engine`` may be any
         array of the same node, subarray height and develop time.  With
         no cells to fall back on, it serves only the Newton
         :meth:`read_margin`:
@@ -316,8 +698,13 @@ class ErrorRateAnalysis:
         flag.
         """
         analysis = cls.__new__(cls)
-        analysis.engine, analysis._sense_gain = engine, sense_gain
+        analysis.engine, analysis.read_kernel = engine, read_kernel
         return analysis
+
+    @property
+    def _sense_gain(self) -> np.ndarray:
+        """The read kernel's ascending gains."""
+        return self.read_kernel.gain
 
     # -- writes -------------------------------------------------------
 
@@ -473,16 +860,8 @@ class ErrorRateAnalysis:
 
             log_time = brentq_log_root(gap, lo, hi, 1e-4, what)
         else:
-            # Phi(-k_min t) bounds the mean from above: its root is a
-            # start at or beyond the solution.
-            mean_rer = rer_target / self.engine.word_bits
-            slowest = float(self._sense_gain[0])
-            start = (
-                math.log(-ndtri(mean_rer) / slowest)
-                if mean_rer < 0.5 and slowest > 0.0 else lo
-            )
-            log_time, _ = newton_log_root(
-                self._read_pass, math.log(mean_rer), lo, hi, start, what
+            log_time, _ = self.read_kernel.newton_time(
+                rer_target / self.engine.word_bits, lo, hi, what
             )
         sense_time = math.exp(log_time)
         regen = self.engine.leaf.sense.delay - self.engine.leaf.sense.develop_time
@@ -490,27 +869,5 @@ class ErrorRateAnalysis:
         return ReadMarginResult(rer_target, sense_time, total)
 
     def _read_pass(self, log_time: float):
-        """One read-kernel pass: log mean cell RER and its slope in log t.
-
-        Mean Phi(-k t) over the cells, k = developed rate / sigma, and
-        its slope -t mean(k phi(k t)) / mean Phi(-k t).  With
-        y = k t / sqrt(2), one density exp(-y^2) serves both: the
-        slope's phi and, over the sorted gains, the erfc tails of
-        :func:`~repro.utils.normal.sorted_sf_sum`.  The pass walks the
-        gains in blocks of ``READ_BLOCK``, so each block's temporaries
-        stay in cache.
-        """
-        sense_time = math.exp(log_time)
-        scale = sense_time * SQRT1_2
-        gain = self._sense_gain
-        total = weighted = 0.0
-        for start in range(0, len(gain), READ_BLOCK):
-            block = gain[start:start + READ_BLOCK]
-            scaled = np.multiply(block, scale)
-            density = np.exp(-np.square(scaled))
-            total += sorted_sf_sum(scaled, density)
-            weighted += float(np.dot(block, density))
-        if total <= 0.0:
-            return -math.inf, math.nan
-        slope = weighted * sense_time / math.sqrt(2.0 * math.pi)
-        return math.log(total / len(gain)), -slope / total
+        """One read-kernel pass (:meth:`ReadKernel.read_pass`)."""
+        return self.read_kernel.read_pass(log_time)

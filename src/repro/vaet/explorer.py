@@ -18,8 +18,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.nvsim.config import MemoryConfig
 from repro.pdk.kit import ProcessDesignKit
 from repro.utils.serde import check_known_fields
@@ -27,6 +25,7 @@ from repro.utils.table import Table
 from repro.vaet.ecc import ECCAnalysis
 from repro.vaet.error_rates import (
     ErrorRateAnalysis,
+    ReadKernel,
     ReadMarginResult,
     WriteKernel,
 )
@@ -146,14 +145,14 @@ class _Population:
 
     Attributes:
         kernel: The compact write kernel of the ECC sweep.
-        sense_gain: The ascending sense gains of the read solve,
+        read_kernel: The read kernel of the read solve, its gains
             read-only.
         floor: The stuck-cell floor, ``mean_cell_wer(1.0)``.
         mean_inverse_tau: The read-disturb mean of 1/tau [1/s].
     """
 
     kernel: WriteKernel
-    sense_gain: np.ndarray
+    read_kernel: ReadKernel
     floor: float
     mean_inverse_tau: float
 
@@ -274,9 +273,9 @@ class DesignSpaceExplorer:
         a sibling point that differs only in the ECC axes pays only for
         its ECC sweep.  A miss builds its error population only if no
         recent point of the same population did: the last
-        ``PHYSICS_MEMO_ENTRIES`` population records (write kernel,
-        sense gains, stuck-cell floor, disturb mean 1/tau) are keyed by
-        what the population reads, ``(pdk, temperature, seed,
+        ``PHYSICS_MEMO_ENTRIES`` population records (write and read
+        kernels with their bins, stuck-cell floor, disturb mean 1/tau)
+        are keyed by what the population reads, ``(pdk, temperature, seed,
         error_population, fixed path resistance, develop time)``, so
         siblings that differ in word width, columns, ``num_words`` or
         the targets share one, and solve their read margin, disturb
@@ -366,7 +365,7 @@ class DesignSpaceExplorer:
         engine = tool.engine
         physics = self._solve(
             tool, estimate,
-            ErrorRateAnalysis.pinned(engine, population.sense_gain),
+            ErrorRateAnalysis.pinned(engine, population.read_kernel),
             ReadDisturbAnalysis.pinned(engine, population.mean_inverse_tau),
             population.kernel, population.floor,
         )
@@ -384,16 +383,16 @@ class DesignSpaceExplorer:
         if population is not _MISS:
             return population
         analysis = tool.error_rates()
-        kernel, gains = analysis.kernel, analysis._sense_gain
+        kernel, read_kernel = analysis.kernel, analysis.read_kernel
         floor = analysis.mean_cell_wer(1.0)
         mean_inverse_tau = tool.read_disturb().mean_inverse_tau
         # Free the population's cells, rates, signals and tau first, so
         # the kernel's block reuses their heap instead of growing it.
         del analysis
         tool.forget_analyses()
-        gains.flags.writeable = False
+        read_kernel.gain.flags.writeable = False
         population = _Population(
-            kernel.compact(), gains, floor, mean_inverse_tau
+            kernel.compact(), read_kernel, floor, mean_inverse_tau
         )
         _remember(_population_memo, key, population)
         return population

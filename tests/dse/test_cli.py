@@ -64,7 +64,13 @@ class TestSpecValidation:
         ({"kind": "memory", "axes": {"subarray_rowz": [128]}}, "subarray_rowz"),
         ({"kind": "system", "workloads": ["doom"]}, "doom"),
         ({"kind": "system", "scenarios": ["Half-SRAM"]}, "Half-SRAM"),
-    ], ids=["axis", "kernel", "scenario"])
+        ({"kind": "memory", "axes": {"subarray_rows": [128]},
+          "settings": {"nm": 45}}, "nm"),
+        ({"kind": "system", "settings": {"workloads": ["canneal"]}},
+         "workloads"),
+        ({"kind": "memory", "axes": {"subarray_rows": []}}, "subarray_rows"),
+    ], ids=["axis", "kernel", "scenario", "memory-setting", "system-setting",
+            "empty-axis"])
     def test_unknown_names_fail_with_one_line(self, tmp_path, spec, name):
         path = _write_spec(tmp_path, spec)
         with pytest.raises(SystemExit) as excinfo:
@@ -79,6 +85,17 @@ class TestSpecValidation:
                 main(argv)
             assert str(excinfo.value) == message
         assert not (tmp_path / "c").exists()
+
+    def test_unknown_setting_names_the_known_ones(self, tmp_path):
+        spec = dict(MEMORY_SPEC, settings={"nm": 45})
+        with pytest.raises(SystemExit) as excinfo:
+            load_spec(_write_spec(tmp_path, spec))
+        message = str(excinfo.value)
+        assert "unknown setting 'nm'; known: " in message
+        assert "node_nm" in message and "error_population" in message
+        # Names the spec or the flags set are not settings.
+        for taken in ("campaign_dir", "sampler", "resume"):
+            assert taken not in message.split("known: ")[1].split(", ")
 
     def test_removed_adaptive_sampler_fails_loudly(self, tmp_path):
         bad = dict(MEMORY_SPEC, sampler="adaptive")

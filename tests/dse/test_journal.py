@@ -27,7 +27,8 @@ from repro.dse import (
     register_target,
     run_checkpointed,
 )
-from repro.dse.journal import snapshot_path
+from repro.dse.journal import COMPACT_TAIL_SHARE, snapshot_path
+from repro.dse.runner import JobResult
 
 KEY = campaign_key({"kind": "journal-test", "axes": [["x", [0, 1, 2, 3]]]})
 
@@ -211,6 +212,40 @@ class TestCompaction:
         assert loaded.failed == 0
         for job, outcome in zip(jobs, results):
             assert loaded.entry(job.key)["ok"] is outcome.ok
+
+    def test_compactions_grow_apart_with_the_snapshot(self, tmp_path):
+        """A rewrite waits for a tail of ``COMPACT_TAIL_SHARE`` of the
+        snapshot's bytes, so rewrites grow geometrically apart instead
+        of landing every ``compact_threshold`` lines."""
+        path = str(tmp_path / "journal.jsonl")
+        points = 2000
+        state = CampaignState(path, KEY, total=points, compact_threshold=8)
+        journal = state._journal
+        rewrites = []
+        compact = journal.compact
+
+        def counting(begin_event, snapshot):
+            rewrites.append((journal.tail_bytes, journal.snapshot_bytes))
+            compact(begin_event, snapshot)
+
+        journal.compact = counting
+        for i in range(points):
+            job = Job("jrnl-echo", {"x": i})
+            state.record_started([job.key])
+            state.record(JobResult(job=job, ok=True, result=None, elapsed=1e-3))
+        state.close()
+        # One rewrite per 8 lines would be 500.
+        assert 10 < len(rewrites) < 60
+        for tail, snapshot in rewrites:
+            assert tail >= COMPACT_TAIL_SHARE * snapshot
+        assert rewrites[-1][1] == max(size for _, size in rewrites)
+        loaded = CampaignState.load(path)
+        assert loaded.done == points
+        # A resumed journal measures its snapshot and tail again.
+        assert loaded._journal.snapshot_bytes == os.path.getsize(
+            snapshot_path(path)
+        )
+        assert loaded._journal.tail_bytes == os.path.getsize(path)
 
     def test_save_compacts_on_demand(self, tmp_path):
         _, _, path = _complete_campaign(tmp_path, n=4)

@@ -40,6 +40,7 @@ def _snapshot(**overrides):
             "shared_s_per_point": 0.012,
             "deadline_ratio": 1.1,
             "grid_s_per_point": 0.1,
+            "cell_passes_per_point": 1,
         },
     }
     for dotted, value in overrides.items():
@@ -115,10 +116,11 @@ class TestCompare:
             "executors.pool_speedup": 0.5,
             "executors.serial_wall_s": 10.0,
             "executors.network_speedup": 0.5,
+            "evaluator.cell_passes_per_point": 20,
         })
         regressions, report = _compare(_snapshot(), current)
         assert regressions == []
-        assert report.count("(worse)") == 3
+        assert report.count("(worse)") == 4
 
     def test_zero_baseline_unchanged_is_clean(self):
         baseline = _snapshot(**{"evaluator.minor_faults_per_point": 0})

@@ -281,7 +281,7 @@ class TestPopulationRecords:
         tool = VAETSTT(ProcessDesignKit.for_node(45), CONFIGS[0], seed=SEED,
                        error_population=EFFORT["error_population"])
         analysis, disturb = tool.error_rates(), tool.read_disturb()
-        read = ErrorRateAnalysis.pinned(tool.engine, analysis._sense_gain)
+        read = ErrorRateAnalysis.pinned(tool.engine, analysis.read_kernel)
         bound = ReadDisturbAnalysis.pinned(tool.engine, disturb.mean_inverse_tau)
         for target in (1e-3, 1e-9, 1e-15):
             assert read.read_margin(target) == analysis.read_margin(target)
@@ -336,7 +336,7 @@ class TestBounds:
             # The physics records point at their population's kernel.
             assert any(record.kernel is kernel for kernel in kernels)
             for array in (record.kernel.rates, record.kernel.envelope,
-                          record.sense_gain):
+                          record.read_kernel.gain):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0.0
