@@ -78,14 +78,13 @@ from typing import Dict, List, Optional
 
 from repro.dse.cache import ResultCache
 from repro.dse.campaign import (
-    MODEL_SAMPLERS,
     _check_axis,
     _system_space,
+    _validate_memory,
     check_sampler,
     run_memory_campaign,
     run_system_campaign,
 )
-from repro.dse.fidelity import FIDELITY_MODES
 from repro.dse.checkpoint import CampaignState, journal_path
 from repro.dse.executors import CACHE_DIR_NAME, EXECUTOR_NAMES
 from repro.dse.retry import RetryPolicy
@@ -185,8 +184,12 @@ def load_spec(path: str) -> Dict:
                 % (path, name, ", ".join(known))
             )
     sampler = spec.get("sampler", "grid")
+    fidelity = spec.get("fidelity", "high")
     try:
-        check_sampler(sampler)
+        if kind == "memory":
+            _validate_memory(sampler, fidelity, spec.get("samples"))
+        else:
+            check_sampler(sampler)
     except ValueError as exc:
         raise SystemExit("spec %s: %s" % (path, exc))
     if kind == "system" and sampler != "grid":
@@ -194,22 +197,10 @@ def load_spec(path: str) -> Dict:
             'spec %s: resumable system campaigns are grid-only; use the '
             "explore_system API for surrogate cell selection" % path
         )
-    fidelity = spec.get("fidelity", "high")
-    if fidelity not in FIDELITY_MODES:
+    if kind == "system" and fidelity != "high":
         raise SystemExit(
-            "spec %s: unknown fidelity %r; known: %s"
-            % (path, fidelity, FIDELITY_MODES)
+            'spec %s: "fidelity" applies to memory campaigns only' % path
         )
-    if fidelity != "high":
-        if kind != "memory":
-            raise SystemExit(
-                'spec %s: "fidelity" applies to memory campaigns only' % path
-            )
-        if sampler in MODEL_SAMPLERS:
-            raise SystemExit(
-                'spec %s: fidelity %r requires a static sampler '
-                '("grid"/"lhs")' % (path, fidelity)
-            )
     if "promote_ranks" in spec:
         ranks = spec["promote_ranks"]
         if not isinstance(ranks, int) or isinstance(ranks, bool) or ranks < 0:

@@ -323,7 +323,9 @@ class CampaignState:
     # -- event replay ---------------------------------------------------
 
     def _apply(self, event: Dict) -> None:
-        """Fold one journal event into the in-memory state.
+        """Fold one journal event into the in-memory state: on replay,
+        and as :meth:`record_retry`, :meth:`quarantine` and
+        :meth:`release` record theirs.
 
         Every event is last-writer-wins on its key, so replaying a
         journal over a snapshot that already contains a prefix of it
@@ -435,23 +437,21 @@ class CampaignState:
         self, key: str, attempt: int, error: Optional[str], backoff: float
     ) -> None:
         """Journal one failed invocation that will be retried."""
-        self._bump_attempts(key, attempt)
         event = {"event": "retry", "key": key, "attempt": int(attempt),
                  "backoff": float(backoff)}
         if error is not None:
             # One line per event: keep the first line of the traceback.
             event["error"] = str(error).splitlines()[0] if error else error
+        self._apply(event)
         self._append(event)
 
     def quarantine(self, key: str, attempts: int) -> None:
         """Mark a point flaky: budget exhausted, excluded until released."""
         if key in self.quarantined:
             return
-        self.quarantined.add(key)
-        self._bump_attempts(key, attempts)
-        self._append(
-            {"event": "quarantine", "key": key, "attempts": int(attempts)}
-        )
+        event = {"event": "quarantine", "key": key, "attempts": int(attempts)}
+        self._apply(event)
+        self._append(event)
 
     def release(self, keys: Optional[Iterable[str]] = None) -> List[str]:
         """Re-release quarantined points (default: all of them).
@@ -467,12 +467,9 @@ class CampaignState:
         for key in chosen:
             if key not in self.quarantined:
                 continue
-            self.quarantined.discard(key)
-            self.attempts.pop(key, None)
-            entry = self.completed.get(key)
-            if entry is not None and not entry.get("ok"):
-                self.completed.pop(key)
-            self._append({"event": "release", "key": key})
+            event = {"event": "release", "key": key}
+            self._apply(event)
+            self._append(event)
             released.append(key)
         return released
 

@@ -17,14 +17,13 @@ grows with t, producing the diminishing returns of Fig. 8.
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from repro.utils.normal import binom_sf as bdtrc
 from repro.utils.roots import brentq
 from repro.vaet.error_rates import (
     ErrorRateAnalysis,
     UnreachableTargetError,
-    WriteKernel,
     brentq_log_root,
 )
 from repro.vaet.montecarlo import MonteCarloEngine
@@ -109,57 +108,38 @@ class ECCPoint:
 class ECCAnalysis:
     """Write-latency vs ECC strength study over one array.
 
-    Each t inverts the array's :class:`WriteKernel` with Newton, warm
+    Each t inverts the error population's write kernel
+    (:class:`~repro.vaet.error_rates.WriteKernel`) with Newton, warm
     started from the previous t's solve.  The warm start only moves the
     root within the Newton tolerance, yet that is enough to break
     bit-for-bit equality between runs that order points differently,
     so one instance serves one point's sweep: the explorer builds a
-    fresh one (:meth:`pinned`) per point even when sibling points share
-    the kernel.  Under ``REPRO_VAET_SCALAR`` the analysis's
-    population-mean WER is inverted with brentq instead.
+    fresh one per point even when sibling points share the population.
+    Under ``REPRO_VAET_SCALAR`` the population-mean WER is inverted
+    with brentq instead.
 
     Args:
-        analysis: The array's margin solver.
+        analysis: The error population and its margin solver.
+        engine: The array whose words are coded; by default the one the
+            population was drawn for.  The population reads nothing of
+            the word, so any array of the same node and subarray height
+            may share it.
     """
 
-    def __init__(self, analysis: ErrorRateAnalysis):
+    def __init__(self, analysis: ErrorRateAnalysis,
+                 engine: Optional[MonteCarloEngine] = None):
         self.analysis = analysis
-        self.engine = analysis.engine
-        self.kernel = analysis.kernel
-        self._floor = None
+        self.engine = analysis.engine if engine is None else engine
         # The last Newton pass: the per-bit budget rises with t, so the
         # previous solve's pulse brackets the next root from above.
         self._warm = None
 
-    @classmethod
-    def pinned(cls, engine: MonteCarloEngine, kernel: WriteKernel,
-               floor: float) -> "ECCAnalysis":
-        """A sweep over a kernel alone, its stuck-cell floor given.
-
-        ``floor`` is the analysis's ``mean_cell_wer(1.0)``.  With no
-        analysis to fall back on, this sweep has only the Newton path;
-        :class:`repro.vaet.explorer.DesignSpaceExplorer` builds one per
-        point from a memoised record and never under the scalar flag.
-        """
-        ecc = cls.__new__(cls)
-        ecc.analysis, ecc.engine, ecc.kernel = None, engine, kernel
-        ecc._floor, ecc._warm = floor, None
-        return ecc
-
-    @property
-    def floor(self) -> float:
-        """The stuck-cell floor no pulse gets the per-bit WER below."""
-        if self._floor is None:
-            # 1 s pulse: only stuck cells remain.
-            self._floor = self.analysis.mean_cell_wer(1.0)
-        return self._floor
-
     def _pulse_for_per_bit_wer(self, per_bit: float) -> float:
         """Invert the population-mean per-cell WER for a pulse width."""
-        if per_bit <= self.floor:
+        floor = self.analysis.wer_floor
+        if per_bit <= floor:
             raise UnreachableTargetError(
-                "per-bit WER %.1e below stuck-cell floor %.1e"
-                % (per_bit, self.floor)
+                "per-bit WER %.1e below stuck-cell floor %.1e" % (per_bit, floor)
             )
         lo, hi = math.log(5e-12), math.log(0.9)
         what = "per-bit WER %.1e" % per_bit
@@ -171,7 +151,7 @@ class ECCAnalysis:
                 return math.log(wer) - math.log(per_bit)
 
             return math.exp(brentq_log_root(gap, lo, hi, 1e-4, what))
-        log_pulse, self._warm = self.kernel.newton_pulse(
+        log_pulse, self._warm = self.analysis.kernel.newton_pulse(
             per_bit, lo, hi, what, start=self._warm
         )
         return math.exp(log_pulse)

@@ -16,16 +16,18 @@ instant is below the latch offset.  Longer sensing develops more
 signal, so RER falls with read period; the Gaussian signal/offset
 budget gives RER(t) in closed form.
 
-Both Newton solves run on kernels of the population: the write kernel
-(:class:`WriteKernel`) and the read kernel of ascending sense gains
-(:class:`ReadKernel`).  Neither reads the word width: a population is
-a function of the PDK, temperature, seed and size, the array's fixed
-path resistance and its sense develop time alone.  So
-:class:`repro.vaet.explorer.DesignSpaceExplorer` keeps them as
-population records that word-width, column and target siblings share,
-and solves each sibling afresh over them
-(:meth:`ErrorRateAnalysis.pinned`,
-:meth:`repro.vaet.ecc.ECCAnalysis.pinned`).
+One :class:`ErrorRateAnalysis` is the error population: everything
+the margin solves, the ECC sweep and the read-disturb bound read of
+the sampled cells.  Both Newton solves run on its kernels, the write
+kernel (:class:`WriteKernel`) and the read kernel of ascending sense
+gains (:class:`ReadKernel`).  The population reads nothing of the
+word: it is a function of the PDK, temperature, seed and size, the
+array's fixed path resistance and its sense develop time alone.  So
+the word-level solves take the array whose words they serve
+(``engine``), and :class:`repro.vaet.explorer.DesignSpaceExplorer`
+keeps one population for its word-width, column and target siblings,
+each of which builds its ECC sweep and disturb bound over it through
+their ordinary constructors.
 
 Binned passes.  A pass sums a smooth function of each cell's rate (or
 gain) over the whole population, so, as in the fast Gauss transform
@@ -50,9 +52,9 @@ always runs the per-cell pass.  Every solve of a kernel goes through the same
 ``write_pass``/``read_pass``, so there is no second solver path.
 """
 
-import copy
 import math
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -66,6 +68,7 @@ from repro.utils.normal import (
 )
 from repro.utils.roots import brentq
 from repro.vaet.montecarlo import MonteCarloEngine
+from repro.vaet.read_disturb import dwell_times
 from repro.vaet.variation_model import (
     CellSamples,
     normals_prefix,
@@ -330,26 +333,24 @@ class WriteKernel:
     switching cells' rates and WER envelopes, with the stuck cells
     (zero rate) kept only as a count, since each adds WER 1 at any
     pulse, and the rates' :class:`MomentBins` (None for a small
-    population).  :meth:`ErrorRateAnalysis.write_margin` and the ECC
-    pulse inversion (:class:`repro.vaet.ecc.ECCAnalysis`) both solve on
-    it.  It holds two population-sized arrays, not the analysis's
-    dozen, so :class:`repro.vaet.explorer.DesignSpaceExplorer` can keep
-    a :meth:`compact` copy for the sibling points of a sweep.
+    population).  :meth:`ErrorRateAnalysis.write_margin`, the ECC
+    pulse inversion (:class:`repro.vaet.ecc.ECCAnalysis`) and the
+    population-mean WER all read it.
 
     Args:
         rates: Precessional rate of each switching cell [1/s].
         envelope: WER envelope ``pi^2 Delta / 4`` of each switching cell.
         population: Cells sampled, stuck ones included.
-        stuck_fraction: Share of the population that never switches.
     """
 
     def __init__(self, rates: np.ndarray, envelope: np.ndarray,
-                 population: int, stuck_fraction: float):
+                 population: int):
         self.rates = rates
         self.envelope = envelope
         self.population = population
-        self.stuck_fraction = stuck_fraction
         self.stuck_count = float(population - len(rates))
+        #: Share of the population that never switches.
+        self.stuck_fraction = self.stuck_count / population
         self.bins = MomentBins.build(
             rates, envelope, WRITE_BIN_WIDTH, WRITE_BIN_ORDER
         )
@@ -363,15 +364,6 @@ class WriteKernel:
             self._cap_rate = 0.5 * math.log(float(envelope.max())) / float(
                 rates.min()
             )
-
-    def compact(self) -> "WriteKernel":
-        """A copy whose two arrays share one read-only block (and whose
-        bins are this kernel's)."""
-        block = np.stack((self.rates, self.envelope))
-        block.flags.writeable = False
-        kernel = copy.copy(self)
-        kernel.rates, kernel.envelope = block[0], block[1]
-        return kernel
 
     def write_pass(self, log_pulse: float):
         """One write-kernel pass: log mean cell WER and its slope in log t.
@@ -625,16 +617,32 @@ _HERMITE_ROOTS = (
 
 
 class ErrorRateAnalysis:
-    """WER/RER timing-margin solver bound to one Monte Carlo engine.
+    """The error population of one array, and its WER/RER margin solver.
 
-    Samples the error population once.  On the vectorised path its
-    cells are the first ``4 * population`` normals of the seed's stream
+    Samples the population once.  On the vectorised path its cells are
+    the first ``4 * population`` normals of the seed's stream
     (:func:`~repro.vaet.variation_model.normals_prefix`), shared with
     every analysis and Monte Carlo write of that seed in the process.
-    The write solves run on :attr:`kernel`, the population's
-    :class:`WriteKernel`, and the read solve on :attr:`read_kernel`,
-    its :class:`ReadKernel`; the population-mean WER (:meth:`mean_cell_wer`, the ECC
-    stuck-cell floor and the scalar reference) uses the full arrays.
+    The build reduces the cells to what every consumer reads: the write
+    kernel, the read kernel, the stuck-cell floor and the read-disturb
+    mean 1/tau.  The margin solves, the ECC sweep
+    (:class:`repro.vaet.ecc.ECCAnalysis`) and the disturb bound
+    (:class:`repro.vaet.read_disturb.ReadDisturbAnalysis`) all read
+    these; under ``REPRO_VAET_SCALAR`` the per-cell reference kernels
+    iterate the same kernel arrays, and brentq replaces Newton.
+
+    Attributes:
+        engine: The array the population was drawn for.
+        cells: Delta, R_P, drive strength and I_c0 of every cell, for
+            the per-cell readers (the Fig. 9 curve, retention faults);
+            None where a holder that keeps only the kernels (the
+            explorer's population memo) released them.
+        kernel: The :class:`WriteKernel`, its arrays one read-only block.
+        read_kernel: The :class:`ReadKernel`, its gains read-only.
+        wer_floor: The population-mean WER no pulse gets below,
+            ``mean_cell_wer(1.0)``: the stuck cells' share.
+        mean_inverse_tau: Population mean of 1/tau, the cells' mean
+            read-disturb dwell rate [1/s].
     """
 
     def __init__(self, engine: MonteCarloEngine, population: int = 200_000,
@@ -646,65 +654,50 @@ class ErrorRateAnalysis:
         else:
             normals = normals_prefix(seed, 4 * population)
             cells = variation.cells_from_normals(normals.reshape(4, -1))
-        self._rates = variation.switching_rates(cells)
+        rates = variation.switching_rates(cells)
         signals = variation.read_signal_currents(cells)
         # The readers of the cells past here (read disturb, retention
         # faults) take Delta, R_P, drive strength and I_c0 only.
-        self.cells: CellSamples = replace(
+        self.cells: Optional[CellSamples] = replace(
             cells, diameter=None, resistance_ap_write=None, rate_prefactor=None
         )
         del cells
-        # Pulse-independent factors, hoisted so the margin solvers (tens
-        # of word_wer/word_rer evaluations per brentq call) only pay for
-        # one exp/ndtr pass over the population per iteration.
-        self._switching = self._rates > 0.0
-        self._stuck_fraction = float(np.mean(self._rates <= 0.0))
-        self._envelope = (math.pi ** 2) * self.cells.delta / 4.0
+        # The disturb bound reads only the mean of 1/tau.
+        inverse_tau = dwell_times(variation, self.cells)
+        np.divide(1.0, inverse_tau, out=inverse_tau)
+        self.mean_inverse_tau = float(np.mean(inverse_tau))
+        del inverse_tau
+        # The switching cells' rates and envelopes pi^2 Delta / 4, in
+        # one read-only block.
+        switching = rates > 0.0
+        block = np.empty((2, int(np.count_nonzero(switching))))
+        np.compress(switching, rates, out=block[0])
+        np.compress(switching, self.cells.delta, out=block[1])
+        del rates, switching
+        block[1] *= math.pi ** 2
+        block[1] /= 4.0
+        block.flags.writeable = False
+        self.kernel = WriteKernel(block[0], block[1], population)
         # One sort gives both the median (np.median's two middle order
-        # statistics) and the Newton read kernel's per-cell k in
-        # Phi(-k t), ascending so that each erfc branch of a pass is one
-        # contiguous slice: dividing by positive constants keeps the
-        # order, and each k is the same two divisions as in draw order.
-        ordered = np.sort(signals)
-        middle = len(ordered) // 2
+        # statistics) and the read kernel's per-cell k in Phi(-k t),
+        # ascending so that each erfc branch of a pass is one contiguous
+        # slice: dividing by positive constants keeps the order.
+        signals.sort()
+        middle = len(signals) // 2
         self._nominal_signal = float(
-            ordered[middle] if len(ordered) % 2
-            else np.mean(ordered[middle - 1:middle + 1])
+            signals[middle] if len(signals) % 2
+            else np.mean(signals[middle - 1:middle + 1])
         )
         cdv = engine.leaf.sense.develop_time * self._nominal_signal
         # C such that t_nom develops dV across the nominal cell.
         self._capacitance_equiv = cdv / SENSE_MARGIN
+        # k = I / (C sigma), sigma the latch offset.
         signals /= self._capacitance_equiv
-        self._developed_per_second = signals
-        ordered /= self._capacitance_equiv
-        ordered /= SENSE_MARGIN / 3.0
-        self.read_kernel = ReadKernel(ordered)
-        self.kernel = WriteKernel(
-            self._rates[self._switching], self._envelope[self._switching],
-            len(self._rates), self._stuck_fraction,
-        )
-
-    @classmethod
-    def pinned(cls, engine: MonteCarloEngine,
-               read_kernel: ReadKernel) -> "ErrorRateAnalysis":
-        """A read solver over another analysis's read kernel.
-
-        The kernel reads nothing of the word, so ``engine`` may be any
-        array of the same node, subarray height and develop time.  With
-        no cells to fall back on, it serves only the Newton
-        :meth:`read_margin`:
-        :class:`repro.vaet.explorer.DesignSpaceExplorer` builds one per
-        point from a memoised population and never under the scalar
-        flag.
-        """
-        analysis = cls.__new__(cls)
-        analysis.engine, analysis.read_kernel = engine, read_kernel
-        return analysis
-
-    @property
-    def _sense_gain(self) -> np.ndarray:
-        """The read kernel's ascending gains."""
-        return self.read_kernel.gain
+        signals /= SENSE_MARGIN / 3.0
+        signals.flags.writeable = False
+        self.read_kernel = ReadKernel(signals)
+        # 1 s pulse: only stuck cells remain.
+        self.wer_floor = self.mean_cell_wer(1.0)
 
     # -- writes -------------------------------------------------------
 
@@ -720,50 +713,29 @@ class ErrorRateAnalysis:
             return 1.0
         if scalar_reference_enabled():
             return self._mean_cell_wer_scalar(pulse_width)
-        per_cell = self._envelope * np.exp(-2.0 * self._rates * pulse_width)
-        per_cell = np.where(self._switching, np.minimum(per_cell, 1.0), 1.0)
-        return float(np.mean(per_cell))
+        kernel = self.kernel
+        per_cell = kernel.envelope * np.exp(-2.0 * kernel.rates * pulse_width)
+        np.minimum(per_cell, 1.0, out=per_cell)
+        return (float(per_cell.sum()) + kernel.stuck_count) / kernel.population
 
     def _mean_cell_wer_scalar(self, pulse_width: float) -> float:
-        """Reference kernel: one cell at a time (``REPRO_VAET_SCALAR``)."""
-        terms = []
-        for envelope, rate, switching in zip(
-            self._envelope, self._rates, self._switching
-        ):
-            if switching:
-                terms.append(min(envelope * math.exp(-2.0 * rate * pulse_width), 1.0))
-            else:
-                terms.append(1.0)
-        return math.fsum(terms) / len(terms)
+        """Reference kernel: one cell at a time (``REPRO_VAET_SCALAR``),
+        each stuck cell counted as WER 1."""
+        kernel = self.kernel
+        terms = [
+            min(envelope * math.exp(-2.0 * rate * pulse_width), 1.0)
+            for envelope, rate in zip(kernel.envelope, kernel.rates)
+        ]
+        terms.append(kernel.stuck_count)
+        return math.fsum(terms) / kernel.population
 
-    def word_wer(self, pulse_width) -> float:
+    def word_wer(self, pulse_width: float) -> float:
         """Expected per-word WER at a per-phase pulse width.
 
         Population-averaged per-cell WER, union-bounded over the word.
-        Accepts a scalar pulse width (returns a float) or an array of
-        pulse widths (returns an array, one WER per pulse — the batch
-        fast path evaluates the whole sweep in one broadcast).
         """
-        if np.ndim(pulse_width) > 0:
-            return self._word_wer_batch(np.asarray(pulse_width, dtype=float))
         mean_wer = self.mean_cell_wer(float(pulse_width))
         return min(1.0, max(mean_wer * self.engine.word_bits, 1e-300))
-
-    def _word_wer_batch(self, pulse_widths: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`word_wer` over an array of pulse widths."""
-        pulses = pulse_widths[:, None]
-        per_cell = self._envelope[None, :] * np.exp(
-            -2.0 * self._rates[None, :] * pulses
-        )
-        per_cell = np.where(
-            self._switching[None, :], np.minimum(per_cell, 1.0), 1.0
-        )
-        mean_wer = np.where(
-            pulse_widths > 0.0, np.mean(per_cell, axis=1), 1.0
-        )
-        return np.minimum(
-            1.0, np.maximum(mean_wer * self.engine.word_bits, 1e-300)
-        )
 
     def write_margin(self, wer_target: float) -> WriteMarginResult:
         """Solve the pulse width for a per-word WER target.
@@ -776,7 +748,7 @@ class ErrorRateAnalysis:
         """
         if not 0.0 < wer_target < 1.0:
             raise ValueError("WER target must be in (0, 1)")
-        floor = self._stuck_fraction * self.engine.word_bits
+        floor = self.kernel.stuck_fraction * self.engine.word_bits
         if wer_target <= floor:
             raise UnreachableTargetError(
                 "WER target %.1e below the stuck-cell floor %.1e; "
@@ -800,49 +772,42 @@ class ErrorRateAnalysis:
 
     # -- reads ----------------------------------------------------------
 
-    def word_rer(self, sense_time, offset_sigma: float = None) -> float:
+    def word_rer(self, sense_time: float) -> float:
         """Expected per-word RER for a given development time.
 
         The developed differential of bit i is I_i * t / C; it must beat
-        a Gaussian latch offset.  RER_bit = Q((I_i t / C - 0) / sigma_os)
-        ... evaluated per sampled cell and union-bounded over the word.
-        Accepts a scalar sense time (returns a float) or an array of
-        sense times (returns an array, one RER per time).
+        a Gaussian latch offset sigma.  RER_bit = Q(I_i t / (C sigma)) =
+        Phi(-k_i t), k_i the read kernel's gain, evaluated per sampled
+        cell and union-bounded over the word.
         """
-        sigma = offset_sigma if offset_sigma is not None else SENSE_MARGIN / 3.0
-        if np.ndim(sense_time) > 0:
-            return self._word_rer_batch(np.asarray(sense_time, dtype=float), sigma)
         if sense_time <= 0.0:
             return 1.0
         if scalar_reference_enabled():
-            return self._word_rer_scalar(float(sense_time), sigma)
-        per_cell = ndtr(-(self._developed_per_second * sense_time / sigma))
+            return self._word_rer_scalar(float(sense_time), self.engine.word_bits)
+        per_cell = ndtr(-(self.read_kernel.gain * sense_time))
         return min(1.0, float(np.mean(per_cell)) * self.engine.word_bits)
 
-    def _word_rer_scalar(self, sense_time: float, sigma: float) -> float:
+    def _word_rer_scalar(self, sense_time: float, word_bits: int) -> float:
         """Reference kernel: one cell at a time (``REPRO_VAET_SCALAR``).
 
         Phi(-x) comes from libm's ``erfc``, independent of the numpy
         port the vectorised kernels use.
         """
-        terms = [
-            0.5 * math.erfc(developed * sense_time / sigma * SQRT1_2)
-            for developed in self._developed_per_second
-        ]
-        mean_rer = math.fsum(terms) / len(terms)
-        return min(1.0, mean_rer * self.engine.word_bits)
+        gains = self.read_kernel.gain
+        terms = [0.5 * math.erfc(gain * sense_time * SQRT1_2) for gain in gains]
+        return min(1.0, math.fsum(terms) / len(terms) * word_bits)
 
-    def _word_rer_batch(self, sense_times: np.ndarray, sigma: float) -> np.ndarray:
-        """Vectorised :meth:`word_rer` over an array of sense times."""
-        developed = self._developed_per_second[None, :] * sense_times[:, None]
-        per_cell = ndtr(-(developed / sigma))
-        mean_rer = np.where(
-            sense_times > 0.0, np.mean(per_cell, axis=1), 1.0
-        )
-        return np.minimum(1.0, mean_rer * self.engine.word_bits)
-
-    def read_margin(self, rer_target: float) -> ReadMarginResult:
+    def read_margin(self, rer_target: float,
+                    engine: Optional[MonteCarloEngine] = None
+                    ) -> ReadMarginResult:
         """Solve the sense time for a per-word RER target.
+
+        Args:
+            rer_target: Per-word read error rate target.
+            engine: The array whose words are read; by default the one
+                the population was drawn for.  The population reads
+                nothing of the word, so any array of the same node,
+                subarray height and develop time may share it.
 
         Raises:
             UnreachableTargetError: If no sense time in the bracket meets
@@ -850,24 +815,20 @@ class ErrorRateAnalysis:
         """
         if not 0.0 < rer_target < 1.0:
             raise ValueError("RER target must be in (0, 1)")
+        engine = self.engine if engine is None else engine
         lo, hi = math.log(1e-12), math.log(1e-6)
         what = "RER target %.1e" % rer_target
         if scalar_reference_enabled():
             def gap(log_time: float) -> float:
-                return math.log(
-                    max(self.word_rer(math.exp(log_time)), 1e-300)
-                ) - math.log(rer_target)
+                rer = self._word_rer_scalar(math.exp(log_time), engine.word_bits)
+                return math.log(max(rer, 1e-300)) - math.log(rer_target)
 
             log_time = brentq_log_root(gap, lo, hi, 1e-4, what)
         else:
             log_time, _ = self.read_kernel.newton_time(
-                rer_target / self.engine.word_bits, lo, hi, what
+                rer_target / engine.word_bits, lo, hi, what
             )
         sense_time = math.exp(log_time)
-        regen = self.engine.leaf.sense.delay - self.engine.leaf.sense.develop_time
-        total = self.engine._overhead + sense_time + regen
+        regen = engine.leaf.sense.delay - engine.leaf.sense.develop_time
+        total = engine._overhead + sense_time + regen
         return ReadMarginResult(rer_target, sense_time, total)
-
-    def _read_pass(self, log_time: float):
-        """One read-kernel pass (:meth:`ReadKernel.read_pass`)."""
-        return self.read_kernel.read_pass(log_time)

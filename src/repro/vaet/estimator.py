@@ -103,9 +103,9 @@ class VAETSTT:
         )
         self.seed = seed
         self.error_population = error_population
-        self._error_analyses: dict = {}
-        self._ecc_analyses: dict = {}
-        self._disturb_analyses: dict = {}
+        self._error_rates: Optional[ErrorRateAnalysis] = None
+        self._ecc: Optional[ECCAnalysis] = None
+        self._disturb: Optional[ReadDisturbAnalysis] = None
 
     def estimate(
         self, num_words: int = 4000, seed: Optional[int] = None
@@ -142,33 +142,23 @@ class VAETSTT:
             read_energy=summarize(reads.energy),
         )
 
-    def error_rates(self, seed: Optional[int] = None) -> ErrorRateAnalysis:
-        """The Fig. 7 margin solver (cached per seed — sampling is heavy)."""
-        key = self.seed if seed is None else seed
-        if key not in self._error_analyses:
-            self._error_analyses[key] = ErrorRateAnalysis(
-                self.engine, population=self.error_population, seed=key
+    def error_rates(self) -> ErrorRateAnalysis:
+        """The Fig. 7 margin solver over the tool's error population
+        (built once per tool: sampling is heavy)."""
+        if self._error_rates is None:
+            self._error_rates = ErrorRateAnalysis(
+                self.engine, population=self.error_population, seed=self.seed
             )
-        return self._error_analyses[key]
+        return self._error_rates
 
     def ecc(self) -> ECCAnalysis:
-        """The Fig. 8 ECC study (cached per seed, like the margin solver)."""
-        key = self.seed
-        if key not in self._ecc_analyses:
-            self._ecc_analyses[key] = ECCAnalysis(self.error_rates())
-        return self._ecc_analyses[key]
+        """The Fig. 8 ECC study over the tool's error population."""
+        if self._ecc is None:
+            self._ecc = ECCAnalysis(self.error_rates())
+        return self._ecc
 
     def read_disturb(self) -> ReadDisturbAnalysis:
-        """The Fig. 9 read-disturb study (cached per seed — its
-        per-cell dwell-time pass over the population is heavy)."""
-        key = self.seed
-        if key not in self._disturb_analyses:
-            self._disturb_analyses[key] = ReadDisturbAnalysis(self.error_rates())
-        return self._disturb_analyses[key]
-
-    def forget_analyses(self) -> None:
-        """Drop the cached margin, ECC and disturb analyses, and with
-        them the error population, once the caller holds what it needs."""
-        self._error_analyses.clear()
-        self._ecc_analyses.clear()
-        self._disturb_analyses.clear()
+        """The Fig. 9 read-disturb study over the tool's error population."""
+        if self._disturb is None:
+            self._disturb = ReadDisturbAnalysis(self.error_rates())
+        return self._disturb

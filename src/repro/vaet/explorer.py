@@ -16,19 +16,14 @@ and reports the latency/energy/area frontier.
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from repro.nvsim.config import MemoryConfig
 from repro.pdk.kit import ProcessDesignKit
 from repro.utils.serde import check_known_fields
 from repro.utils.table import Table
 from repro.vaet.ecc import ECCAnalysis
-from repro.vaet.error_rates import (
-    ErrorRateAnalysis,
-    ReadKernel,
-    ReadMarginResult,
-    WriteKernel,
-)
+from repro.vaet.error_rates import ErrorRateAnalysis, ReadMarginResult
 from repro.vaet.estimator import DEFAULT_SEED, VAETSTT
 from repro.vaet.montecarlo import MonteCarloEngine
 from repro.vaet.read_disturb import ReadDisturbAnalysis
@@ -135,29 +130,6 @@ class DesignPoint:
 
 
 @dataclass(frozen=True)
-class _Population:
-    """One error population, reduced to what the solves read of it.
-
-    The population reads nothing of the word width, the columns or the
-    targets, so every such sibling of a node, subarray height and seed
-    shares one record.  It holds no solver state: each point builds its
-    own solvers over it.
-
-    Attributes:
-        kernel: The compact write kernel of the ECC sweep.
-        read_kernel: The read kernel of the read solve, its gains
-            read-only.
-        floor: The stuck-cell floor, ``mean_cell_wer(1.0)``.
-        mean_inverse_tau: The read-disturb mean of 1/tau [1/s].
-    """
-
-    kernel: WriteKernel
-    read_kernel: ReadKernel
-    floor: float
-    mean_inverse_tau: float
-
-
-@dataclass(frozen=True)
 class _Physics:
     """The WER-independent stage of one point: everything but the ECC
     choice, which alone reads ``wer_target`` and ``max_ecc_bits``.
@@ -169,9 +141,7 @@ class _Physics:
         read: The read-margin solve at the RER target.
         disturb_ok: Whether its sense time respects the disturb budget.
         engine: The array's Monte Carlo engine (word width, overheads).
-        kernel: The error population's write kernel (on the vectorised
-            path, its record's).
-        floor: Its stuck-cell floor, ``mean_cell_wer(1.0)``.
+        population: The error population the ECC sweep solves on.
     """
 
     area: float
@@ -180,17 +150,16 @@ class _Physics:
     read: ReadMarginResult
     disturb_ok: bool
     engine: MonteCarloEngine
-    kernel: WriteKernel
-    floor: float
+    population: ErrorRateAnalysis
 
 
-#: WER-independent records, and population records, kept for sibling
+#: WER-independent records, and error populations, kept for sibling
 #: points.  In every grid of the repo a point's siblings sit 1-4
 #: positions apart, with at most two keys of either kind interleaved.
 PHYSICS_MEMO_ENTRIES = 2
 
 _physics_memo: "OrderedDict[tuple, Optional[_Physics]]" = OrderedDict()
-_population_memo: "OrderedDict[tuple, _Population]" = OrderedDict()
+_population_memo: "OrderedDict[tuple, ErrorRateAnalysis]" = OrderedDict()
 _physics_lock = threading.Lock()
 
 
@@ -198,11 +167,14 @@ _MISS = object()
 
 
 def _recall(memo: OrderedDict, key: tuple):
-    """The record under ``key``, made the newest, or ``_MISS``.
+    """The record under ``key``, made the newest, or ``_MISS``; always
+    ``_MISS`` under ``REPRO_VAET_SCALAR``, which keeps no records.
 
     A miss drops the records the caller's new one will evict now, so
     their arrays are freed before the new one's are allocated.
     """
+    if scalar_reference_enabled():
+        return _MISS
     with _physics_lock:
         record = memo.get(key, _MISS)
         if record is _MISS:
@@ -214,6 +186,8 @@ def _recall(memo: OrderedDict, key: tuple):
 
 
 def _remember(memo: OrderedDict, key: tuple, record) -> None:
+    if scalar_reference_enabled():
+        return
     with _physics_lock:
         memo[key] = record
         while len(memo) > PHYSICS_MEMO_ENTRIES:
@@ -221,9 +195,9 @@ def _remember(memo: OrderedDict, key: tuple, record) -> None:
 
 
 def clear_physics_memo() -> None:
-    """Forget every memoised WER-independent record and population
-    record, and the cached standard normals and read blocks they were
-    drawn from, so the next point pays for all of its physics."""
+    """Forget every memoised WER-independent record and error
+    population, and the cached standard normals and read blocks they
+    were drawn from, so the next point pays for all of its physics."""
     with _physics_lock:
         _physics_memo.clear()
         _population_memo.clear()
@@ -263,35 +237,38 @@ class DesignSpaceExplorer:
         Two stages.  The WER-independent one draws the point's
         populations and solves everything that neither ``wer_target``
         nor ``max_ecc_bits`` touches: nominal area, MC energy means,
-        read margin, read disturb, and the stuck-cell floor and write
-        kernel of the ECC sweep.  The ECC choice then solves the pulse
-        for t = 0..``max_ecc_bits`` on a fresh sweep.
+        read margin and read disturb.  The ECC choice then solves the
+        pulse for t = 0..``max_ecc_bits`` on a fresh sweep over the
+        point's error population.
 
-        The last ``PHYSICS_MEMO_ENTRIES`` WER-independent records stay
-        in a process-level memo keyed by ``(pdk, config, seed,
-        num_words, error_population, rer_target, disturb_budget)``, so
-        a sibling point that differs only in the ECC axes pays only for
-        its ECC sweep.  A miss builds its error population only if no
-        recent point of the same population did: the last
-        ``PHYSICS_MEMO_ENTRIES`` population records (write and read
-        kernels with their bins, stuck-cell floor, disturb mean 1/tau)
-        are keyed by what the population reads, ``(pdk, temperature, seed,
-        error_population, fixed path resistance, develop time)``, so
-        siblings that differ in word width, columns, ``num_words`` or
-        the targets share one, and solve their read margin, disturb
-        bound and ECC sweep on it afresh.  The result stays a pure
-        function of the arguments.  A miss draws neither its MC writes'
-        normals, nor its MC reads' (unless it is the first of its seed
-        and word-cell count), nor its population's: all are held by the
+        Both stages have one route.  The last ``PHYSICS_MEMO_ENTRIES``
+        WER-independent records stay in a process-level memo keyed by
+        ``(pdk, config, seed, num_words, error_population, rer_target,
+        disturb_budget)``, so a sibling point that differs only in the
+        ECC axes pays only for its ECC sweep.  A miss builds its error
+        population (:class:`~repro.vaet.error_rates.ErrorRateAnalysis`)
+        only if no recent point of the same population did: the last
+        ``PHYSICS_MEMO_ENTRIES`` populations, their cells released so
+        that only their kernels, bins, stuck-cell floor and disturb
+        mean 1/tau remain, are keyed by what the population reads,
+        ``(pdk, temperature, seed, error_population, fixed path
+        resistance, develop time)``.  Siblings that differ in word
+        width, columns, ``num_words`` or the targets thus share one,
+        and each solves its read margin, disturb bound and ECC sweep
+        on it for its own array.  The result stays a pure function of
+        the arguments.  A miss draws neither its MC writes' normals,
+        nor its MC reads' (unless it is the first of its seed and
+        word-cell count), nor its population's: all are held by the
         seed's process-level stream
         (:func:`~repro.vaet.variation_model.standard_normals`,
         :func:`~repro.vaet.variation_model.read_blocks`), which every
         point of that seed shares, with the values it would have drawn
         itself.  :func:`clear_physics_memo` empties both memos and the
-        stream.  Under ``REPRO_VAET_SCALAR`` all are bypassed and every
-        point recomputes everything.  Under ``--deadline`` the points
-        run in one reused evaluation child per executor slot, whose
-        memos serve them the same way.
+        stream.  Under ``REPRO_VAET_SCALAR`` the same route runs the
+        scalar reference kernels and neither memo serves or keeps a
+        record, so every point recomputes everything.  Under
+        ``--deadline`` the points run in one reused evaluation child
+        per executor slot, whose memos serve them the same way.
 
         Args:
             config: The organisation to evaluate.
@@ -299,15 +276,10 @@ class DesignSpaceExplorer:
                 tool seed, preserving historic sweep outputs).
         """
         seed = DEFAULT_SEED if seed is None else seed
-        if scalar_reference_enabled():
-            physics, ecc = self._physics(config, seed)
-        else:
-            physics = self._memoised_physics(config, seed)
-            ecc = None if physics is None else ECCAnalysis.pinned(
-                physics.engine, physics.kernel, physics.floor
-            )
+        physics = self._physics(config, seed)
         if physics is None:
             return None
+        ecc = ECCAnalysis(physics.population, physics.engine)
         best: Optional[DesignPoint] = None
         for t in range(self.constraints.max_ecc_bits + 1):
             try:
@@ -328,29 +300,9 @@ class DesignSpaceExplorer:
                 best = candidate
         return best
 
-    def _physics(
-        self, config: MemoryConfig, seed: int
-    ) -> Tuple[Optional[_Physics], ECCAnalysis]:
-        """The WER-independent stage, computed afresh on the point's full
-        analyses (the ``REPRO_VAET_SCALAR`` path).
-
-        Returns the record (None if the read target is unreachable) and
-        an ECC sweep over the point's full error-rate analysis.
-        """
-        tool = self._tool(config, seed)
-        estimate = tool.estimate(num_words=self.num_words)
-        ecc = tool.ecc()
-        physics = self._solve(
-            tool, estimate, tool.error_rates(), tool.read_disturb(),
-            ecc.kernel, ecc.floor,
-        )
-        return physics, ecc
-
-    def _memoised_physics(
-        self, config: MemoryConfig, seed: int
-    ) -> Optional[_Physics]:
-        """The WER-independent stage through the memo, solved on a
-        population record."""
+    def _physics(self, config: MemoryConfig, seed: int) -> Optional[_Physics]:
+        """The WER-independent stage through its memo; None if the read
+        target is unreachable."""
         constraints = self.constraints
         key = (
             self.pdk, config, seed, self.num_words, self.error_population,
@@ -359,20 +311,33 @@ class DesignSpaceExplorer:
         physics = _recall(_physics_memo, key)
         if physics is not _MISS:
             return physics
-        tool = self._tool(config, seed)
+        tool = VAETSTT(
+            self.pdk, config, seed=seed, error_population=self.error_population
+        )
         estimate = tool.estimate(num_words=self.num_words)
         population = self._population(tool)
         engine = tool.engine
-        physics = self._solve(
-            tool, estimate,
-            ErrorRateAnalysis.pinned(engine, population.read_kernel),
-            ReadDisturbAnalysis.pinned(engine, population.mean_inverse_tau),
-            population.kernel, population.floor,
-        )
+        try:
+            read = population.read_margin(constraints.rer_target, engine)
+        except ValueError:
+            physics = None
+        else:
+            period_cap = ReadDisturbAnalysis(population, engine).max_read_period(
+                constraints.disturb_budget
+            )
+            physics = _Physics(
+                area=estimate.nominal.area,
+                write_energy=estimate.write_energy.mean,
+                read_energy=estimate.read_energy.mean,
+                read=read,
+                disturb_ok=read.sense_time <= period_cap,
+                engine=engine,
+                population=population,
+            )
         _remember(_physics_memo, key, physics)
         return physics
 
-    def _population(self, tool: VAETSTT) -> _Population:
+    def _population(self, tool: VAETSTT) -> ErrorRateAnalysis:
         """The error population of ``tool``'s point, through its memo."""
         variation = tool.variation
         key = (
@@ -380,50 +345,14 @@ class DesignSpaceExplorer:
             variation._fixed_path_r, tool.engine.leaf.sense.develop_time,
         )
         population = _recall(_population_memo, key)
-        if population is not _MISS:
-            return population
-        analysis = tool.error_rates()
-        kernel, read_kernel = analysis.kernel, analysis.read_kernel
-        floor = analysis.mean_cell_wer(1.0)
-        mean_inverse_tau = tool.read_disturb().mean_inverse_tau
-        # Free the population's cells, rates, signals and tau first, so
-        # the kernel's block reuses their heap instead of growing it.
-        del analysis
-        tool.forget_analyses()
-        read_kernel.gain.flags.writeable = False
-        population = _Population(
-            kernel.compact(), read_kernel, floor, mean_inverse_tau
-        )
-        _remember(_population_memo, key, population)
+        if population is _MISS:
+            population = ErrorRateAnalysis(
+                tool.engine, population=self.error_population, seed=tool.seed
+            )
+            # No solver reads the cells: the memo keeps the kernels only.
+            population.cells = None
+            _remember(_population_memo, key, population)
         return population
-
-    def _tool(self, config: MemoryConfig, seed: int) -> VAETSTT:
-        return VAETSTT(
-            self.pdk, config, seed=seed, error_population=self.error_population
-        )
-
-    def _solve(
-        self, tool: VAETSTT, estimate, analysis: ErrorRateAnalysis,
-        disturb: ReadDisturbAnalysis, kernel: WriteKernel, floor: float,
-    ) -> Optional[_Physics]:
-        """The point's record from its estimate and population solvers;
-        None if the read target is unreachable."""
-        constraints = self.constraints
-        try:
-            read = analysis.read_margin(constraints.rer_target)
-        except ValueError:
-            return None
-        period_cap = disturb.max_read_period(constraints.disturb_budget)
-        return _Physics(
-            area=estimate.nominal.area,
-            write_energy=estimate.write_energy.mean,
-            read_energy=estimate.read_energy.mean,
-            read=read,
-            disturb_ok=read.sense_time <= period_cap,
-            engine=tool.engine,
-            kernel=kernel,
-            floor=floor,
-        )
 
     def sweep_subarrays(
         self,

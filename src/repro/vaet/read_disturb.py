@@ -14,14 +14,39 @@ variation (weak cells dominate, as always).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.thermal import ATTEMPT_TIME
 from repro.nvsim.subarray import READ_BIAS
-from repro.vaet.error_rates import ErrorRateAnalysis
-from repro.vaet.montecarlo import MonteCarloEngine
+
+
+def dwell_times(variation, cells) -> np.ndarray:
+    """Each cell's mean time to a read-disturb flip, tau [s].
+
+    tau = tau0 exp(min(Delta (1 - min(I_read / I_c0, 0.999)), 700)) with
+    I_read = V_read / (R_P + R_fixed / sqrt(strength)), built in one
+    array in place.
+
+    Args:
+        variation: The :class:`~repro.vaet.variation_model.VariationModel`
+            the cells were drawn from (its fixed path resistance).
+        cells: Cells with Delta, R_P, drive strength and I_c0.
+    """
+    tau = np.sqrt(cells.drive_strength)
+    np.divide(variation._fixed_path_r, tau, out=tau)
+    tau += cells.resistance_p
+    np.divide(READ_BIAS, tau, out=tau)
+    tau /= cells.critical_current
+    np.minimum(tau, 0.999, out=tau)
+    np.subtract(1.0, tau, out=tau)
+    tau *= cells.delta
+    np.minimum(tau, 700.0, out=tau)
+    np.exp(tau, out=tau)
+    tau *= ATTEMPT_TIME
+    return tau
 
 
 @dataclass(frozen=True)
@@ -40,45 +65,28 @@ class ReadDisturbPoint:
 
 
 class ReadDisturbAnalysis:
-    """Read-disturb probability vs read period for one array."""
+    """Read-disturb probability vs read period for one array.
 
-    def __init__(self, analysis: ErrorRateAnalysis):
+    Args:
+        analysis: The error population
+            (:class:`~repro.vaet.error_rates.ErrorRateAnalysis`), whose
+            mean 1/tau the disturb bound reads.
+        engine: The array whose words are read; by default the one the
+            population was drawn for.  The population reads nothing of
+            the word, so any array of the same node and subarray height
+            may share it.
+    """
+
+    def __init__(self, analysis, engine=None):
         self.analysis = analysis
-        self.engine = analysis.engine
-        cells = analysis.cells
-        # tau = tau0 exp(min(Delta (1 - min(I_read / I_c0, 0.999)), 700))
-        # with I_read = V_read / (R_P + R_fixed / sqrt(strength)), built
-        # in one array in place.
-        tau = np.sqrt(cells.drive_strength)
-        np.divide(self.engine.variation._fixed_path_r, tau, out=tau)
-        tau += cells.resistance_p
-        np.divide(READ_BIAS, tau, out=tau)
-        tau /= cells.critical_current
-        np.minimum(tau, 0.999, out=tau)
-        np.subtract(1.0, tau, out=tau)
-        tau *= cells.delta
-        np.minimum(tau, 700.0, out=tau)
-        np.exp(tau, out=tau)
-        tau *= ATTEMPT_TIME
-        self._tau = tau
+        self.engine = analysis.engine if engine is None else engine
         #: Population mean of 1/tau, all :meth:`max_read_period` reads.
-        self.mean_inverse_tau = float(np.mean(1.0 / tau))
+        self.mean_inverse_tau = analysis.mean_inverse_tau
 
-    @classmethod
-    def pinned(cls, engine: MonteCarloEngine,
-               mean_inverse_tau: float) -> "ReadDisturbAnalysis":
-        """The disturb bound of a population held as its mean 1/tau.
-
-        It reads nothing of the word, so ``engine`` may be any array of
-        the same node and subarray height.  It serves
-        :meth:`max_read_period` only;
-        :class:`repro.vaet.explorer.DesignSpaceExplorer` builds one per
-        point from a memoised population.
-        """
-        disturb = cls.__new__(cls)
-        disturb.analysis, disturb.engine = None, engine
-        disturb.mean_inverse_tau = mean_inverse_tau
-        return disturb
+    @cached_property
+    def _tau(self) -> np.ndarray:
+        """Every cell's tau, for the Fig. 9 curve (needs the cells)."""
+        return dwell_times(self.analysis.engine.variation, self.analysis.cells)
 
     def per_bit_probability(self, read_period: float) -> float:
         """Population-mean per-bit disturb probability for one read."""

@@ -149,7 +149,8 @@ class TestBinomSf:
 def _unsorted_pass(analysis, log_time):
     """The read pass over the cells in draw order, Phi by plain ndtr."""
     sense_time = math.exp(log_time)
-    gain = analysis._developed_per_second / (SENSE_MARGIN / 3.0)
+    signals = analysis.engine.variation.read_signal_currents(analysis.cells)
+    gain = signals / analysis._capacitance_equiv / (SENSE_MARGIN / 3.0)
     scaled = gain * -sense_time
     total = float(normal.ndtr(scaled).sum())
     if total <= 0.0:
@@ -168,14 +169,15 @@ class TestSortedReadPass:
         return ErrorRateAnalysis(tool.engine, population=100_000, seed=11)
 
     def test_spans_several_blocks(self, analysis):
-        assert len(analysis._sense_gain) > 3 * READ_BLOCK
-        assert (np.diff(analysis._sense_gain) >= 0.0).all()
+        gain = analysis.read_kernel.gain
+        assert len(gain) > 3 * READ_BLOCK
+        assert (np.diff(gain) >= 0.0).all()
 
     @pytest.mark.parametrize("target", [1e-2, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-18])
     def test_matches_the_unsorted_pass(self, analysis, target):
         log_time = math.log(analysis.read_margin(target).sense_time)
         for shift in (-3.0, -1.0, -0.1, 0.0, 0.1, 1.0):
-            log_f, slope = analysis._read_pass(log_time + shift)
+            log_f, slope = analysis.read_kernel.read_pass(log_time + shift)
             want_log_f, want_slope = _unsorted_pass(analysis, log_time + shift)
             assert log_f == pytest.approx(want_log_f, rel=1e-13, abs=0.0)
             assert slope == pytest.approx(want_slope, rel=1e-13, abs=0.0)
@@ -195,11 +197,10 @@ class TestSortedReadPass:
         gain = np.sort(developed / (SENSE_MARGIN / 3.0))
         assert analysis._nominal_signal == nominal
         assert analysis._capacitance_equiv == capacitance
-        assert np.array_equal(analysis._developed_per_second, developed)
-        assert np.array_equal(analysis._sense_gain, gain)
+        assert np.array_equal(analysis.read_kernel.gain, gain)
 
     def test_every_cell_past_underflow(self, analysis):
-        log_f, slope = analysis._read_pass(math.log(1e-6))
+        log_f, slope = analysis.read_kernel.read_pass(math.log(1e-6))
         assert log_f == -math.inf and math.isnan(slope)
         assert _unsorted_pass(analysis, math.log(1e-6))[0] == -math.inf
 

@@ -17,7 +17,6 @@ import pytest
 import repro.vaet.explorer as explorer_module
 from repro.nvsim import MemoryConfig
 from repro.pdk.kit import ProcessDesignKit
-from repro.vaet import error_rates
 from repro.vaet.ecc import ECCAnalysis
 from repro.vaet.error_rates import (
     MomentBins,
@@ -52,18 +51,15 @@ def _roots(node, rows, population):
     """The analysis and every ECC pulse and read sense time the grid
     solves on this population, as log times."""
     analysis = _tool(node, rows, population).error_rates()
-    floor = analysis.mean_cell_wer(1.0)
     pulses, sense_times = [], []
     for word_bits in WORD_BITS:
         engine = _tool(node, rows, population, word_bits).engine
         for wer in WER_TARGETS:
-            ecc = ECCAnalysis.pinned(engine, analysis.kernel, floor)
+            ecc = ECCAnalysis(analysis, engine)
             for point in ecc.sweep(MAX_ECC_BITS, wer):
                 pulses.append(math.log(point.pulse_width))
-        read = error_rates.ErrorRateAnalysis.pinned(
-            engine, analysis.read_kernel
-        )
-        sense_times.append(math.log(read.read_margin(RER_TARGET).sense_time))
+        read = analysis.read_margin(RER_TARGET, engine)
+        sense_times.append(math.log(read.sense_time))
     return analysis, pulses, sense_times
 
 
@@ -110,13 +106,6 @@ class TestBinnedPasses:
         assert _pin(
             kernel._binned_pass, kernel.cell_pass, sense_times
         ) == len(sense_times)
-
-    def test_compact_copy_shares_the_bins(self, population):
-        kernel = population[0].kernel
-        compact = kernel.compact()
-        assert compact.bins is kernel.bins
-        for log_pulse in population[1][:4]:
-            assert compact.write_pass(log_pulse) == kernel.write_pass(log_pulse)
 
 
 class _Spy:
@@ -199,9 +188,7 @@ def _grid(explorer_of):
                     physics = next(reversed(
                         explorer_module._physics_memo.values()
                     ))
-                    ecc = ECCAnalysis.pinned(
-                        physics.engine, physics.kernel, physics.floor
-                    )
+                    ecc = ECCAnalysis(physics.population, physics.engine)
                     pulses = [p.pulse_width for p in ecc.sweep(MAX_ECC_BITS, wer)]
                     out[(node, rows, word_bits, wer)] = (point, pulses)
     clear_physics_memo()

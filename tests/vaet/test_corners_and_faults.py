@@ -2,7 +2,6 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.nvsim import MemoryConfig
@@ -78,7 +77,7 @@ class TestStuckCellInjection:
         refuse targets below that floor instead of lying."""
         tool = self._tool_with_mgo_sigma(array, 0.06)
         analysis = tool.error_rates()
-        stuck_fraction = float(np.mean(analysis._rates <= 0.0))
+        stuck_fraction = analysis.kernel.stuck_fraction
         assert stuck_fraction > 0.0
         with pytest.raises(ValueError, match="stuck-cell floor|error correction"):
             analysis.write_margin(stuck_fraction / 100.0)
@@ -86,14 +85,14 @@ class TestStuckCellInjection:
     def test_healthy_population_has_no_floor(self, array):
         tool = self._tool_with_mgo_sigma(array, 0.005)
         analysis = tool.error_rates()
-        assert float(np.mean(analysis._rates <= 0.0)) == 0.0
+        assert analysis.kernel.stuck_fraction == 0.0
         margin = analysis.write_margin(1e-12)
         assert margin.pulse_width > 0.0
 
     def test_word_wer_saturates_at_stuck_floor(self, array):
         tool = self._tool_with_mgo_sigma(array, 0.06)
         analysis = tool.error_rates()
-        stuck_fraction = float(np.mean(analysis._rates <= 0.0))
+        stuck_fraction = analysis.kernel.stuck_fraction
         # Even an absurdly long pulse cannot beat the stuck population.
         floor = analysis.word_wer(1e-3)
         assert floor >= stuck_fraction

@@ -40,13 +40,20 @@ class TestStuckCells:
     STUCK = 3
 
     @pytest.fixture
-    def stuck(self, analysis, monkeypatch):
+    def stuck(self, tool, monkeypatch):
         # Force a handful of non-switching cells: the sampled 45 nm
         # population is healthy, but the stuck branch must still count
         # each such cell at WER 1 in both kernels.
-        switching = analysis._switching.copy()
-        switching[: self.STUCK] = False
-        monkeypatch.setattr(analysis, "_switching", switching)
+        original = VariationModel.switching_rates
+
+        def switching_rates(model, cells):
+            rates = original(model, cells).copy()
+            rates[: self.STUCK] = 0.0
+            return rates
+
+        monkeypatch.setattr(VariationModel, "switching_rates", switching_rates)
+        analysis = ErrorRateAnalysis(tool.engine, population=POPULATION, seed=11)
+        assert analysis.kernel.stuck_count == self.STUCK
         return analysis
 
     def test_scalar_matches_vector_with_stuck_cells(self, stuck, monkeypatch):
@@ -133,7 +140,8 @@ def _weak_first_signal(monkeypatch):
 def _window_rate(analysis, per_bit):
     """A first-cell rate whose WER straddles ``per_bit`` between the
     0.9 s bracket limit and the 1 s floor pulse (other cells ~0 there)."""
-    amplitude = analysis._envelope[0] / len(analysis.cells)
+    envelope = (math.pi ** 2) * analysis.cells.delta[0] / 4.0
+    amplitude = envelope / len(analysis.cells)
     return math.log(amplitude / per_bit) / (2.0 * 0.95)
 
 
@@ -144,7 +152,7 @@ class TestUnreachableTargets:
     def test_write_margin(self, tool, monkeypatch, scalar):
         _slow_first_cell(monkeypatch, 1e3)
         analysis = ErrorRateAnalysis(tool.engine, population=POPULATION, seed=11)
-        assert analysis._stuck_fraction == 0.0
+        assert analysis.kernel.stuck_fraction == 0.0
         _set_path(monkeypatch, scalar)
         with pytest.raises(
             UnreachableTargetError,
@@ -182,7 +190,7 @@ class TestUnreachableTargets:
     @SOLVER_PATHS
     def test_stuck_floor_is_the_same_error(self, analysis, monkeypatch, scalar):
         _set_path(monkeypatch, scalar)
-        monkeypatch.setattr(analysis, "_stuck_fraction", 0.01)
+        monkeypatch.setattr(analysis.kernel, "stuck_fraction", 0.01)
         with pytest.raises(UnreachableTargetError, match="stuck-cell floor"):
             analysis.write_margin(1e-6)
 

@@ -5,11 +5,12 @@ small-population checks keep the new seed semantics covered in the
 ``-m "not slow"`` loop.
 """
 
+import numpy as np
 import pytest
 
 from repro.nvsim import MemoryConfig
 from repro.pdk import ProcessDesignKit
-from repro.vaet import VAETSTT
+from repro.vaet import VAETSTT, ErrorRateAnalysis
 
 
 @pytest.fixture(scope="module")
@@ -45,13 +46,20 @@ class TestErrorRatesSeed:
         assert tool.error_rates() is tool.error_rates()
 
     def test_cached_per_seed(self, tool):
-        default = tool.error_rates()
-        other = tool.error_rates(seed=7)
-        assert other is not default
-        assert tool.error_rates(seed=7) is other
+        """One population per tool: a tool of another seed holds its own."""
+        other = VAETSTT(tool.pdk, tool.config, seed=7, error_population=10_000)
+        population = other.error_rates()
+        assert population is not tool.error_rates()
+        assert other.error_rates() is population
+        assert other.ecc().analysis is population
+        assert other.read_disturb().analysis is population
 
     def test_tool_seed_aliases_default(self, tool):
-        assert tool.error_rates(seed=tool.seed) is tool.error_rates()
+        """The tool's population is the one its seed draws."""
+        fresh = ErrorRateAnalysis(tool.engine, population=10_000, seed=tool.seed)
+        assert np.array_equal(
+            fresh.kernel.rates, tool.error_rates().kernel.rates
+        )
 
 
 class TestErrorPopulation:

@@ -1,17 +1,19 @@
-"""The explorer's WER-independent physics memo and population records.
+"""The explorer's WER-independent physics memo and population memo.
 
 ``DesignSpaceExplorer.evaluate`` keeps the last two WER-independent
-records (MC energies, read margin, disturb, stuck-cell floor, write
-kernel) and serves them to sibling points that differ only in
+records (MC energies, read margin, disturb, error population) and
+serves them to sibling points that differ only in
 ``wer_target``/``max_ecc_bits``.  A miss takes its error population
-from the last two population records (write kernel, sense gains,
-stuck-cell floor, disturb mean 1/tau), keyed only by what the
-population reads, so word-width, column, ``num_words`` and target
-siblings share one.  These tests pin the contract of both: a point's
-result is a pure function of its spec whatever the evaluation order, a
-hit recomputes no physics, every key field forces a miss and exactly
-the population fields force a build, the scalar reference path
-bypasses both, and both stay small and read-only.
+(an ``ErrorRateAnalysis`` whose cells are released: write and read
+kernels, stuck-cell floor, disturb mean 1/tau) from the last two it
+built, keyed only by what the population reads, so word-width, column,
+``num_words`` and target siblings share one and build their solvers
+over it with their own array.  These tests pin the contract of both: a
+point's result is a pure function of its spec whatever the evaluation
+order, a hit recomputes no physics, every key field forces a miss and
+exactly the population fields force a build, solvers over a sibling's
+population equal the point's own, the scalar reference route keeps no
+records, and both memos stay small and read-only.
 """
 
 import itertools
@@ -25,6 +27,7 @@ import pytest
 from repro.nvsim import MemoryConfig
 from repro.pdk import ProcessDesignKit
 from repro.vaet import explorer as explorer_module
+from repro.vaet.ecc import ECCAnalysis
 from repro.vaet.error_rates import ErrorRateAnalysis
 from repro.vaet.estimator import VAETSTT
 from repro.vaet.explorer import (
@@ -245,13 +248,13 @@ class TestPopulationRecords:
     def test_siblings_share_a_record(self, counts, field, value, shared):
         base = CONFIGS[0]
         first = evaluate(base)
-        kernel = _physics_of(base).kernel
+        population = _physics_of(base).population
         second = evaluate(base, **{field: value})
         assert first is not None and second is not None
         assert counts == {"population": 1 if shared else 2, "estimate": 2}
         assert len(explorer_module._population_memo) == (1 if shared else 2)
         records = list(explorer_module._population_memo.values())
-        assert (records[-1].kernel is kernel) == shared
+        assert (records[-1] is population) == shared
         # Sharing a record changes no output.
         clear_physics_memo()
         assert evaluate(base, **{field: value}) == second
@@ -271,22 +274,32 @@ class TestPopulationRecords:
             population(CONFIGS[0]),
             population(replace(CONFIGS[0], **{field: value})),
         )
-        assert np.array_equal(ours._sense_gain, theirs._sense_gain)
+        assert np.array_equal(ours.read_kernel.gain, theirs.read_kernel.gain)
         assert np.array_equal(ours.kernel.rates, theirs.kernel.rates)
         assert np.array_equal(ours.kernel.envelope, theirs.kernel.envelope)
         assert ours.mean_cell_wer(1.0) == theirs.mean_cell_wer(1.0)
         assert our_disturb.mean_inverse_tau == their_disturb.mean_inverse_tau
 
-    def test_pinned_solvers_match_the_full_analysis(self):
-        tool = VAETSTT(ProcessDesignKit.for_node(45), CONFIGS[0], seed=SEED,
-                       error_population=EFFORT["error_population"])
-        analysis, disturb = tool.error_rates(), tool.read_disturb()
-        read = ErrorRateAnalysis.pinned(tool.engine, analysis.read_kernel)
-        bound = ReadDisturbAnalysis.pinned(tool.engine, disturb.mean_inverse_tau)
+    def test_sibling_solvers_match_their_own(self):
+        """A word-width sibling's solvers, built over the shared
+        population with the sibling's array, equal those over its own."""
+        def tool(config):
+            return VAETSTT(ProcessDesignKit.for_node(45), config, seed=SEED,
+                           error_population=EFFORT["error_population"])
+
+        shared = tool(CONFIGS[0]).error_rates()
+        sibling = tool(replace(CONFIGS[0], word_bits=32))
+        own, engine = sibling.error_rates(), sibling.engine
         for target in (1e-3, 1e-9, 1e-15):
-            assert read.read_margin(target) == analysis.read_margin(target)
+            assert shared.read_margin(target, engine) == own.read_margin(target)
         for budget in (1e-6, 1e-4):
-            assert bound.max_read_period(budget) == disturb.max_read_period(budget)
+            assert ReadDisturbAnalysis(shared, engine).max_read_period(
+                budget
+            ) == sibling.read_disturb().max_read_period(budget)
+        for target in WER_TARGETS:
+            assert ECCAnalysis(shared, engine).sweep(3, target) == ECCAnalysis(
+                own
+            ).sweep(3, target)
 
 
 class TestScalarBypass:
@@ -323,23 +336,26 @@ class TestBounds:
             assert len(explorer_module._population_memo) <= PHYSICS_MEMO_ENTRIES
         assert len(explorer_module._physics_memo) == PHYSICS_MEMO_ENTRIES
         assert len(explorer_module._population_memo) == PHYSICS_MEMO_ENTRIES
+        records = list(explorer_module._population_memo.values())
         for physics in explorer_module._physics_memo.values():
-            kernel = physics.kernel
-            for array in (kernel.rates, kernel.envelope):
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[0] = 0.0
-            # One block holds both arrays.
-            assert kernel.rates.base is kernel.envelope.base
-        kernels = [physics.kernel for physics in explorer_module._physics_memo.values()]
-        for record in explorer_module._population_memo.values():
-            # The physics records point at their population's kernel.
-            assert any(record.kernel is kernel for kernel in kernels)
-            for array in (record.kernel.rates, record.kernel.envelope,
+            # The physics records point at the memoised populations.
+            assert any(physics.population is record for record in records)
+        for record in records:
+            # A population record holds no cells, and beyond its
+            # kernels no per-cell column.
+            assert record.cells is None
+            assert not [
+                name for name, value in vars(record).items()
+                if isinstance(value, np.ndarray)
+            ]
+            kernel = record.kernel
+            for array in (kernel.rates, kernel.envelope,
                           record.read_kernel.gain):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0.0
+            # One block holds both write-kernel arrays.
+            assert kernel.rates.base is kernel.envelope.base
 
     def test_clear_empties_the_records(self):
         evaluate(CONFIGS[0])

@@ -201,28 +201,6 @@ class TestErrorRates:
         reference = [analysis.word_rer(t) for t in self.SENSE_TIMES]
         np.testing.assert_allclose(fast, reference, rtol=AGGREGATE_RTOL)
 
-    def test_word_wer_batch_matches_scalar_calls(self, analysis, monkeypatch):
-        monkeypatch.delenv(SCALAR_REFERENCE_ENV, raising=False)
-        pulses = np.array(self.PULSES)
-        batch = analysis.word_wer(pulses)
-        assert isinstance(batch, np.ndarray) and batch.shape == pulses.shape
-        scalars = [analysis.word_wer(float(pulse)) for pulse in pulses]
-        np.testing.assert_allclose(batch, scalars, rtol=AGGREGATE_RTOL)
-
-    def test_word_rer_batch_matches_scalar_calls(self, analysis, monkeypatch):
-        monkeypatch.delenv(SCALAR_REFERENCE_ENV, raising=False)
-        times = np.array(self.SENSE_TIMES)
-        batch = analysis.word_rer(times)
-        assert isinstance(batch, np.ndarray) and batch.shape == times.shape
-        scalars = [analysis.word_rer(float(t)) for t in times]
-        np.testing.assert_allclose(batch, scalars, rtol=AGGREGATE_RTOL)
-
-    def test_batch_handles_nonpositive_entries(self, analysis):
-        batch = analysis.word_wer(np.array([0.0, -1e-9, 5e-9]))
-        assert batch[0] == 1.0 and batch[1] == 1.0 and batch[2] < 1.0
-        rer = analysis.word_rer(np.array([0.0, 1e-9]))
-        assert rer[0] == 1.0 and rer[1] < 1.0
-
     def test_margin_solves_agree(self, analysis, monkeypatch):
         """The margin solves land on the same pulse both ways."""
         monkeypatch.delenv(SCALAR_REFERENCE_ENV, raising=False)
