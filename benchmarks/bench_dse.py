@@ -53,6 +53,7 @@ from repro.dse import (  # noqa: E402
     CampaignState,
     Job,
     JobResult,
+    MemoryCampaign,
     NetworkExecutor,
     ParameterSpace,
     ProcessPoolExecutor,
@@ -60,13 +61,16 @@ from repro.dse import (  # noqa: E402
     SerialExecutor,
     campaign_key,
     default_workers,
-    explore_memory,
+    run,
 )
 
 
 def _campaign(space, cache_dir, **settings):
-    cold = explore_memory(space, cache_dir=str(cache_dir), **settings)
-    warm = explore_memory(space, cache_dir=str(cache_dir), **settings)
+    """A cold then a warm run of one campaign over the result cache at
+    ``cache_dir`` (no journal), each with its own cache session."""
+    campaign = MemoryCampaign(space, **settings)
+    cold = run(campaign, runner=CampaignRunner(cache=ResultCache(str(cache_dir))))
+    warm = run(campaign, runner=CampaignRunner(cache=ResultCache(str(cache_dir))))
     return cold, warm
 
 
@@ -469,7 +473,7 @@ def deadline_ratio(pairs=5):
     def timed(deadline):
         clear_physics_memo()
         tick = time.perf_counter()
-        result = explore_memory(space, workers=1, deadline=deadline)
+        result = run(MemoryCampaign(space), workers=1, deadline=deadline)
         return time.perf_counter() - tick, result.records()
 
     timed(None)  # warm-up: imports and first-touch heap
@@ -509,7 +513,7 @@ def grid_s_per_point(runs=3):
     def timed():
         clear_physics_memo()
         tick = time.perf_counter()
-        result = explore_memory(space, workers=1)
+        result = run(MemoryCampaign(space), workers=1)
         elapsed = time.perf_counter() - tick
         assert all(outcome.ok for outcome in result.outcomes)
         return elapsed / len(result.outcomes)

@@ -4,7 +4,7 @@ The multi-fidelity ladder (:mod:`repro.dse.fidelity`) promotes points
 by their *low-fidelity* Pareto rank, so its correctness budget is the
 analytic NVSim-class estimator's error distribution relative to the
 variation-aware Monte-Carlo evaluator.  This harness sweeps the same
-design points at both fidelities through ``explore_memory``, joins the
+design points at both fidelities through ``repro.dse.run``, joins the
 records point-by-point, and reports the mean / p95 relative error and
 the rank agreement per objective — the NVSim-vs-measured comparison
 pattern of OpenNVRAM's ``nvsim_comparison``, applied to our own two
@@ -37,7 +37,7 @@ except ImportError:  # script mode works without pytest installed
 sys.path.insert(0, os.path.dirname(__file__))
 from artifacts import save_artifact  # noqa: E402
 
-from repro.dse import ParameterSpace, explore_memory  # noqa: E402
+from repro.dse import MemoryCampaign, ParameterSpace, run  # noqa: E402
 
 #: Objectives the error table covers (the ladder defaults plus area).
 OBJECTIVES = (
@@ -95,8 +95,8 @@ def calibrate(space=None, **settings):
     settings = dict(SETTINGS, **settings)
     axes = [axis.name for axis in space.axes]
 
-    high = explore_memory(space, **settings)
-    low = explore_memory(space, fidelity="low", **settings)
+    high = run(MemoryCampaign(space, **settings))
+    low = run(MemoryCampaign(space, fidelity="low", **settings))
     high_rows = {_join_key(r, axes): r for r in high.records()}
     low_rows = {_join_key(r, axes): r for r in low.records()}
     joined = sorted(set(high_rows) & set(low_rows))

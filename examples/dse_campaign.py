@@ -25,7 +25,14 @@ import shutil
 import tempfile
 import time
 
-from repro.dse import ParameterSpace, explore_memory, explore_system
+from repro.dse import (
+    CampaignRunner,
+    MemoryCampaign,
+    ParameterSpace,
+    ResultCache,
+    SystemCampaign,
+    run,
+)
 from repro.utils.table import Table
 
 
@@ -69,13 +76,14 @@ def main():
     # Lighter Monte Carlo settings than the paper tables: a campaign
     # triages 216 points; the frontier survivors get the full 200k-cell
     # treatment afterwards.
-    settings = dict(
-        num_words=400, error_population=30_000, cache_dir=cache_dir
-    )
+    campaign = MemoryCampaign(space, num_words=400, error_population=30_000)
     print("campaign: %d points, cache at %s" % (space.size, cache_dir))
 
+    def cached():
+        return CampaignRunner(cache=ResultCache(cache_dir))
+
     start = time.perf_counter()
-    cold = explore_memory(space, **settings)
+    cold = run(campaign, runner=cached())
     cold_wall = time.perf_counter() - start
     print(
         "cold run:  %.1f s  (%d feasible, %d infeasible, %d errors, "
@@ -90,7 +98,7 @@ def main():
     )
 
     start = time.perf_counter()
-    warm = explore_memory(space, **settings)
+    warm = run(campaign, runner=cached())
     warm_wall = time.perf_counter() - start
     speedup = cold_wall / warm_wall
     identical = cold.records() == warm.records()
@@ -107,8 +115,9 @@ def main():
 
     # System level: kernels x scenarios through the same engine.
     print()
-    system = explore_system(
-        workloads=["bodytrack", "canneal", "streamcluster"], cache_dir=cache_dir
+    system = run(
+        SystemCampaign(workloads=["bodytrack", "canneal", "streamcluster"]),
+        runner=cached(),
     )
     best = system.pareto()
     print(

@@ -7,7 +7,7 @@ of the ``repro.dse`` engine:
    (cache + journal), and "kill" it after 8 points by raising from the
    progress callback — exactly what SIGKILL at a worse moment leaves
    behind on disk;
-2. ``resume=True`` the identical call: the finished points replay from
+2. ``resume=True`` the same campaign: the finished points replay from
    the cache/journal (zero re-evaluation) and the campaign completes,
    with records identical to an uninterrupted run;
 3. run a *surrogate* campaign over a larger space: a TPE-style density
@@ -27,10 +27,12 @@ import shutil
 import tempfile
 
 from repro.dse import (
+    CampaignRunner,
     CampaignState,
+    MemoryCampaign,
     ParameterSpace,
-    explore_memory,
-    run_memory_campaign,
+    ResultCache,
+    run,
 )
 from repro.dse.checkpoint import JOURNAL_NAME
 
@@ -48,6 +50,7 @@ def main():
     space.add("wer_target", [1e-9, 1e-12])
     space.add("node_nm", [45, 65])
 
+    campaign = MemoryCampaign(space, **SETTINGS)
     campaign_dir = tempfile.mkdtemp(prefix="repro-resume-")
     print("campaign: %d points, directory %s" % (space.size, campaign_dir))
 
@@ -57,7 +60,7 @@ def main():
             raise Killed()
 
     try:
-        run_memory_campaign(space, campaign_dir, progress=die_at_8, **SETTINGS)
+        run(campaign, campaign_dir, progress=die_at_8)
     except Killed:
         pass
     journal = CampaignState.load("%s/%s" % (campaign_dir, JOURNAL_NAME))
@@ -67,7 +70,7 @@ def main():
     )
 
     # -- 2. resume exactly where it stopped ------------------------------
-    resumed = run_memory_campaign(space, campaign_dir, resume=True, **SETTINGS)
+    resumed = run(campaign, campaign_dir, resume=True)
     print(
         "resumed:   %d points in %.1f s — %d served from cache, "
         "%d evaluated fresh"
@@ -81,7 +84,7 @@ def main():
 
     # Prove it: an uninterrupted run in a fresh directory is identical.
     reference_dir = tempfile.mkdtemp(prefix="repro-ref-")
-    reference = run_memory_campaign(space, reference_dir, **SETTINGS)
+    reference = run(campaign, reference_dir)
     identical = resumed.records() == reference.records()
     print("identical to uninterrupted run: %s" % identical)
     if not identical:
@@ -93,13 +96,15 @@ def main():
     big.add("subarray_cols", [128, 256, 512])
     big.add("word_bits", [128, 256])
     big.add("wer_target", [1e-9, 1e-12, 1e-15])
-    surrogate = explore_memory(
-        big,
-        sampler="surrogate",
-        sampler_options=dict(batch=8, rounds=3, seed=0),
-        objectives=("edp_proxy",),
-        cache_dir=campaign_dir + "/cache",
-        **SETTINGS,
+    surrogate = run(
+        MemoryCampaign(
+            big,
+            sampler="surrogate",
+            sampler_options=dict(batch=8, rounds=3, seed=0),
+            objectives=("edp_proxy",),
+            **SETTINGS,
+        ),
+        runner=CampaignRunner(cache=ResultCache(campaign_dir + "/cache")),
     )
     trace = surrogate.adaptive
     print(

@@ -28,11 +28,11 @@ Subpackages
     Parallel, cached design-space exploration engine: declarative
     parameter spaces (grid/LHS), content-hash keyed jobs, an on-disk
     result cache, a multiprocessing campaign runner with failure
-    isolation, and Pareto frontier extraction.  ``explore_memory``
-    drives VAET-STT, ``explore_system`` drives MAGPIE; the legacy
-    ``DesignSpaceExplorer.sweep_subarrays`` is a thin wrapper over it,
-    and ``MagpieFlow.run`` runs its grid through the same campaign
-    dispatch as ``explore_system`` (see ``examples/dse_campaign.py``).
+    isolation, and Pareto frontier extraction.  ``run`` runs a
+    ``MemoryCampaign`` (VAET-STT) or a ``SystemCampaign`` (MAGPIE); the
+    legacy ``DesignSpaceExplorer.sweep_subarrays`` is a thin wrapper over
+    it, and ``MagpieFlow.run`` runs its grid through the same campaign
+    dispatch as a ``SystemCampaign`` (see ``examples/dse_campaign.py``).
 
 The five device names below are loaded on first access (PEP 562), so
 ``import repro.dse`` does not pull in the device physics or scipy.

@@ -26,8 +26,7 @@ subsystem every layer plugs into:
 * :mod:`repro.dse.retry` — :class:`RetryPolicy`: budgeted per-point
   retries with content-derived reseeding and flaky-point quarantine;
 * :mod:`repro.dse.checkpoint` — :class:`CampaignState` journals behind
-  the resumable :func:`run_memory_campaign` / :func:`run_system_campaign`
-  entry points;
+  resumable campaigns (:func:`run` with a directory);
 * :mod:`repro.dse.surrogate` — the one model-driven sampler,
   :class:`SurrogateSampler` (``sampler="surrogate"``): a TPE-style
   good/bad density-ratio model over the full space, pure numpy,
@@ -48,13 +47,14 @@ subsystem every layer plugs into:
   (:class:`~repro.dse.chaos.FaultPlane`) at the engine's persistence
   and network seams, plus the :class:`~repro.dse.chaos.InvariantChecker`
   that replays a campaign directory and asserts its conservation laws;
-* :mod:`repro.dse.campaign` — :func:`explore_memory` (VAET-STT) and
-  :func:`explore_system` (MAGPIE) entry points and their resumable
-  ``run_*_campaign`` forms, all over one campaign dispatch.
+* :mod:`repro.dse.campaign` — the two campaign descriptions,
+  :class:`MemoryCampaign` (VAET-STT) and :class:`SystemCampaign`
+  (MAGPIE), and the one :func:`run` that runs either, journal-free or
+  resumably in a directory, over one campaign dispatch.
 
 ``DesignSpaceExplorer.sweep_subarrays`` is a thin wrapper over this
 engine; ``MagpieFlow.run`` runs its kernel x scenario grid through the
-same dispatch as :func:`explore_system`, with the flow's cached memory
+same dispatch as a :class:`SystemCampaign`, with the flow's cached memory
 records and a serial runner by default.  ``python -m repro.dse`` drives
 describe/run/resume/status/analyze campaigns from the command line
 (``run --executor network`` serves one to network workers).
@@ -136,10 +136,9 @@ _EXPORTS = {
     "build_report": ".analytics",
     "MemoryCampaignResult": ".campaign",
     "SystemCampaignResult": ".campaign",
-    "explore_memory": ".campaign",
-    "explore_system": ".campaign",
-    "run_memory_campaign": ".campaign",
-    "run_system_campaign": ".campaign",
+    "MemoryCampaign": ".campaign",
+    "SystemCampaign": ".campaign",
+    "run": ".campaign",
     "evaluate_memory_point": ".campaign",
     "evaluate_system_point": ".campaign",
     "memory_point_spec": ".campaign",

@@ -46,6 +46,7 @@ scenario is refused with a one-line error before anything runs)::
       "kind": "system",
       "workloads": ["bodytrack", "canneal"],
       "scenarios": ["Full-SRAM", "Full-L2-STT-MRAM"],
+      "sampler": "grid",                   // or "surrogate"
       "settings": {"node_nm": 45, "wer_target": 1e-9}
     }
 
@@ -57,11 +58,14 @@ top-level ``"deadline": SECONDS`` bounds every evaluation's wall clock
 is reaped and journaled as a timeout failure, retryable and
 quarantinable like any other failure, and counted by ``status``.
 
-``settings`` keys are passed through to :func:`run_memory_campaign` /
-:func:`run_system_campaign` verbatim, so everything those accept
-(``node_nm``, ``seed``, ``workers``, ...) is spec-addressable, except
-what the spec's own keys and the flags set.  Any other ``settings``
-name, like an axis with no values, is refused with a one-line error.
+A spec is read by :meth:`~repro.dse.campaign.MemoryCampaign.from_dict`
+/ :meth:`~repro.dse.campaign.SystemCampaign.from_dict`: its top-level
+keys and ``settings`` set the campaign's fields (``node_nm``, ``seed``,
+``constraints``, ...; ``base_config``, ``constraints`` and ``base`` are
+config objects), and ``settings`` may also carry the run options
+``workers`` and ``deadline``.  Any other ``settings`` name, a config
+object's unknown field, or an axis with no values is refused with a
+one-line error.
 The campaign directory holds ``cache/`` and the append-only
 ``journal.jsonl``; both are written as results arrive, so a killed
 ``run`` continues with ``resume``.  A directory holding only a
@@ -69,7 +73,6 @@ version-1 ``checkpoint.json`` is refused with a one-line error.
 """
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -78,18 +81,15 @@ from typing import Dict, List, Optional
 
 from repro.dse.cache import ResultCache
 from repro.dse.campaign import (
-    _check_axis,
-    _system_space,
-    _validate_memory,
-    check_sampler,
-    run_memory_campaign,
-    run_system_campaign,
+    RUN_SETTINGS,
+    MemoryCampaign,
+    SystemCampaign,
+    run,
 )
 from repro.dse.checkpoint import CampaignState, journal_path
 from repro.dse.executors import CACHE_DIR_NAME, EXECUTOR_NAMES
 from repro.dse.retry import RetryPolicy
 from repro.dse.runner import Progress, default_workers
-from repro.dse.space import ParameterSpace
 
 
 def _positive_int(text: str) -> int:
@@ -147,7 +147,7 @@ def _connect_endpoint(text: str) -> str:
 
 
 def load_spec(path: str) -> Dict:
-    """Read and structurally validate a campaign spec file."""
+    """Read and validate a campaign spec file (see :func:`campaign_of`)."""
     try:
         with open(path) as handle:
             spec = json.load(handle)
@@ -164,50 +164,9 @@ def load_spec(path: str) -> Dict:
         )
     if kind == "memory" and not isinstance(spec.get("axes"), dict):
         raise SystemExit('spec %s: memory campaigns need an "axes" object' % path)
-    try:  # the campaigns' own axis and kernel/scenario checks
-        if kind == "memory":
-            for name in spec["axes"]:
-                _check_axis(name)
-            _memory_space(spec)
-        else:
-            _system_space(spec.get("workloads"), spec.get("scenarios"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SystemExit("spec %s: %s" % (path, exc.args[0]))
-    settings = spec.get("settings", {})
-    if not isinstance(settings, dict):
+    if not isinstance(spec.get("settings", {}), dict):
         raise SystemExit('spec %s: "settings" must be a JSON object' % path)
-    known = _known_settings(kind)
-    for name in settings:
-        if name not in known:
-            raise SystemExit(
-                "spec %s: unknown setting %r; known: %s"
-                % (path, name, ", ".join(known))
-            )
-    sampler = spec.get("sampler", "grid")
-    fidelity = spec.get("fidelity", "high")
-    try:
-        if kind == "memory":
-            _validate_memory(sampler, fidelity, spec.get("samples"))
-        else:
-            check_sampler(sampler)
-    except ValueError as exc:
-        raise SystemExit("spec %s: %s" % (path, exc))
-    if kind == "system" and sampler != "grid":
-        raise SystemExit(
-            'spec %s: resumable system campaigns are grid-only; use the '
-            "explore_system API for surrogate cell selection" % path
-        )
-    if kind == "system" and fidelity != "high":
-        raise SystemExit(
-            'spec %s: "fidelity" applies to memory campaigns only' % path
-        )
-    if "promote_ranks" in spec:
-        ranks = spec["promote_ranks"]
-        if not isinstance(ranks, int) or isinstance(ranks, bool) or ranks < 0:
-            raise SystemExit(
-                'spec %s: "promote_ranks" must be a non-negative integer, '
-                "got %r" % (path, ranks)
-            )
+    campaign_of(spec, path)
     if "retry" in spec:
         try:
             RetryPolicy.from_dict(spec["retry"])
@@ -232,25 +191,19 @@ def load_spec(path: str) -> Dict:
     return spec
 
 
-#: Campaign arguments that ``run``/``resume`` set from the spec's own
-#: keys or from flags, so ``settings`` may not name them.
-_RUN_ARGUMENTS = {
-    "campaign_dir", "resume", "retry_failed", "retry", "progress",
-    "executor", "executor_options",
-}
-_SPEC_ARGUMENTS = {
-    "memory": {"space", "sampler", "samples", "sampler_options",
-               "objectives", "fidelity", "promote_ranks"},
-    "system": {"workloads", "scenarios"},
-}
+def campaign_of(spec: Dict, path: str):
+    """The spec's :class:`MemoryCampaign` or :class:`SystemCampaign`.
 
-
-def _known_settings(kind: str) -> List[str]:
-    """The ``settings`` names a spec of ``kind`` may carry: the keyword
-    arguments of its campaign function that nothing else sets."""
-    campaign = run_memory_campaign if kind == "memory" else run_system_campaign
-    taken = _RUN_ARGUMENTS | _SPEC_ARGUMENTS[kind]
-    return sorted(set(inspect.signature(campaign).parameters) - taken)
+    Raises:
+        SystemExit: With a one-line ``spec PATH: ...`` error when the
+            spec names an unknown axis, setting, config field, kernel,
+            scenario, sampler or fidelity mode.
+    """
+    kind = MemoryCampaign if spec["kind"] == "memory" else SystemCampaign
+    try:
+        return kind.from_dict(spec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SystemExit("spec %s: %s" % (path, exc.args[0]))
 
 
 def _retry_policy(spec: Dict, args) -> Optional[RetryPolicy]:
@@ -270,13 +223,6 @@ def _retry_policy(spec: Dict, args) -> Optional[RetryPolicy]:
         )
     except ValueError as exc:
         raise SystemExit("invalid --retries/--backoff: %s" % exc)
-
-
-def _memory_space(spec: Dict) -> ParameterSpace:
-    space = ParameterSpace()
-    for name, values in spec["axes"].items():
-        space.add(name, values)
-    return space
 
 
 def _format_eta(seconds: Optional[float]) -> str:
@@ -313,45 +259,37 @@ def progress_printer(stream=None):
 
 def cmd_describe(args) -> int:
     spec = load_spec(args.spec)
-    sampler = spec.get("sampler", "grid")
+    campaign = campaign_of(spec, args.spec)
     settings = spec.get("settings", {})
     print("kind:      %s" % spec["kind"])
-    print("sampler:   %s" % sampler)
+    print("sampler:   %s" % campaign.sampler)
     if spec["kind"] == "memory":
-        space = _memory_space(spec)
-        for axis in space.axes:
+        for axis in campaign.space.axes:
             print("axis:      %s = %s" % (axis.name, list(axis.values)))
-        print("grid size: %d" % space.size)
-        if sampler == "lhs":
-            print("lhs jobs:  %s" % spec.get("samples", "(samples missing)"))
-        elif sampler == "surrogate":
-            from repro.dse.surrogate import SurrogateSampler
-
-            try:
-                model = SurrogateSampler(space, **(spec.get("sampler_options") or {}))
-            except (TypeError, ValueError) as exc:
-                raise SystemExit('spec %s: bad "sampler_options": %s' % (args.spec, exc))
-            print(
-                "surrogate: <= %d jobs (%d rounds x %d batch), objectives %s"
-                % (
-                    model.batch * model.rounds,
-                    model.rounds,
-                    model.batch,
-                    spec.get("objectives", ["edp_proxy"]),
-                )
-            )
-        fidelity = spec.get("fidelity", "high")
-        if fidelity != "high":
-            print(
-                "fidelity:  %s (promote_ranks %d)"
-                % (fidelity, spec.get("promote_ranks", 1))
-            )
     else:
-        space = _system_space(spec.get("workloads"), spec.get("scenarios"))
-        workloads, scenarios = space.axes
-        print("workloads: %s" % list(workloads.values))
-        print("scenarios: %s" % list(scenarios.values))
-        print("grid size: %d" % space.size)
+        print("workloads: %s" % list(campaign.workloads))
+        print("scenarios: %s" % [s.value for s in campaign.scenarios])
+    print("grid size: %d" % campaign.space.size)
+    if campaign.sampler == "lhs":
+        print("lhs jobs:  %s" % campaign.samples)
+    elif campaign.sampler == "surrogate":
+        from repro.dse.surrogate import SurrogateSampler
+
+        model = SurrogateSampler(campaign.space, **(campaign.sampler_options or {}))
+        print(
+            "surrogate: <= %d jobs (%d rounds x %d batch), objectives %s"
+            % (
+                model.batch * model.rounds,
+                model.rounds,
+                model.batch,
+                list(campaign.objectives),
+            )
+        )
+    if getattr(campaign, "fidelity", "high") != "high":
+        print(
+            "fidelity:  %s (promote_ranks %d)"
+            % (campaign.fidelity, campaign.promote_ranks)
+        )
     for key in sorted(settings):
         print("setting:   %s = %r" % (key, settings[key]))
     print("workers:   %d (default; REPRO_DSE_WORKERS overrides)" % default_workers())
@@ -389,42 +327,27 @@ def _executor_options(args) -> Optional[Dict]:
 
 
 def _run_campaign(spec: Dict, args, resume: bool):
-    settings = dict(spec.get("settings", {}))
+    settings = spec.get("settings", {})
+    options = {name: settings[name] for name in RUN_SETTINGS if name in settings}
     if args.workers is not None:
-        settings["workers"] = args.workers
+        options["workers"] = args.workers
     # Deadline: spec-level "deadline" is the campaign's default
     # per-evaluation budget, --deadline overrides it per run (it is not
     # part of the campaign signature, so changing it on resume is fine).
     if spec.get("deadline") is not None:
-        settings.setdefault("deadline", spec["deadline"])
+        options.setdefault("deadline", spec["deadline"])
     if getattr(args, "deadline", None) is not None:
-        settings["deadline"] = args.deadline
-    progress = None if args.quiet else progress_printer()
-    common = dict(
-        campaign_dir=args.dir,
+        options["deadline"] = args.deadline
+    return run(
+        campaign_of(spec, args.spec),
+        args.dir,
         resume=resume,
         retry_failed=args.retry_failed,
         retry=_retry_policy(spec, args),
-        progress=progress,
+        progress=None if args.quiet else progress_printer(),
         executor=getattr(args, "executor", None),
         executor_options=_executor_options(args),
-        **settings,
-    )
-    if spec["kind"] == "memory":
-        return run_memory_campaign(
-            _memory_space(spec),
-            sampler=spec.get("sampler", "grid"),
-            samples=spec.get("samples"),
-            sampler_options=spec.get("sampler_options"),
-            objectives=tuple(spec.get("objectives", ("edp_proxy",))),
-            fidelity=spec.get("fidelity", "high"),
-            promote_ranks=spec.get("promote_ranks", 1),
-            **common,
-        )
-    return run_system_campaign(
-        workloads=spec.get("workloads"),
-        scenarios=spec.get("scenarios"),
-        **common,
+        **options,
     )
 
 

@@ -146,7 +146,7 @@ class FaultPlane:
     plane that :func:`fire` consults::
 
         with FaultPlane(seed=7, faults=[Fault("cache.put", "enospc")]):
-            run_memory_campaign(...)
+            run(MemoryCampaign(space), campaign_dir)
 
     Attributes:
         fired: One record per injected fault (site, kind, context

@@ -554,7 +554,6 @@ def run_checkpointed(
     retry_failed: bool = False,
     retry: Optional[RetryPolicy] = None,
     progress: Optional[Callable[[Progress], None]] = None,
-    executor=None,
 ) -> List[JobResult]:
     """Run jobs with every completion journaled as it arrives.
 
@@ -577,14 +576,7 @@ def run_checkpointed(
     :meth:`CampaignRunner.run`.  If the consumer (or a progress
     callback) raises mid-run, everything journaled so far survives for
     the next resume.
-
-    An ``executor`` (an :class:`~repro.dse.executors.Executor`
-    instance) overrides the runner's execution backend for this run;
-    journal events, retry budgets and results are identical under
-    every executor.
     """
-    if executor is not None:
-        runner = runner.with_executor(executor)
     jobs = list(jobs)
     results: List[Optional[JobResult]] = [None] * len(jobs)
 

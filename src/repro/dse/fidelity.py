@@ -46,7 +46,7 @@ LOWFI_MEMORY_TARGET = "nvsim-memory-lowfi"
 FIDELITY_LOW = "low"
 FIDELITY_HIGH = "high"
 
-#: Fidelity modes the memory campaign entry points understand:
+#: Fidelity modes a memory campaign understands:
 #: ``"high"`` — every point pays the full Monte-Carlo path (default);
 #: ``"low"`` — every point uses the analytic screen only (quick sweeps,
 #: calibration harnesses); ``"ladder"`` — screen low, confirm high.

@@ -442,16 +442,6 @@ class CampaignRunner:
         self.executor = executor
         self.deadline = float(deadline or 0.0)
 
-    def with_executor(self, executor) -> "CampaignRunner":
-        """A runner sharing this one's cache/sizing but another executor."""
-        return CampaignRunner(
-            workers=self.workers,
-            cache=self.cache,
-            chunksize=self.chunksize,
-            executor=executor,
-            deadline=self.deadline,
-        )
-
     def run(
         self,
         jobs: Sequence[Job],

@@ -169,13 +169,16 @@ class MagpieFlow:
         Raises:
             KeyError: On unknown kernel names or scenario values.
         """
-        from repro.dse.campaign import _run_system, _system_space
+        from repro.dse.campaign import SystemCampaign
         from repro.dse.runner import CampaignRunner
 
-        space = _system_space(workloads, scenarios)
+        campaign = SystemCampaign(
+            workloads, scenarios, node_nm=self.node_nm, base=self.base,
+            wer_target=self.wer_target,
+        )
         engine = runner if runner is not None else CampaignRunner(workers=1)
-        results, _ = _run_system(
-            self, space, lambda jobs: engine.run(jobs, progress=progress)
+        results, _ = campaign._drive(
+            lambda jobs: engine.run(jobs, progress=progress), flow=self
         )
         return results
 
@@ -186,8 +189,8 @@ class MagpieFlow:
     ) -> Tuple[List[str], List[Scenario]]:
         """Validated (kernel names, Scenario list) grid axes.
 
-        The single source of kernel/scenario validation, shared with the
-        ``repro.dse`` campaign entry points.
+        The single source of kernel/scenario validation, shared with
+        ``repro.dse.campaign.SystemCampaign``.
 
         Raises:
             KeyError: On unknown kernel names or scenario values.

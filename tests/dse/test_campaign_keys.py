@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.dse import ParameterSpace, run_memory_campaign, run_system_campaign
+from repro.dse import MemoryCampaign, ParameterSpace, SystemCampaign, run
 from repro.dse.checkpoint import JOURNAL_NAME
 from repro.magpie.scenarios import Scenario
 
@@ -25,8 +25,9 @@ def _begin_key(campaign_dir) -> str:
 
 def test_memory_campaign_key_is_pinned(tmp_path):
     space = ParameterSpace().add("subarray_rows", [256]).add("wer_target", [1e-9])
-    run_memory_campaign(
-        space, str(tmp_path), num_words=100, error_population=5000, workers=1
+    run(
+        MemoryCampaign(space, num_words=100, error_population=5000),
+        str(tmp_path), workers=1,
     )
     assert _begin_key(tmp_path) == (
         "2b7d0685587fc0e29dc2e29c45f74197644803379bc249fba68f5186d8499ff6"
@@ -35,9 +36,12 @@ def test_memory_campaign_key_is_pinned(tmp_path):
 
 @pytest.mark.slow
 def test_system_campaign_key_is_pinned(tmp_path):
-    run_system_campaign(
-        str(tmp_path), workloads=["bodytrack"],
-        scenarios=[Scenario.FULL_SRAM, Scenario.FULL_L2_STT],
+    run(
+        SystemCampaign(
+            workloads=["bodytrack"],
+            scenarios=[Scenario.FULL_SRAM, Scenario.FULL_L2_STT],
+        ),
+        str(tmp_path),
     )
     assert _begin_key(tmp_path) == (
         "47018262588ca0e57740fab220016c2640b15889dadc1e8835ca521843f0599a"

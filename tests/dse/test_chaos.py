@@ -44,6 +44,7 @@ from repro.dse import (
     InvariantChecker,
     Job,
     JsonlJournal,
+    MemoryCampaign,
     NetworkExecutor,
     ParameterSpace,
     ProcessPoolExecutor,
@@ -51,9 +52,9 @@ from repro.dse import (
     RetryPolicy,
     SerialExecutor,
     campaign_key,
-    explore_memory,
     is_timeout_error,
     read_events,
+    run,
     run_network_worker,
     seeded_schedule,
 )
@@ -489,9 +490,9 @@ class TestEvaluationChild:
             .add("subarray_rows", [128, 256])
             .add("wer_target", [1e-9, 1e-12])
         )
-        effort = dict(num_words=200, error_population=10_000, workers=1)
-        plain = explore_memory(space, **effort)
-        bounded = explore_memory(space, deadline=60.0, **effort)
+        campaign = MemoryCampaign(space, num_words=200, error_population=10_000)
+        plain = run(campaign, workers=1)
+        bounded = run(campaign, workers=1, deadline=60.0)
         assert [o.ok for o in bounded.outcomes] == [True] * 4
         assert bounded.records() == plain.records()
 

@@ -426,21 +426,23 @@ class TestEntryPointsCloseTheJournal:
         assert leaks == []
 
     def test_memory_campaign(self, tmp_path, monkeypatch):
-        from repro.dse import ParameterSpace, run_memory_campaign
+        from repro.dse import MemoryCampaign, ParameterSpace, run
         from repro.dse.runner import MEMORY_TARGET
 
         space = ParameterSpace().add("subarray_rows", [128, 256])
-        self._assert_closes(monkeypatch, MEMORY_TARGET, lambda: run_memory_campaign(
-            space, str(tmp_path / "camp"), workers=1, num_words=20,
-            error_population=500,
+        campaign = MemoryCampaign(space, num_words=20, error_population=500)
+        self._assert_closes(monkeypatch, MEMORY_TARGET, lambda: run(
+            campaign, str(tmp_path / "camp"), workers=1,
         ))
 
     def test_system_campaign(self, tmp_path, monkeypatch):
-        from repro.dse import run_system_campaign
+        from repro.dse import SystemCampaign, run
         from repro.dse.runner import SYSTEM_TARGET
         from repro.magpie.scenarios import Scenario
 
-        self._assert_closes(monkeypatch, SYSTEM_TARGET, lambda: run_system_campaign(
-            str(tmp_path / "camp"), workloads=["bodytrack"],
-            scenarios=[Scenario.FULL_SRAM], workers=1,
+        campaign = SystemCampaign(
+            workloads=["bodytrack"], scenarios=[Scenario.FULL_SRAM]
+        )
+        self._assert_closes(monkeypatch, SYSTEM_TARGET, lambda: run(
+            campaign, str(tmp_path / "camp"), workers=1,
         ))

@@ -55,11 +55,6 @@ class TestSpecValidation:
         with pytest.raises(SystemExit, match="sampler"):
             load_spec(_write_spec(tmp_path, bad))
 
-    def test_system_is_grid_only(self, tmp_path):
-        bad = {"kind": "system", "sampler": "surrogate"}
-        with pytest.raises(SystemExit, match="grid-only"):
-            load_spec(_write_spec(tmp_path, bad))
-
     @pytest.mark.parametrize("spec, name", [
         ({"kind": "memory", "axes": {"subarray_rowz": [128]}}, "subarray_rowz"),
         ({"kind": "system", "workloads": ["doom"]}, "doom"),
@@ -69,8 +64,15 @@ class TestSpecValidation:
         ({"kind": "system", "settings": {"workloads": ["canneal"]}},
          "workloads"),
         ({"kind": "memory", "axes": {"subarray_rows": []}}, "subarray_rows"),
+        ({"kind": "memory", "axes": {"subarray_rows": [128]},
+          "settings": {"constraints": {"wer_targett": 1e-9}}}, "wer_targett"),
+        ({"kind": "system", "settings": {"base": {"big_cores": 4}}},
+         "big_cores"),
+        ({"kind": "memory", "axes": {"subarray_rows": [128]},
+          "sampler": "surrogate", "sampler_options": {"batchez": 4}}, "batchez"),
     ], ids=["axis", "kernel", "scenario", "memory-setting", "system-setting",
-            "empty-axis"])
+            "empty-axis", "config-field", "system-config-field",
+            "sampler-option"])
     def test_unknown_names_fail_with_one_line(self, tmp_path, spec, name):
         path = _write_spec(tmp_path, spec)
         with pytest.raises(SystemExit) as excinfo:
@@ -149,14 +151,14 @@ class TestDescribe:
     def test_surrogate_describe_shows_sampler_budget(
         self, tmp_path, capsys, options
     ):
-        from repro.dse import SurrogateSampler
-        from repro.dse.__main__ import _memory_space
+        from repro.dse import MemoryCampaign, SurrogateSampler
 
         spec = dict(MEMORY_SPEC, sampler="surrogate")
         if options is not None:
             spec["sampler_options"] = options
         assert main(["describe", _write_spec(tmp_path, spec)]) == 0
-        sampler = SurrogateSampler(_memory_space(spec), **(options or {}))
+        space = MemoryCampaign.from_dict(spec).space
+        sampler = SurrogateSampler(space, **(options or {}))
         assert "<= %d jobs (%d rounds x %d batch)" % (
             sampler.batch * sampler.rounds, sampler.rounds, sampler.batch
         ) in capsys.readouterr().out
@@ -302,6 +304,61 @@ class TestRunResumeStatus:
             "--executor", "serial",
         ]) == 0
         assert "feasible: 1" in capsys.readouterr().out
+
+    def test_config_settings_match_the_api(self, tmp_path, capsys):
+        """``settings.constraints`` builds the DesignConstraints the API takes."""
+        from repro.dse import MemoryCampaign, ParameterSpace, run
+        from repro.vaet.explorer import DesignConstraints
+
+        constraints = {"wer_target": 1e-9, "max_ecc_bits": 2}
+        spec = dict(MEMORY_SPEC, settings=dict(
+            MEMORY_SPEC["settings"], constraints=constraints,
+        ))
+        campaign_dir = tmp_path / "cli"
+        assert main([
+            "run", _write_spec(tmp_path, spec), "--dir", str(campaign_dir),
+            "--quiet", "--executor", "serial",
+        ]) == 0
+        api = run(
+            MemoryCampaign(
+                ParameterSpace().add("subarray_rows", [256]).add(
+                    "wer_target", [1e-9]
+                ),
+                constraints=DesignConstraints(**constraints),
+                **MEMORY_SPEC["settings"],
+            ),
+            str(tmp_path / "api"), executor="serial",
+        )
+        cli = run(
+            MemoryCampaign.from_dict(spec), str(campaign_dir), resume=True,
+            executor="serial",
+        )
+        assert cli.records() == api.records()
+        assert all(o.from_cache for o in cli.outcomes)
+
+        def key(directory):
+            with open(directory / "journal.jsonl") as handle:
+                return json.loads(handle.readline())["campaign_key"]
+
+        assert key(campaign_dir) == key(tmp_path / "api")
+
+    @pytest.mark.slow
+    def test_surrogate_system_campaign_resumes_from_cache(
+        self, tmp_path, capsys
+    ):
+        spec = _write_spec(tmp_path, {
+            "kind": "system",
+            "workloads": ["bodytrack", "canneal"],
+            "scenarios": ["Full-SRAM", "Full-L2-STT-MRAM"],
+            "sampler": "surrogate",
+            "sampler_options": {"batch": 2, "rounds": 1, "seed": 0},
+        })
+        campaign_dir = str(tmp_path / "camp")
+        assert main(["run", spec, "--dir", campaign_dir, "--quiet"]) == 0
+        out = capsys.readouterr().out
+        assert "sampler:  1 rounds, 2 evaluations" in out
+        assert main(["resume", spec, "--dir", campaign_dir, "--quiet"]) == 0
+        assert "2 hits / 0 misses" in capsys.readouterr().out
 
     def test_unknown_executor_rejected_by_parser(self, tmp_path):
         spec = _write_spec(tmp_path, MEMORY_SPEC)

@@ -17,13 +17,13 @@ from repro.dse import (
     LOWFI_MEMORY_TARGET,
     Job,
     JobResult,
+    MemoryCampaign,
     ParameterSpace,
     evaluate_memory_lowfi,
-    explore_memory,
     lowfi_twin,
     promotion_indices,
+    run,
     run_ladder,
-    run_memory_campaign,
 )
 
 TINY = dict(num_words=100, error_population=5_000)
@@ -175,17 +175,15 @@ class TestRunLadderSynthetic:
 class TestCampaignValidation:
     def test_unknown_fidelity_rejected(self):
         with pytest.raises(ValueError, match="unknown fidelity"):
-            explore_memory(_space(), fidelity="medium", **TINY)
+            MemoryCampaign(_space(), fidelity="medium", **TINY)
 
     @pytest.mark.parametrize("sampler", ["surrogate"])
-    def test_model_samplers_reject_ladder(self, sampler, tmp_path):
-        with pytest.raises(ValueError, match="static sampler"):
-            explore_memory(_space(), sampler=sampler, fidelity="ladder", **TINY)
-        with pytest.raises(ValueError, match="static sampler"):
-            run_memory_campaign(
-                _space(), str(tmp_path / "camp"),
-                sampler=sampler, fidelity="low", **TINY,
-            )
+    def test_model_samplers_reject_ladder(self, sampler):
+        for fidelity in ("ladder", "low"):
+            with pytest.raises(ValueError, match="static sampler"):
+                MemoryCampaign(
+                    _space(), sampler=sampler, fidelity=fidelity, **TINY
+                )
 
     def test_modes_constant(self):
         assert FIDELITY_MODES == ("high", "low", "ladder")
@@ -239,10 +237,10 @@ class TestLadderAcceptance:
 
     def test_same_front_strictly_fewer_expensive_evaluations(self):
         space = _space()
-        full = explore_memory(space, objectives=OBJECTIVES, **TINY)
-        ladder = explore_memory(
+        full = run(MemoryCampaign(space, objectives=OBJECTIVES, **TINY))
+        ladder = run(MemoryCampaign(
             space, fidelity="ladder", objectives=OBJECTIVES, **TINY
-        )
+        ))
         # Identical Pareto front, down to the job keys (ladder confirm
         # jobs share content keys with the plain campaign's jobs).
         full_front = sorted(r["key"] for r in full.pareto(OBJECTIVES))
@@ -261,7 +259,7 @@ class TestLadderAcceptance:
         assert all("write_latency" in row for row in screens)
 
     def test_low_fidelity_sweep(self):
-        result = explore_memory(_space(), fidelity="low", **TINY)
+        result = run(MemoryCampaign(_space(), fidelity="low", **TINY))
         assert all(o.ok for o in result.outcomes)
         records = result.records()
         assert len(records) == 6
@@ -274,10 +272,13 @@ class TestLadderAcceptance:
 
 @pytest.mark.slow
 class TestLadderResume:
-    def _run(self, campaign_dir, **kwargs):
-        return run_memory_campaign(
-            _space(), campaign_dir, fidelity="ladder",
-            objectives=OBJECTIVES, **TINY, **kwargs,
+    def _run(self, campaign_dir, promote_ranks=1, **options):
+        return run(
+            MemoryCampaign(
+                _space(), fidelity="ladder", objectives=OBJECTIVES,
+                promote_ranks=promote_ranks, **TINY,
+            ),
+            campaign_dir, **options,
         )
 
     def test_resume_is_pure_cache(self, tmp_path):
@@ -314,9 +315,9 @@ class TestLadderResume:
         campaign_dir = str(tmp_path / "camp")
         self._run(campaign_dir)
         with pytest.raises(ValueError, match="different campaign"):
-            run_memory_campaign(
-                _space(), campaign_dir, resume=True,
-                objectives=OBJECTIVES, **TINY,
+            run(
+                MemoryCampaign(_space(), objectives=OBJECTIVES, **TINY),
+                campaign_dir, resume=True,
             )
         with pytest.raises(ValueError, match="different campaign"):
             self._run(campaign_dir, resume=True, promote_ranks=3)

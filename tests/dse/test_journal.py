@@ -465,12 +465,12 @@ class TestVersionOneJournal:
         assert "6e5669f" in message
 
     def test_resume_refuses_instead_of_starting_fresh(self, tmp_path):
-        from repro.dse import ParameterSpace, run_memory_campaign
+        from repro.dse import MemoryCampaign, ParameterSpace, run
 
         campaign_dir = self._stage(tmp_path)
         with pytest.raises(ValueError, match="6e5669f"):
-            run_memory_campaign(
-                ParameterSpace().add("subarray_rows", [256]),
+            run(
+                MemoryCampaign(ParameterSpace().add("subarray_rows", [256])),
                 campaign_dir, resume=True,
             )
         assert not os.path.exists(os.path.join(campaign_dir, JOURNAL_NAME))

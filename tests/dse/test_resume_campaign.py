@@ -8,10 +8,13 @@ marker.
 import pytest
 
 from repro.dse import (
+    CampaignRunner,
     CampaignState,
+    MemoryCampaign,
     ParameterSpace,
-    run_memory_campaign,
-    run_system_campaign,
+    ResultCache,
+    SystemCampaign,
+    run,
 )
 from repro.dse.checkpoint import JOURNAL_NAME
 from repro.magpie.scenarios import Scenario
@@ -25,6 +28,10 @@ def _space():
     )
 
 
+def _campaign(**fields):
+    return MemoryCampaign(_space(), **SETTINGS, **fields)
+
+
 class Killed(Exception):
     """Stands in for a SIGKILL mid-campaign."""
 
@@ -32,10 +39,7 @@ class Killed(Exception):
 @pytest.mark.slow
 class TestMemoryCampaignResume:
     def test_kill_resume_identical_to_uninterrupted(self, tmp_path):
-        space = _space()
-        reference = run_memory_campaign(
-            space, str(tmp_path / "ref"), **SETTINGS
-        )
+        reference = run(_campaign(), str(tmp_path / "ref"))
         assert len(reference.outcomes) == 4
 
         def bomb(event):
@@ -44,15 +48,13 @@ class TestMemoryCampaignResume:
 
         campaign_dir = str(tmp_path / "killed")
         with pytest.raises(Killed):
-            run_memory_campaign(space, campaign_dir, progress=bomb, **SETTINGS)
+            run(_campaign(), campaign_dir, progress=bomb)
 
         journal = CampaignState.load(tmp_path / "killed" / JOURNAL_NAME)
         finished = set(journal.completed)
         assert 1 <= journal.done < 4
 
-        resumed = run_memory_campaign(
-            space, campaign_dir, resume=True, **SETTINGS
-        )
+        resumed = run(_campaign(), campaign_dir, resume=True)
         # Zero re-evaluation: every point that finished before the kill
         # comes back as a cache hit.
         for job, outcome in zip(resumed.jobs, resumed.outcomes):
@@ -64,39 +66,32 @@ class TestMemoryCampaignResume:
         assert CampaignState.load(tmp_path / "killed" / JOURNAL_NAME).done == 4
 
     def test_resume_completed_campaign_is_pure_cache(self, tmp_path):
-        space = _space()
         campaign_dir = str(tmp_path / "camp")
-        first = run_memory_campaign(space, campaign_dir, **SETTINGS)
-        again = run_memory_campaign(space, campaign_dir, resume=True, **SETTINGS)
+        first = run(_campaign(), campaign_dir)
+        again = run(_campaign(), campaign_dir, resume=True)
         assert all(o.from_cache for o in again.outcomes)
         assert again.records() == first.records()
 
     def test_resume_rejects_changed_settings(self, tmp_path):
-        space = _space()
         campaign_dir = str(tmp_path / "camp")
-        run_memory_campaign(space, campaign_dir, **SETTINGS)
+        run(_campaign(), campaign_dir)
+        changed = MemoryCampaign(_space(), num_words=300, error_population=10_000)
         with pytest.raises(ValueError, match="different campaign"):
-            run_memory_campaign(
-                space, campaign_dir, resume=True,
-                num_words=300, error_population=10_000,
-            )
+            run(changed, campaign_dir, resume=True)
 
     def test_adaptive_campaign_resumes_from_cache(self, tmp_path):
         space = ParameterSpace().add(
             "subarray_rows", [128, 256, 512]
         ).add("wer_target", [1e-9, 1e-12, 1e-15])
         campaign_dir = str(tmp_path / "surrogate")
-        options = dict(batch=4, rounds=2, seed=0)
-        first = run_memory_campaign(
-            space, campaign_dir, sampler="surrogate",
-            sampler_options=options, **SETTINGS,
+        campaign = MemoryCampaign(
+            space, sampler="surrogate",
+            sampler_options=dict(batch=4, rounds=2, seed=0), **SETTINGS,
         )
+        first = run(campaign, campaign_dir)
         assert first.adaptive is not None
         assert first.adaptive.evaluations == len(first.jobs)
-        again = run_memory_campaign(
-            space, campaign_dir, resume=True, sampler="surrogate",
-            sampler_options=options, **SETTINGS,
-        )
+        again = run(campaign, campaign_dir, resume=True)
         # Deterministic proposals: the replay walks the same points, all hits.
         assert [j.key for j in again.jobs] == [j.key for j in first.jobs]
         assert all(o.from_cache for o in again.outcomes)
@@ -106,11 +101,11 @@ class TestMemoryCampaignResume:
 @pytest.mark.slow
 class TestSystemCampaignResume:
     def test_kill_resume_matches_uninterrupted(self, tmp_path):
-        kwargs = dict(
+        campaign = SystemCampaign(
             workloads=["bodytrack"],
             scenarios=[Scenario.FULL_SRAM, Scenario.FULL_L2_STT],
         )
-        reference = run_system_campaign(str(tmp_path / "ref"), **kwargs)
+        reference = run(campaign, str(tmp_path / "ref"))
         assert len(reference.results) == 2
 
         def bomb(event):
@@ -119,10 +114,10 @@ class TestSystemCampaignResume:
 
         campaign_dir = str(tmp_path / "killed")
         with pytest.raises(Killed):
-            run_system_campaign(campaign_dir, progress=bomb, **kwargs)
+            run(campaign, campaign_dir, progress=bomb)
         assert CampaignState.load(tmp_path / "killed" / JOURNAL_NAME).done >= 0
 
-        resumed = run_system_campaign(campaign_dir, resume=True, **kwargs)
+        resumed = run(campaign, campaign_dir, resume=True)
         assert sorted(map(str, resumed.records())) == sorted(
             map(str, reference.records())
         )
@@ -135,13 +130,11 @@ class TestAdaptiveExploreMemory:
         space = ParameterSpace().add(
             "subarray_rows", [128, 256, 512]
         ).add("word_bits", [128, 256]).add("wer_target", [1e-9, 1e-12])
-        from repro.dse import explore_memory
-
-        result = explore_memory(
+        campaign = MemoryCampaign(
             space, sampler="surrogate",
-            sampler_options=dict(batch=4, rounds=2, seed=0),
-            cache_dir=str(tmp_path), **SETTINGS,
+            sampler_options=dict(batch=4, rounds=2, seed=0), **SETTINGS,
         )
+        result = run(campaign, runner=CampaignRunner(cache=ResultCache(str(tmp_path))))
         assert result.adaptive is not None
         assert 0 < len(result.jobs) < space.size
         assert len(result.records()) > 0

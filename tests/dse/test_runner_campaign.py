@@ -5,12 +5,13 @@ import pytest
 from repro.dse import (
     CampaignRunner,
     Job,
+    MemoryCampaign,
     ParameterSpace,
     ResultCache,
-    explore_memory,
-    explore_system,
+    SystemCampaign,
     get_target,
     register_target,
+    run,
 )
 from repro.magpie.scenarios import Scenario
 
@@ -100,11 +101,9 @@ class TestMemoryCampaign:
         space = ParameterSpace().add("subarray_rows", [128, 256]).add(
             "wer_target", [1e-9, 1e-12]
         )
-        settings = dict(
-            num_words=200, error_population=10_000, cache_dir=str(tmp_path)
-        )
-        cold = explore_memory(space, **settings)
-        warm = explore_memory(space, **settings)
+        campaign = MemoryCampaign(space, num_words=200, error_population=10_000)
+        cold = run(campaign, runner=CampaignRunner(cache=ResultCache(str(tmp_path))))
+        warm = run(campaign, runner=CampaignRunner(cache=ResultCache(str(tmp_path))))
         assert len(cold.outcomes) == 4
         assert cold.cache_hits == 0
         assert warm.cache_hits == 4
@@ -113,14 +112,16 @@ class TestMemoryCampaign:
 
     def test_serial_equals_parallel(self):
         space = ParameterSpace().add("subarray_rows", [128, 256])
-        a = explore_memory(space, num_words=200, error_population=10_000, workers=1)
-        b = explore_memory(space, num_words=200, error_population=10_000, workers=2)
+        campaign = MemoryCampaign(space, num_words=200, error_population=10_000)
+        a = run(campaign, workers=1)
+        b = run(campaign, workers=2)
         assert a.records() == b.records()
 
     def test_invalid_point_is_isolated(self):
         space = ParameterSpace().add("subarray_rows", [256, 2048])
-        result = explore_memory(
-            space, num_words=200, error_population=10_000, workers=1
+        result = run(
+            MemoryCampaign(space, num_words=200, error_population=10_000),
+            workers=1,
         )
         assert len(result.errors()) == 1
         assert "subarray_rows" in result.errors()[0].error
@@ -129,12 +130,13 @@ class TestMemoryCampaign:
     def test_unknown_axis_rejected_at_build(self):
         space = ParameterSpace().add("warp_factor", [9])
         with pytest.raises(ValueError):
-            explore_memory(space, num_words=200, error_population=10_000)
+            MemoryCampaign(space, num_words=200, error_population=10_000)
 
     def test_records_carry_objectives_and_pareto_is_subset(self):
         space = ParameterSpace().add("subarray_rows", [128, 256])
-        result = explore_memory(
-            space, num_words=200, error_population=10_000, workers=1
+        result = run(
+            MemoryCampaign(space, num_words=200, error_population=10_000),
+            workers=1,
         )
         records = result.records()
         for row in records:
@@ -145,8 +147,9 @@ class TestMemoryCampaign:
 
     def test_wer_axis_tightens_latency(self):
         space = ParameterSpace().add("wer_target", [1e-6, 1e-15])
-        result = explore_memory(
-            space, num_words=200, error_population=10_000, workers=1
+        result = run(
+            MemoryCampaign(space, num_words=200, error_population=10_000),
+            workers=1,
         )
         by_target = {row["wer_target"]: row for row in result.records()}
         assert by_target[1e-15]["write_latency"] > by_target[1e-6]["write_latency"]
@@ -155,29 +158,27 @@ class TestMemoryCampaign:
 @pytest.mark.slow
 class TestSystemCampaign:
     def test_grid_matches_flow_run(self, tmp_path):
-        result = explore_system(
+        campaign = SystemCampaign(
             workloads=["bodytrack"],
             scenarios=[Scenario.FULL_SRAM, Scenario.FULL_L2_STT],
-            cache_dir=str(tmp_path),
         )
+        result = run(campaign, runner=CampaignRunner(cache=ResultCache(str(tmp_path))))
         assert len(result.results) == 2
         records = result.records()
         assert {row["scenario"] for row in records} == {
             "Full-SRAM",
             "Full-L2-STT-MRAM",
         }
-        warm = explore_system(
-            workloads=["bodytrack"],
-            scenarios=[Scenario.FULL_SRAM, Scenario.FULL_L2_STT],
-            cache_dir=str(tmp_path),
-        )
+        warm = run(campaign, runner=CampaignRunner(cache=ResultCache(str(tmp_path))))
         assert sorted(map(str, warm.records())) == sorted(map(str, records))
         assert warm.cache_stats["hits"] == 2
 
     def test_stt_beats_sram_on_energy(self):
-        result = explore_system(
-            workloads=["bodytrack"],
-            scenarios=[Scenario.FULL_SRAM, Scenario.FULL_L2_STT],
+        result = run(
+            SystemCampaign(
+                workloads=["bodytrack"],
+                scenarios=[Scenario.FULL_SRAM, Scenario.FULL_L2_STT],
+            ),
             workers=1,
         )
         rows = {row["scenario"]: row for row in result.records()}

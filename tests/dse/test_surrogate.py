@@ -1,8 +1,8 @@
 """SurrogateSampler: determinism, budget efficiency, campaign replay.
 
 The fast suites drive the sampler on an analytic toy objective; the
-``slow`` suites pay for real VAET-STT evaluations through
-``explore_memory`` / ``run_memory_campaign`` to pin the kill/resume
+``slow`` suites pay for real VAET-STT evaluations through ``run`` to
+pin the kill/resume
 and executor-replay guarantees end to end.
 """
 
@@ -12,12 +12,12 @@ import pytest
 
 from repro.dse import (
     CampaignState,
+    MemoryCampaign,
     ParameterSpace,
     SurrogateSampler,
+    SystemCampaign,
     evaluations_to_target,
-    explore_memory,
-    explore_system,
-    run_memory_campaign,
+    run,
 )
 from repro.dse.checkpoint import JOURNAL_NAME
 from repro.dse.surrogate import AdaptiveRound, AdaptiveTrace, point_key
@@ -231,12 +231,12 @@ class TestEvaluationsToTarget:
 @pytest.mark.slow
 class TestSurrogateCampaigns:
     def test_explore_memory_surrogate(self):
-        result = explore_memory(
+        result = run(MemoryCampaign(
             _memory_space(),
             sampler="surrogate",
             sampler_options=dict(batch=3, rounds=2, seed=0),
             **TINY,
-        )
+        ))
         assert result.adaptive is not None
         assert 1 <= result.adaptive.evaluations <= 6
         assert result.adaptive.best_score is not None
@@ -248,20 +248,20 @@ class TestSurrogateCampaigns:
     def test_explore_system_surrogate(self):
         from repro.magpie.scenarios import Scenario
 
-        result = explore_system(
+        campaign = SystemCampaign(
             workloads=["bodytrack", "canneal"],
             scenarios=[Scenario.FULL_SRAM, Scenario.FULL_L2_STT],
             sampler="surrogate",
             sampler_options=dict(batch=2, rounds=2, seed=0),
-            workers=1,
         )
+        result = run(campaign, workers=1)
         assert result.adaptive.evaluations == len(result.results) == 4
         best = min(row["edp"] for row in result.records())
         assert result.adaptive.best_score == pytest.approx(best)
 
     def test_explore_system_rejects_unknown_sampler(self):
         with pytest.raises(ValueError, match="surrogate"):
-            explore_system(sampler="halving")
+            SystemCampaign(sampler="halving")
 
 
 @pytest.mark.slow
@@ -276,12 +276,12 @@ class TestSurrogateKillResume:
 
     OPTIONS = dict(batch=3, rounds=2, seed=0)
 
-    def _run(self, campaign_dir, **kwargs):
-        return run_memory_campaign(
-            _memory_space(), campaign_dir,
-            sampler="surrogate", sampler_options=dict(self.OPTIONS),
-            **TINY, **kwargs,
+    def _run(self, campaign_dir, **options):
+        campaign = MemoryCampaign(
+            _memory_space(), sampler="surrogate",
+            sampler_options=dict(self.OPTIONS), **TINY,
         )
+        return run(campaign, campaign_dir, **options)
 
     def test_kill_resume_identical_proposal_path(self, tmp_path):
         reference = self._run(str(tmp_path / "ref"))

@@ -96,13 +96,13 @@ def test_evaluating_a_point_imports_no_scipy():
     """A lazy import cannot creep back in at evaluation time."""
     loaded = fresh_run(
         "import json, sys, tempfile\n"
-        "from repro.dse.campaign import run_memory_campaign\n"
+        "from repro.dse.campaign import MemoryCampaign, run\n"
         "from repro.dse.space import ParameterSpace\n"
         "space = ParameterSpace()\n"
         "space.add('word_bits', [128])\n"
+        "campaign = MemoryCampaign(space, num_words=50, error_population=2000)\n"
         "with tempfile.TemporaryDirectory() as directory:\n"
-        "    result = run_memory_campaign(space, directory, num_words=50,\n"
-        "                                 error_population=2000, workers=1)\n"
+        "    result = run(campaign, directory, workers=1)\n"
         "print(json.dumps([len(result.records()), sorted(sys.modules)]))\n"
     )
     points, modules = loaded
