@@ -22,8 +22,9 @@ The ``--snapshot`` mode combines journal throughput, the analytics
 report-build fold, the three-way executor comparison and the
 scalar-vs-vector evaluator timing into one JSON document —
 ``BENCH_dse.json`` at the repo root is such a snapshot, and ``benchmarks/compare_bench.py`` **gates CI** on it: a
->30% wrong-direction drift in any tracked metric fails the build
-(``REPRO_BENCH_NO_GATE=1`` downgrades the gate to a report).
+>30% wrong-direction drift in any tracked metric, taken as the median
+of three snapshots, fails the build (``REPRO_BENCH_NO_GATE=1``
+downgrades the gate to a report).
 
 ``REPRO_DSE_WORKERS`` bounds the worker pool in both modes (CI runners
 set it to the vCPU count for deterministic pool sizes).

@@ -53,7 +53,7 @@ always runs the per-cell pass.  Every solve of a kernel goes through the same
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -66,8 +66,9 @@ from repro.utils.normal import (
     sorted_sf,
     sorted_sf_sum,
 )
+from repro.utils.blocks import map_blocks
 from repro.utils.roots import brentq
-from repro.vaet.montecarlo import MonteCarloEngine
+from repro.vaet.montecarlo import MonteCarloEngine, word_blocks
 from repro.vaet.read_disturb import dwell_times
 from repro.vaet.variation_model import (
     CellSamples,
@@ -616,6 +617,61 @@ _HERMITE_ROOTS = (
 )
 
 
+#: The cell columns an error population keeps past its build: its
+#: readers past there (read disturb, retention faults) take Delta, R_P,
+#: drive strength and I_c0 only.
+KEPT_COLUMNS = ("delta", "critical_current", "resistance_p", "drive_strength")
+
+
+def _kept(cells: CellSamples) -> CellSamples:
+    """``cells`` with every column but :data:`KEPT_COLUMNS` set to None."""
+    return replace(cells, **{
+        field.name: None for field in fields(cells)
+        if field.name not in KEPT_COLUMNS
+    })
+
+
+def _cell_columns(variation, cells: CellSamples):
+    """The switching rate, read signal and read-disturb 1/tau of each
+    of ``cells``, each a fresh array."""
+    rates = variation.switching_rates(cells)
+    signals = variation.read_signal_currents(cells)
+    inverse_tau = dwell_times(variation, cells)
+    np.divide(1.0, inverse_tau, out=inverse_tau)
+    return rates, signals, inverse_tau
+
+
+def _build_population(variation, normals: np.ndarray):
+    """The cells of ``normals`` (four rows of standard normals) and
+    their :func:`_cell_columns`.
+
+    Built in blocks of ``WRITE_CHUNK`` cells
+    (:func:`~repro.utils.blocks.map_blocks`), each writing its slice of
+    the kept columns and of the three per-cell columns; a single block
+    is built inline, and its kept columns are the cells' own arrays.
+    """
+    blocks = word_blocks(normals.shape[1], 1)
+    if len(blocks) == 1:
+        cells = variation.cells_from_normals(normals)
+        return (cells,) + _cell_columns(variation, cells)
+    kept = {name: np.empty(normals.shape[1]) for name in KEPT_COLUMNS}
+    columns = tuple(np.empty(normals.shape[1]) for _ in range(3))
+
+    def build(block):
+        span = block[1]
+        cells = variation.cells_from_normals(normals[:, span])
+        for name, column in kept.items():
+            column[span] = getattr(cells, name)
+        for column, values in zip(columns, _cell_columns(variation, cells)):
+            column[span] = values
+
+    map_blocks(build, blocks)
+    cells = CellSamples(**{
+        field.name: kept.get(field.name) for field in fields(CellSamples)
+    })
+    return (cells,) + columns
+
+
 class ErrorRateAnalysis:
     """The error population of one array, and its WER/RER margin solver.
 
@@ -651,20 +707,14 @@ class ErrorRateAnalysis:
         variation = engine.variation
         if scalar_reference_enabled():
             cells = variation.sample_cells(np.random.default_rng(seed), population)
+            rates, signals, inverse_tau = _cell_columns(variation, cells)
         else:
-            normals = normals_prefix(seed, 4 * population)
-            cells = variation.cells_from_normals(normals.reshape(4, -1))
-        rates = variation.switching_rates(cells)
-        signals = variation.read_signal_currents(cells)
-        # The readers of the cells past here (read disturb, retention
-        # faults) take Delta, R_P, drive strength and I_c0 only.
-        self.cells: Optional[CellSamples] = replace(
-            cells, diameter=None, resistance_ap_write=None, rate_prefactor=None
-        )
+            cells, rates, signals, inverse_tau = _build_population(
+                variation, normals_prefix(seed, 4 * population).reshape(4, -1)
+            )
+        self.cells: Optional[CellSamples] = _kept(cells)
         del cells
         # The disturb bound reads only the mean of 1/tau.
-        inverse_tau = dwell_times(variation, self.cells)
-        np.divide(1.0, inverse_tau, out=inverse_tau)
         self.mean_inverse_tau = float(np.mean(inverse_tau))
         del inverse_tau
         # The switching cells' rates and envelopes pi^2 Delta / 4, in

@@ -263,7 +263,13 @@ class DesignSpaceExplorer:
         (:func:`~repro.vaet.variation_model.standard_normals`,
         :func:`~repro.vaet.variation_model.read_blocks`), which every
         point of that seed shares, with the values it would have drawn
-        itself.  :func:`clear_physics_memo` empties both memos and the
+        itself.  A miss's population-sized passes (the MC writes and
+        reads, the population build) run in blocks of whole words on
+        the calling thread and one helper thread per further usable
+        CPU (:func:`repro.utils.blocks.map_blocks`), so a serial
+        campaign uses the cores one point leaves idle; no value depends
+        on the blocks.
+        :func:`clear_physics_memo` empties both memos and the
         stream.  Under ``REPRO_VAET_SCALAR`` the same route runs the
         scalar reference kernels and neither memo serves or keeps a
         record, so every point recomputes everything.  Under

@@ -4,15 +4,29 @@ Writes: a word completes when its slowest bit has switched; two-phase
 row writes double the pulse stage.  Reads: the word is sensed in
 parallel and completes when the weakest-signal bit has developed the
 required margin.  Both are sampled fully vectorised.
+
+Both passes work in blocks of whole words of about ``WRITE_CHUNK``
+cells (:func:`word_blocks`), mapped through
+:func:`~repro.utils.blocks.map_blocks`, which shares them between the
+calling thread and helper threads, one per further usable CPU, when
+there is more than one.  A block writes its words' slices of arrays
+allocated before the blocks run, and every statistic across words (the
+median signal, the mean and spread of the word maxima) is one call over
+the full array once the blocks are done.  The writes draw every initial
+angle in one ``standard_exponential`` call before the blocks run: the
+values and generator state that a draw per block gives.  So no output
+depends on the blocking or the threads.
 """
 
 import math
 from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.nvsim.bank import BankTiming
 from repro.nvsim.subarray import SubarrayTiming
+from repro.utils.blocks import map_blocks
 from repro.utils.mathx import median
 from repro.vaet.variation_model import (
     VariationModel,
@@ -20,10 +34,25 @@ from repro.vaet.variation_model import (
     scalar_reference_enabled,
 )
 
-#: Cells per chunk of the vectorised write Monte Carlo.  A chunk's
+#: Cells per block of a population pass: the Monte Carlo writes and
+#: reads and the error population's cell build
+#: (:class:`~repro.vaet.error_rates.ErrorRateAnalysis`).  A block's
 #: columns are 512 KiB each, where one pass over the 384k cells of a
-#: 256-bit default-effort Monte Carlo held ten columns of 3 MB.
+#: 256-bit default-effort Monte Carlo held ten columns of 3 MB.  A
+#: 200k-cell error population is four blocks; a reduced-effort point's
+#: passes are one block each, so they start no thread.
 WRITE_CHUNK = 1 << 16
+
+
+def word_blocks(words: int, bits: int) -> List[Tuple[slice, slice]]:
+    """``(words, cells)`` slices of whole-word blocks of about
+    ``WRITE_CHUNK`` cells, over ``words`` words of ``bits`` cells each."""
+    step = max(1, WRITE_CHUNK // bits)
+    return [
+        (slice(first, min(first + step, words)),
+         slice(first * bits, min(first + step, words) * bits))
+        for first in range(0, words, step)
+    ]
 
 
 @dataclass
@@ -129,20 +158,20 @@ class MonteCarloEngine:
         completion + ``margin_sigmas`` sigma), since an open-loop array
         cannot cut power per bit the instant it happens to switch.
 
-        The cells are built and timed in chunks of whole words, about
-        ``WRITE_CHUNK`` cells each; a word's maximum and current sum
-        are reductions over its own row, so no value depends on the
-        chunking.
+        The cells are built and timed in blocks of whole words
+        (:func:`word_blocks`); a word's maximum and current sum are
+        reductions over its own row, so no value depends on the
+        blocking.
         """
         variation = self.variation
         bits = self.word_bits
-        times = np.empty(num_words * bits)
+        # Every initial angle in one draw: split draws concatenate.
+        times = rng.standard_exponential(num_words * bits)
         word_max = np.empty(num_words)
         word_current = np.empty(num_words)
-        step = max(1, WRITE_CHUNK // bits)
-        for first in range(0, num_words, step):
-            words = slice(first, min(first + step, num_words))
-            span = slice(words.start * bits, words.stop * bits)
+
+        def write_block(block):
+            words, span = block
             cells = variation.cells_from_normals(normals[:, span])
             currents = variation.delivered_write_current(cells)
             rates = variation._rates_at(cells, currents)
@@ -150,10 +179,11 @@ class MonteCarloEngine:
             # Only Delta is read from here on: free the other columns
             # before the switching-time pass allocates its own.
             del cells
-            chunk = variation._times_at(delta, rates, rng)
-            times[span] = chunk
+            chunk = variation._times_from(delta, rates, times[span])
             word_max[words] = np.max(chunk.reshape(-1, bits), axis=1)
             word_current[words] = np.sum(currents.reshape(-1, bits), axis=1)
+
+        map_blocks(write_block, word_blocks(num_words, bits))
         # Times are finite or +inf (non-switching): words containing a
         # non-switching cell get the window cap.
         word_max[np.isinf(word_max)] = 100e-9
@@ -227,18 +257,30 @@ class MonteCarloEngine:
         ``blocks`` are the cells' diameter, RA and drive-strength blocks
         of ``num_words`` x ``word_bits`` normals
         (:func:`~repro.vaet.variation_model.draw_read_blocks`): the read
-        path needs R_P and drive strength only.
+        path needs R_P and drive strength only.  Each block keeps its
+        words' weakest signal and read-current sum; the develop times
+        follow from the weakest signals once the median is known
+        (:meth:`_word_develop_times`).
         """
         from repro.nvsim.subarray import READ_BIAS
 
-        resistance_p, strength = self.variation.read_cells(blocks)
-        read_currents, signals = self.variation.read_path_currents(
-            resistance_p, strength
-        )
-        del resistance_p, strength
-        develop = self._develop_times(signals)
-        matrix = develop.reshape(num_words, self.word_bits)
-        word_develop = np.max(matrix, axis=1)
+        variation = self.variation
+        bits = self.word_bits
+        signals = np.empty(num_words * bits)
+        word_weakest = np.empty(num_words)
+        word_current = np.empty(num_words)
+
+        def read_block(block):
+            words, span = block
+            resistance_p, strength = variation.read_cells(blocks[:, span])
+            currents, signal = variation.read_path_currents(resistance_p, strength)
+            del resistance_p, strength
+            signals[span] = signal
+            word_weakest[words] = np.min(signal.reshape(-1, bits), axis=1)
+            word_current[words] = np.sum(currents.reshape(-1, bits), axis=1)
+
+        map_blocks(read_block, word_blocks(num_words, bits))
+        word_develop = self._word_develop_times(signals, word_weakest)
         regen = self.leaf.sense.delay - self.leaf.sense.develop_time
         latency = self._overhead + word_develop + regen
 
@@ -246,10 +288,7 @@ class MonteCarloEngine:
         # + per-bit bitline swing + sense static) and add the per-cell
         # conduction term (the parallel-state read current), which
         # scales with the word's develop time.
-        current_matrix = read_currents.reshape(num_words, self.word_bits)
-        bit_energy = (
-            np.sum(current_matrix, axis=1) * READ_BIAS * np.maximum(word_develop, 0.0)
-        )
+        bit_energy = word_current * READ_BIAS * np.maximum(word_develop, 0.0)
         subarray = self.variation.subarray
         wordline = self._active_subarrays * subarray.wordline_energy()
         bitline_swing = (
@@ -267,9 +306,28 @@ class MonteCarloEngine:
     def _develop_times(self, signals: np.ndarray) -> np.ndarray:
         """Per-cell develop time from the capacitance the nominal model
         used: t_nom = C dV / I_nom => C dV = t_nom * I_nom."""
-        nominal_signal = median(signals)
-        cdv = self.leaf.sense.develop_time * nominal_signal
-        return cdv / np.maximum(signals, 1e-9)
+        return self._sense_charge(signals) / np.maximum(signals, 1e-9)
+
+    def _sense_charge(self, signals: np.ndarray) -> float:
+        # C dV, the nominal cell taken as the median signal.
+        return self.leaf.sense.develop_time * median(signals)
+
+    def _word_develop_times(
+        self, signals: np.ndarray, weakest: np.ndarray
+    ) -> np.ndarray:
+        """Each word's develop time: the largest of its bits'
+        :meth:`_develop_times`, from the word's ``weakest`` signal.
+
+        For C dV > 0, C dV / max(I, 1e-9) does not rise with I, and
+        correctly rounded division keeps that order, so the word's
+        weakest signal gives its largest per-cell time to the bit.  Any
+        other C dV takes the per-cell maximum.
+        """
+        cdv = self._sense_charge(signals)
+        if cdv > 0.0:
+            return cdv / np.maximum(weakest, 1e-9)
+        per_cell = self._develop_times(signals)
+        return np.max(per_cell.reshape(-1, self.word_bits), axis=1)
 
     def _sample_reads_scalar(
         self, cells, signals, develop, num_words: int

@@ -521,22 +521,40 @@ class VariationModel:
     def _times_at(
         delta: np.ndarray, rates: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """Switching times from each cell's Delta and rate; every
-        temporary after the draw is worked in place.
+        """Switching times from each cell's Delta and rate, drawing one
+        initial angle per cell from ``rng``.
 
         numpy draws ``exponential(scale)`` as ``scale *
         standard_exponential()``, so the vectorised path draws the
-        standard exponentials and scales them in place: the same stream
-        elements and the same products, without the broadcast draw.
+        standard exponentials and scales them in place
+        (:meth:`_times_from`): the same stream elements and the same
+        products, without the broadcast draw.
         """
+        if not scalar_reference_enabled():
+            return VariationModel._times_from(
+                delta, rates, rng.standard_exponential(len(delta))
+            )
         scale = np.maximum(delta, 1.0)
         np.divide(1.0, scale, out=scale)
-        if scalar_reference_enabled():
-            times = np.array([rng.exponential(s) for s in scale])
-        else:
-            times = rng.standard_exponential(len(scale))
-            times *= scale
+        times = np.array([rng.exponential(s) for s in scale])
+        return VariationModel._angles_to_times(times, rates)
+
+    @staticmethod
+    def _times_from(
+        delta: np.ndarray, rates: np.ndarray, times: np.ndarray
+    ) -> np.ndarray:
+        """Switching times, in place in ``times``, which holds one
+        standard exponential draw per cell; every temporary is worked in
+        place.  Returns ``times``."""
+        scale = np.maximum(delta, 1.0)
+        np.divide(1.0, scale, out=scale)
+        times *= scale
         del scale
+        return VariationModel._angles_to_times(times, rates)
+
+    @staticmethod
+    def _angles_to_times(times: np.ndarray, rates: np.ndarray) -> np.ndarray:
+        # theta0^2 ~ Exp(1 / Delta) in ``times`` becomes, in place,
         # theta0, then ln(pi / 2 / theta0), then that over the rate.
         np.maximum(times, 1e-12, out=times)
         np.sqrt(times, out=times)

@@ -4,8 +4,9 @@ The gate itself runs in CI against real snapshots; these tests pin its
 decision rules on synthetic ones: >30% wrong-direction drift on a
 gated metric fails unless it is within the metric's absolute noise
 floor, improvements and report-only metrics never do,
-missing sections compare as ``n/a``, and ``REPRO_BENCH_NO_GATE=1``
-downgrades a failure to a report.
+missing sections compare as ``n/a``, several snapshots gate on each
+metric's median, and ``REPRO_BENCH_NO_GATE=1`` downgrades a failure
+to a report.
 """
 
 import io
@@ -150,6 +151,35 @@ class TestCompare:
         assert "n/a" in report
 
 
+class TestMedianSnapshot:
+    def test_one_noisy_snapshot_of_three_does_not_gate(self):
+        noisy = _snapshot(**{
+            "journal.resume_load_s": 0.2, "evaluator.vector_s_per_point": 0.05,
+        })
+        merged = compare_bench.median_snapshot([_snapshot(), noisy, _snapshot()])
+        assert merged["journal"]["resume_load_s"] == 0.05
+        regressions, _ = _compare(_snapshot(), merged)
+        assert regressions == []
+
+    def test_two_slow_snapshots_of_three_gate(self):
+        slow = _snapshot(**{"journal.resume_load_s": 0.2})
+        merged = compare_bench.median_snapshot([slow, _snapshot(), slow])
+        regressions, _ = _compare(_snapshot(), merged)
+        assert len(regressions) == 1
+        assert "journal.resume_load_s" in regressions[0]
+
+    def test_median_of_the_snapshots_that_report_a_metric(self):
+        partial = _snapshot()
+        del partial["evaluator"]["deadline_ratio"]
+        merged = compare_bench.median_snapshot([
+            partial,
+            _snapshot(**{"evaluator.deadline_ratio": 1.3}),
+            _snapshot(**{"evaluator.deadline_ratio": 1.5}),
+        ])
+        assert merged["evaluator"]["deadline_ratio"] == 1.4
+        assert "chaos_guard" not in merged
+
+
 class TestMain:
     def _paths(self, tmp_path, baseline, current):
         base_path = tmp_path / "baseline.json"
@@ -174,6 +204,23 @@ class TestMain:
         out = capsys.readouterr().out
         assert "REGRESSION journal.jsonl_flatness" in out
         assert "perf gate: FAILED" in out
+
+    def test_several_snapshots_gate_on_the_median(self, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.delenv("REPRO_BENCH_NO_GATE", raising=False)
+        paths = []
+        for name, flatness in (("a", 5.0), ("b", 1.2), ("c", 1.3)):
+            path = tmp_path / ("%s.json" % name)
+            path.write_text(json.dumps(
+                _snapshot(**{"journal.jsonl_flatness": flatness})
+            ))
+            paths.append(str(path))
+        base_path = tmp_path / "baseline.json"
+        base_path.write_text(json.dumps(_snapshot()))
+        assert compare_bench.main([str(base_path)] + paths) == 0
+        out = capsys.readouterr().out
+        assert "median of 3 snapshots" in out
+        assert "perf gate: all gated metrics" in out
 
     def test_escape_hatch_downgrades_to_report(self, tmp_path, capsys,
                                                monkeypatch):

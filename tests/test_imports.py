@@ -14,6 +14,8 @@ modes, LLG or SPICE modules, the campaign server (and with it
 host, against ~0.75-0.9 s with ``scipy.special`` and eager
 ``repro.dse`` inits, and ~0.9-1.35 s when it also loaded
 ``scipy.optimize``.  Evaluating a point loads no ``numpy.ma`` either.
+Neither loads ``concurrent.futures``: the blocked population passes
+run on plain ``threading`` helpers.
 """
 
 import importlib
@@ -71,6 +73,13 @@ def test_engine_imports_no_scipy_and_no_device_physics():
     modules = loaded_modules("repro.dse.campaign", "repro.dse.net")
     assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
     assert not [m for m in modules if m.startswith("repro.core")]
+
+
+@pytest.mark.parametrize("names", [("repro.dse.campaign",), WORKER_EVALUATION_SET])
+def test_no_concurrent_futures_at_start_up(names):
+    """Neither the engine nor a worker pays for ``concurrent.futures``
+    at start-up."""
+    assert not _under(loaded_modules(*names), "concurrent.futures")
 
 
 def test_worker_evaluation_set_imports_no_scipy():

@@ -10,8 +10,11 @@ numpy is installed: the ``vector-equivalence`` CI job runs them on the
 oldest and the latest.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.utils.mathx import median, percentile
 
@@ -40,6 +43,29 @@ def test_percentile_equals_np_percentile(size):
     for values in _samples(size):
         for q in (0.0, 1.0, 25.0, 50.0, 75.0, 99.0, 99.9, 100.0):
             assert percentile(values, q) == float(np.percentile(values, q)), q
+
+
+def _same(ours, theirs):
+    return ours == theirs or (math.isnan(ours) and math.isnan(theirs))
+
+
+#: Few distinct values, so that ties are common, and both infinities.
+_VALUES = st.lists(
+    st.sampled_from([-math.inf, -2.5, -1.0, 0.0, 0.5, 1.0, 3.0, math.inf])
+    | st.floats(allow_nan=False, allow_infinity=True, width=64),
+    min_size=1, max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_VALUES, q=st.floats(0.0, 100.0))
+def test_single_kth_partition_equals_numpy(values, q):
+    """One ``kth`` and the maximum below it give numpy's two order
+    statistics: odd and even sizes, ties and +-inf."""
+    values = np.array(values)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _same(median(values), float(np.median(values)))
+        assert _same(percentile(values, q), float(np.percentile(values, q)))
 
 
 def test_median_takes_the_even_pair_mean_as_np_mean_does():

@@ -120,6 +120,18 @@ class TestNumpyIdentities:
         assert np.array_equal(np.concatenate((first, second)), whole)
         assert split.bit_generator.state == generator.bit_generator.state
 
+    def test_split_exponential_draws_concatenate(self):
+        """The Monte Carlo writes draw every initial angle in one call:
+        the values and state of one draw per block."""
+        sizes = (WRITE_CHUNK, WRITE_CHUNK, 1500 * 128 - 2 * WRITE_CHUNK)
+        split = np.random.default_rng(SEED)
+        parts = [split.standard_exponential(size) for size in sizes]
+        whole = np.random.default_rng(SEED)
+        assert np.array_equal(
+            np.concatenate(parts), whole.standard_exponential(sum(sizes))
+        )
+        assert split.bit_generator.state == whole.bit_generator.state
+
     def test_out_fills_as_a_fresh_draw(self):
         filled = np.empty(4000)
         np.random.default_rng(SEED).standard_normal(out=filled)
